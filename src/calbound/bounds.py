@@ -78,15 +78,18 @@ class BoundInputs:
             raise ValidationError(f"bin count must be a positive integer, got {self.num_bins!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.lipschitz < 0:
-            raise ValidationError(f"Lipschitz constant must be >= 0, got {self.lipschitz}")
+        # The chained comparisons also reject NaN and infinity.
+        if not 0.0 <= self.lipschitz < math.inf:
+            raise ValidationError(
+                f"Lipschitz constant must be finite and >= 0, got {self.lipschitz}"
+            )
         if isinstance(self.lam, str):
             if self.lam != "auto":
                 raise ValidationError(f"lam must be positive or 'auto', got {self.lam!r}")
-        elif self.lam <= 0:
-            raise ValidationError(f"lam must be positive, got {self.lam}")
-        if self.kl < 0:
-            raise ValidationError(f"kl must be >= 0, got {self.kl}")
+        elif not 0.0 < self.lam < math.inf:
+            raise ValidationError(f"lam must be finite and positive, got {self.lam}")
+        if not 0.0 <= self.kl < math.inf:
+            raise ValidationError(f"kl must be finite and >= 0, got {self.kl}")
         if self.num_classes is not None and self.num_classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
 
@@ -113,7 +116,7 @@ class BoundCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundCertificate":
@@ -128,32 +131,39 @@ class BoundCertificate:
         )
 
 
-def _lambda_terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float]:
-    """Return (a, c) so the statistical term is a/lam + c*lam."""
+def _terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float, float]:
+    """Return (binning, a, c) for one row of the table in the module docstring.
+
+    The three 1-D bias rows share one formula; TotalBiasTest only differs in
+    that evaluate_bound holds its kl at 0.
+    """
     b, n, eps, kl = inputs.num_bins, inputs.n, inputs.epsilon, inputs.kl
+    one_plus_l = 1.0 + inputs.lipschitz
     ln2 = math.log(2.0)
     if kind in _BIAS_1D:
-        a = kl + b * ln2 + math.log(1.0 / eps)
-        c = 0.5 / n if inputs.assume_density else 2.0 / n
-    elif kind is BoundKind.GenRecal:
-        a = kl + b * ln2 + math.log(1.0 / eps)
-        c = 1.0 / n if inputs.assume_density else 4.0 / n
-    elif kind is BoundKind.CeKBias:
-        k = _require_classes(inputs)
-        a = kl + b * k * ln2 + math.log(1.0 / eps)
-        c = k**2 / (2.0 * n)
-    elif kind is BoundKind.JointAccTce:
-        a = 3.0 * kl + 2.0 * b * ln2 + 3.0 * math.log(2.0 / eps)
-        c = 65.0 / (8.0 * n)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown bound kind {kind!r}")
-    return a, c
+        return (one_plus_l / b,
+                kl + b * ln2 + math.log(1.0 / eps),
+                0.5 / n if inputs.assume_density else 2.0 / n)
+    if kind is BoundKind.GenRecal:
+        return (0.0,
+                kl + b * ln2 + math.log(1.0 / eps),
+                1.0 / n if inputs.assume_density else 4.0 / n)
+    if kind is BoundKind.CeKBias:
+        k = inputs.num_classes
+        if k is None:
+            raise ValidationError("CeKBias needs the class count")
+        return (k * one_plus_l / b ** (1.0 / k),
+                kl + b * k * ln2 + math.log(1.0 / eps),
+                k**2 / (2.0 * n))
+    if kind is BoundKind.JointAccTce:
+        return (2.0 * one_plus_l / b,
+                3.0 * kl + 2.0 * b * ln2 + 3.0 * math.log(2.0 / eps),
+                65.0 / (8.0 * n))
+    raise ValidationError(f"unknown bound kind {kind!r}")  # pragma: no cover
 
 
-def _require_classes(inputs: BoundInputs) -> int:
-    if inputs.num_classes is None:
-        raise ValidationError("CeKBias needs the class count")
-    return inputs.num_classes
+def _best_lambda(a: float, c: float) -> float:
+    return min(max(math.sqrt(a / c), LAMBDA_MIN), LAMBDA_MAX)
 
 
 def heuristic_lambda(n: int, num_bins: int) -> float:
@@ -163,26 +173,8 @@ def heuristic_lambda(n: int, num_bins: int) -> float:
 
 def optimize_lambda(kind: BoundKind, inputs: BoundInputs) -> float:
     """Closed-form minimizer of a/lam + c*lam, clamped to [1e-6, 1e12]."""
-    a, c = _lambda_terms(kind, inputs)
-    return min(max(math.sqrt(a / c), LAMBDA_MIN), LAMBDA_MAX)
-
-
-def _resolve_lambda(kind: BoundKind, inputs: BoundInputs) -> float:
-    if inputs.lam == "auto":
-        return optimize_lambda(kind, inputs)
-    return float(inputs.lam)
-
-
-def _binning_term(kind: BoundKind, inputs: BoundInputs) -> float:
-    one_plus_l = 1.0 + inputs.lipschitz
-    if kind in _BIAS_1D:
-        return one_plus_l / inputs.num_bins
-    if kind is BoundKind.GenRecal:
-        return 0.0
-    if kind is BoundKind.CeKBias:
-        k = _require_classes(inputs)
-        return k * one_plus_l / inputs.num_bins ** (1.0 / k)
-    return 2.0 * one_plus_l / inputs.num_bins
+    _, a, c = _terms(kind, inputs)
+    return _best_lambda(a, c)
 
 
 def evaluate_bound(
@@ -193,12 +185,11 @@ def evaluate_bound(
         raise ValidationError("TotalBiasTest certifies a fixed predictor; kl must be 0")
     if kind is not BoundKind.JointAccTce and empirical_term != 0.0:
         raise ValidationError(f"{kind.value} takes no empirical term")
-    if empirical_term < 0.0:
-        raise ValidationError("empirical term must be >= 0")
-    lam = _resolve_lambda(kind, inputs)
-    a, c = _lambda_terms(kind, inputs)
+    if not 0.0 <= empirical_term < math.inf:
+        raise ValidationError(f"empirical term must be finite and >= 0, got {empirical_term}")
+    binning, a, c = _terms(kind, inputs)
+    lam = _best_lambda(a, c) if inputs.lam == "auto" else float(inputs.lam)
     statistical = a / lam + c * lam
-    binning = _binning_term(kind, inputs)
     echo = {
         "n": inputs.n,
         "num_bins": inputs.num_bins,

@@ -1,4 +1,4 @@
-"""Shared value types: prediction sets, top-label views, seeded RNG streams."""
+"""Shared value types (prediction sets, seeded RNG streams) and the floored log and softmax."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import numpy as np
 
 # Row sums may drift from 1 by this much before the row is rejected.
 SIMPLEX_ATOL = 1e-9
+
+# Probabilities are floored here before taking logs, so log(0) stays finite.
+PROB_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,6 +52,18 @@ class Rng:
         return Rng(self.master_seed, mixed)
 
 
+def log_probs(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log of probabilities floored at PROB_FLOOR."""
+    return np.log(np.maximum(probs, PROB_FLOOR))
+
+
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the maximum for stability."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TopPrediction(NamedTuple):
     class_index: int
     confidence: float
@@ -87,9 +102,10 @@ def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
     if n == 0:
         problems.append("prediction set is empty")
         return problems
-    bad_range = np.where((probs < 0.0).any(axis=1) | (probs > 1.0).any(axis=1))[0]
+    # Written as a negated inclusion so NaN entries fail it as well.
+    bad_range = np.where((~((probs >= 0.0) & (probs <= 1.0))).any(axis=1))[0]
     for i in bad_range[:10]:
-        problems.append(f"row {i}: entry outside [0, 1]")
+        problems.append(f"row {i}: entry outside [0, 1] or NaN")
     bad_sum = np.where(np.abs(probs.sum(axis=1) - 1.0) > SIMPLEX_ATOL)[0]
     for i in bad_sum[:10]:
         problems.append(f"row {i}: sums to {probs[i].sum():.12g}, not 1")

@@ -3,7 +3,6 @@
 from .experiments import (
     ALPHA_GRID,
     ExperimentCellError,
-    attach_dump_path,
     compare_methods,
     convergence_experiment,
     kl_gap_experiment,
@@ -20,7 +19,6 @@ __all__ = [
     "PredictionDump",
     "REPORT_SCHEMA",
     "SlopeFit",
-    "attach_dump_path",
     "compare_methods",
     "convergence_experiment",
     "fit_loglog_slope",

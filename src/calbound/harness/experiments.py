@@ -51,11 +51,13 @@ _MIN_SPAN = 10.0**1.5
 Source = Union[BinarySpec, MulticlassSpec, PredictionSet, PredictionDump]
 
 
-def _as_source(source: Source) -> Union[BinarySpec, MulticlassSpec, PredictionSet]:
-    """Unwrap a loaded dump, keeping its file of origin on the set."""
+def _as_source(source: Source) -> tuple[Union[BinarySpec, MulticlassSpec, PredictionSet], dict]:
+    """Unwrap a loaded dump; the dict records where the data came from, for replay."""
     if isinstance(source, PredictionDump):
-        return attach_dump_path(source.data, source.source)
-    return source
+        return source.data, {"dump": source.source}
+    if isinstance(source, (BinarySpec, MulticlassSpec)):
+        return source, {"spec": source.to_dict()}
+    return source, {"inline": {"n": source.n, "num_classes": source.num_classes}}
 
 
 class ExperimentCellError(RuntimeError):
@@ -215,7 +217,7 @@ def kl_gap_experiment(
     absolute ECE difference of the recalibrated model between the two sets at
     floor(n_re^(1/3)) bins.
     """
-    source = _as_source(source)
+    source, source_config = _as_source(source)
     if len(alpha_grid) < 2:
         raise ValidationError("alpha grid needs at least 2 values")
     if replicates < 1:
@@ -257,7 +259,7 @@ def kl_gap_experiment(
         "pooled_pearson": pooled_p,
     }
     config = {
-        "source": _source_config(source),
+        "source": source_config,
         "alpha_grid": [float(a) for a in alpha_grid],
         "replicates": replicates,
         "n_re": n_re,
@@ -291,7 +293,7 @@ def compare_methods(
     The default split keeps 1000 rows for recalibration and 9000 for testing
     when the source is that large, scaling down proportionally otherwise.
     """
-    source = _as_source(source)
+    source, source_config = _as_source(source)
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     for m in methods:
@@ -355,7 +357,7 @@ def compare_methods(
     summary = {"n_re": n_re, "n_te": n_te, "bins_te": bins_te,
                "by_method": by_method, "best": best}
     config = {
-        "source": _source_config(source),
+        "source": source_config,
         "methods": list(methods),
         "folds": folds,
         "n_re": n_re,
@@ -367,25 +369,11 @@ def compare_methods(
     return make_report("compare", config, cells, summary)
 
 
-def _source_config(source: Source) -> dict:
-    if isinstance(source, (BinarySpec, MulticlassSpec)):
-        return {"spec": source.to_dict()}
-    path = getattr(source, "_dump_path", None)
-    return {"dump": path} if path else {"inline": {"n": source.n, "num_classes": source.num_classes}}
-
-
-def attach_dump_path(data: PredictionSet, path: str) -> PredictionSet:
-    """Tag a prediction set with its file of origin so reports stay replayable."""
-    object.__setattr__(data, "_dump_path", str(path))
-    return data
-
-
 def _source_from_config(cfg: dict) -> Source:
     if "spec" in cfg:
         return spec_from_dict(cfg["spec"])
     if cfg.get("dump"):
-        dump = load_dump(cfg["dump"])
-        return attach_dump_path(dump.data, dump.source)
+        return load_dump(cfg["dump"])
     raise ValidationError("report source was an in-memory set; cannot replay")
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..core import PredictionSet, ValidationError
+from ..core import PredictionSet, ValidationError, log_probs, softmax
 
 FORMATS = ("csv", "jsonl")
 MODES = ("probs", "logits")
@@ -29,12 +30,6 @@ class PredictionDump:
     n: int
     num_classes: int
     data: PredictionSet = field(repr=False)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _resolve_format(path: Path, fmt: str) -> str:
@@ -76,6 +71,16 @@ def _parse_label(raw, row_index: int) -> int:
     return int(value)
 
 
+def _parse_values(raw, row_index: int) -> list[float]:
+    try:
+        values = [float(x) for x in raw]
+    except (TypeError, ValueError):
+        raise ValidationError(f"row {row_index}: non-numeric entry in {raw}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"row {row_index}: non-finite entry in {raw}")
+    return values
+
+
 def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -90,10 +95,7 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
                 continue
             if len(row) != k + 1:
                 raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
-            try:
-                rows.append([float(x) for x in row[:k]])
-            except ValueError:
-                raise ValidationError(f"row {i}: non-numeric entry in {row[:k]}")
+            rows.append(_parse_values(row[:k], i))
             labels.append(_parse_label(row[k], i))
     if not rows:
         raise ValidationError(f"{path}: dump has a header but no rows")
@@ -129,10 +131,7 @@ def _load_jsonl(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
                 k = len(vec)
             elif len(vec) != k:
                 raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
-            try:
-                rows.append([float(x) for x in vec])
-            except (TypeError, ValueError):
-                raise ValidationError(f"row {i}: non-numeric entry in {vec}")
+            rows.append(_parse_values(vec, i))
             labels.append(_parse_label(obj["label"], i))
     if not rows:
         raise ValidationError(f"{path}: empty dump")
@@ -155,7 +154,7 @@ def load_dump(path, fmt: str = "auto", mode: str = "auto") -> PredictionDump:
             raise ValidationError(f"unknown mode {mode!r}")
         if mode != found_mode:
             raise ValidationError(f"dump carries {found_mode}, but mode={mode} requested")
-    probs = _softmax_rows(values) if found_mode == "logits" else values
+    probs = softmax(values) if found_mode == "logits" else values
     data = PredictionSet.from_probs(probs, labels)
     return PredictionDump(
         source=str(path),
@@ -174,7 +173,7 @@ def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     path = Path(path)
-    values = data.probs if mode == "probs" else np.log(np.maximum(data.probs, 1e-12))
+    values = data.probs if mode == "probs" else log_probs(data.probs)
     prefix = "p" if mode == "probs" else "z"
     if fmt == "csv":
         with open(path, "w", newline="") as handle:

@@ -1,6 +1,6 @@
 """Parametric recalibration maps and their variational training loop.
 
-A map acts on a probability row by taking logs (floored at 1e-12), applying a
+A map acts on a probability row by taking floored logs (``core.log_probs``), applying a
 family-specific linear transform, and renormalizing through a softmax. Three
 families are supported: a scalar temperature, a per-class scale-and-offset,
 and a full affine transform of the log-probabilities.
@@ -29,9 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import kl_gaussian_diag
-from .core import PredictionSet, Rng, ValidationError
-
-PROB_FLOOR = 1e-12
+from .core import PredictionSet, Rng, ValidationError, log_probs, softmax
 
 FAMILIES = ("temperature", "vector_scale", "affine")
 
@@ -137,16 +135,6 @@ class RecalMap:
         return cls(d["family"], int(d["num_classes"]), np.asarray(d["params"]))
 
 
-def _log_probs(probs: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(probs, PROB_FLOOR))
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _scores(family: str, num_classes: int, vs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Transformed log-probabilities for a batch of parameter vectors.
 
@@ -172,9 +160,9 @@ def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"map expects {recal_map.num_classes} classes, got {rows.shape[1]}"
         )
-    z = _log_probs(rows)
-    out = _softmax(_scores(recal_map.family, recal_map.num_classes,
-                           recal_map.params[None, :], z)[0])
+    z = log_probs(rows)
+    out = softmax(_scores(recal_map.family, recal_map.num_classes,
+                          recal_map.params[None, :], z)[0])
     return out[0] if single else out
 
 
@@ -188,9 +176,9 @@ def brier_score(data: PredictionSet) -> float:
 
 
 def softmax_cross_entropy(data: PredictionSet) -> float:
-    """Mean negative log-probability of the label, floored at 1e-12."""
+    """Mean negative floored log-probability of the label."""
     picked = data.probs[np.arange(data.n), data.labels]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+    return float(-np.mean(log_probs(picked)))
 
 
 @dataclass(frozen=True)
@@ -304,34 +292,6 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
     return GaussianPosterior.at(identity_params(cfg.family, num_classes))
 
 
-def _objective_pieces(
-    cfg: PbrConfig, data: PredictionSet, vs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-draw Brier and cross-entropy, plus the recalibrated probabilities."""
-    z = _log_probs(data.probs)
-    p = _softmax(_scores(cfg.family, data.num_classes, vs, z))
-    e = data.one_hot_labels()
-    briers = ((p - e[None, :, :]) ** 2).sum(axis=2).mean(axis=1)
-    picked = p[:, np.arange(data.n), data.labels]
-    xents = -np.log(np.maximum(picked, PROB_FLOOR)).mean(axis=1)
-    return briers, xents, p
-
-
-def _objective_value(
-    posterior: GaussianPosterior,
-    prior: GaussianPosterior,
-    data: PredictionSet,
-    cfg: PbrConfig,
-    xi: np.ndarray,
-) -> float:
-    vs = posterior.mu[None, :] + posterior.sigma[None, :] * xi
-    briers, xents, _ = _objective_pieces(cfg, data, vs)
-    value = briers.mean()
-    if cfg.objective == "brier_plus_loss":
-        value += xents.mean()
-    return float(value + cfg.alpha * posterior.kl_to(prior) / data.n)
-
-
 def _grad_scores_to_params(
     family: str, num_classes: int, g_scores: np.ndarray, z: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
@@ -359,16 +319,16 @@ def _objective_and_gradient(
     """Objective with its exact gradient over (mu, log_sigma) for fixed draws."""
     sigma = posterior.sigma
     vs = posterior.mu[None, :] + sigma[None, :] * xi
-    z = _log_probs(data.probs)
+    z = log_probs(data.probs)
     scores = _scores(cfg.family, data.num_classes, vs, z)
-    p = _softmax(scores)
+    p = softmax(scores)
     e = data.one_hot_labels()
 
-    briers = ((p - e[None, :, :]) ** 2).sum(axis=2).mean(axis=1)
-    picked = p[:, np.arange(data.n), data.labels]
-    xents = -np.log(np.maximum(picked, PROB_FLOOR)).mean(axis=1)
-
     resid = p - e[None, :, :]
+    briers = (resid**2).sum(axis=2).mean(axis=1)
+    picked = p[:, np.arange(data.n), data.labels]
+    xents = -log_probs(picked).mean(axis=1)
+
     inner = (p * resid).sum(axis=2, keepdims=True)
     g_scores = 2.0 * p * (resid - inner)
     if cfg.objective == "brier_plus_loss":
@@ -404,7 +364,7 @@ def pbr_objective(
 ) -> float:
     """Monte Carlo objective; the same rng value always yields the same draws."""
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _objective_value(posterior, prior, data, cfg, xi)
+    return _objective_and_gradient(posterior, prior, data, cfg, xi)[0]
 
 
 def pbr_gradient(

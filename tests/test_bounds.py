@@ -147,6 +147,18 @@ def test_input_validation():
         BoundInputs(n=10, num_bins=2, epsilon=0.05, lam=0.0)
 
 
+def test_non_finite_inputs_rejected():
+    for bad in (math.nan, math.inf):
+        for name in ("lipschitz", "kl", "lam"):
+            with pytest.raises(ValidationError, match="finite"):
+                BoundInputs(n=10, num_bins=2, epsilon=0.05, **{name: bad})
+        with pytest.raises(ValidationError, match="finite"):
+            joint_acc_tce_bound(BoundInputs(n=10, num_bins=2, epsilon=0.05), empirical_term=bad)
+    nan_cert = BoundCertificate(BoundKind.GenRecal, math.nan, 0.0, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        nan_cert.to_json()
+
+
 def test_kind_specific_rejections():
     with pytest.raises(ValidationError):
         # the test-split bound has no posterior, so kl must stay 0

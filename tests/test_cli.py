@@ -16,6 +16,7 @@ import pytest
 
 from calbound import (
     BinarySpec,
+    BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
     Rng,
@@ -136,6 +137,28 @@ def test_bounds_auto_lambda_not_worse_than_fixed(capsys):
     fixed = json.loads(capsys.readouterr().out)
     assert auto["value"] <= fixed["value"] + 1e-12
     assert auto["lambda_used"] > 0.0
+
+
+@pytest.mark.parametrize("kind", list(BoundKind), ids=lambda kind: kind.value)
+def test_bounds_accepts_the_kind_it_emits(kind, capsys):
+    flags = ["--n", "500", "--bins", "8", "--epsilon", "0.1", "--classes", "3"]
+    first = "ce_k" if kind is BoundKind.CeKBias else kind.value
+    assert main(["bounds", "--kind", first, *flags]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    assert emitted["bound_kind"] == kind.value
+    assert main(["bounds", "--kind", emitted["bound_kind"], *flags]) == 0
+    assert json.loads(capsys.readouterr().out) == emitted
+
+
+@pytest.mark.parametrize("flag", ["--lipschitz", "--kl", "--lam", "--empirical"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_rejects_non_finite_flags(flag, value, capsys):
+    argv = ["bounds", "--kind", "joint_acc_tce", "--n", "10", "--bins", "2",
+            "--epsilon", "0.05", flag, value]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "finite" in out.err
 
 
 def test_bounds_csv_output(tmp_path):

@@ -94,6 +94,13 @@ def test_from_probs_rejects_bad_rows():
         PredictionSet.from_probs(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+def test_from_probs_rejects_nan_rows():
+    with pytest.raises(ValidationError, match="row 0"):
+        PredictionSet.from_probs([[np.nan, np.nan], [0.3, 0.7]], [0, 1])
+    with pytest.raises(ValidationError, match="row 1"):
+        PredictionSet.from_probs([[0.3, 0.7], [np.nan, 1.0]], [0, 1])
+
+
 def test_prediction_set_arrays_are_read_only():
     ps = PredictionSet.from_probs([[0.4, 0.6]], [1])
     with pytest.raises(ValueError):

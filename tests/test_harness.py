@@ -100,6 +100,19 @@ def test_load_errors_carry_row_numbers(tmp_path):
         load_dump(fractional)
 
 
+def test_load_rejects_non_finite_cells(tmp_path):
+    nan_cell = tmp_path / "f.csv"
+    nan_cell.write_text("p0,p1,label\n0.6,0.4,0\n0.5,nan,1\n")
+    with pytest.raises(ValidationError, match="row 2: non-finite"):
+        load_dump(nan_cell)
+
+    inf_logit = tmp_path / "g.jsonl"
+    inf_logit.write_text('{"logits": [1.0, 0.0], "label": 0}\n'
+                         '{"logits": [Infinity, 0.0], "label": 1}\n')
+    with pytest.raises(ValidationError, match="row 2: non-finite"):
+        load_dump(inf_logit)
+
+
 def test_unknown_suffix_needs_explicit_format(tmp_path):
     p = tmp_path / "dump.dat"
     p.write_text("p0,p1,label\n0.6,0.4,0\n")
@@ -277,6 +290,24 @@ def test_compare_methods_on_dump_uses_leftover_split(tmp_path, gen):
 
     again = replay(rep.to_dict())
     assert again.summary["by_method"] == rep.summary["by_method"]
+
+
+def test_klgap_on_dump_records_path_and_replays(tmp_path, gen):
+    data = random_prediction_set(gen, 120, 3)
+    p = tmp_path / "dump.csv"
+    write_dump(data, p)
+    dump = load_dump(p)
+    kwargs = {"alpha_grid": (0.0, 1.0), "replicates": 1, "n_re": 50}
+    rep = kl_gap_experiment(dump, **kwargs)
+    assert rep.config["source"] == {"dump": str(p)}
+    assert replay(rep.to_dict()).to_dict() == rep.to_dict()
+
+    # The same rows passed bare carry no file of origin, even after the run above.
+    inline = kl_gap_experiment(dump.data, **kwargs)
+    assert inline.config["source"] == {"inline": {"n": 120, "num_classes": 3}}
+    assert inline.cells == rep.cells
+    with pytest.raises(ValidationError):
+        replay(inline.to_dict())
 
 
 def test_compare_methods_rejects_unknown_method():
