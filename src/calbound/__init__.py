@@ -11,17 +11,11 @@ from .bounds import (
     BoundCertificate,
     BoundInputs,
     BoundKind,
-    bias_recal_bound,
-    ce_k_bias_bound,
     evaluate_bound,
-    gen_recal_bound,
     heuristic_lambda,
-    joint_acc_tce_bound,
     kl_gaussian_diag,
     mc_validate_bound,
     optimize_lambda,
-    pac_bias_bound_train,
-    total_bias_bound_test,
 )
 from .core import (
     PredictionSet,
@@ -89,9 +83,7 @@ __all__ = [
     "ValidationError",
     "apply_recal",
     "assign_bin_1d",
-    "bias_recal_bound",
     "brier_score",
-    "ce_k_bias_bound",
     "ece_full_k",
     "ece_gap",
     "ece_partial_k",
@@ -100,25 +92,21 @@ __all__ = [
     "evaluate_bound",
     "gen_binary",
     "gen_multiclass",
-    "gen_recal_bound",
     "heuristic_lambda",
-    "joint_acc_tce_bound",
     "kl_gaussian_diag",
     "mc_validate_bound",
     "one_hot",
     "optimal_bins_1d",
     "optimal_bins_per_dim",
     "optimize_lambda",
-    "pac_bias_bound_train",
     "pbr_gradient",
     "pbr_objective",
     "recalibrate_set",
     "softmax_cross_entropy",
     "temperature_scaling_fit",
     "top_prediction",
-    "total_bias_bound_test",
     "train_pbr",
-    "validate_prediction_set",
     "true_ce_k",
     "true_tce",
+    "validate_prediction_set",
 ]

@@ -40,12 +40,12 @@ LAMBDA_MAX = 1e12
 
 
 class BoundKind(enum.Enum):
-    TotalBiasTest = "total_bias_test"
-    PacBiasTrain = "pac_bias_train"
-    CeKBias = "ce_k_bias"
-    GenRecal = "gen_recal"
-    BiasRecal = "bias_recal"
-    JointAccTce = "joint_acc_tce"
+    TotalBiasTest = "total_bias_test"  # fixed predictor on held-out data
+    PacBiasTrain = "pac_bias_train"  # posterior-averaged, on the training sample
+    CeKBias = "ce_k_bias"  # K-dimensional L1 estimator
+    GenRecal = "gen_recal"  # generalization gap of recalibration
+    BiasRecal = "bias_recal"  # bias on the recalibration sample
+    JointAccTce = "joint_acc_tce"  # 0-1 loss plus squared calibration, plus empirical term
 
 
 # Kinds whose left-hand side is a 1-D binned bias, i.e. |TCE - ECE|-shaped.
@@ -180,7 +180,12 @@ def optimize_lambda(kind: BoundKind, inputs: BoundInputs) -> float:
 def evaluate_bound(
     kind: BoundKind, inputs: BoundInputs, empirical_term: float = 0.0
 ) -> BoundCertificate:
-    """Evaluate any certificate kind; the six named wrappers defer here."""
+    """Evaluate a certificate of any kind.
+
+    empirical_term is JointAccTce's posterior-averaged 0-1 loss plus Brier
+    score, added to the value; every other kind takes none. Finite inputs
+    whose certificate overflows to infinity raise ValidationError.
+    """
     if kind is BoundKind.TotalBiasTest and inputs.kl != 0.0:
         raise ValidationError("TotalBiasTest certifies a fixed predictor; kl must be 0")
     if kind is not BoundKind.JointAccTce and empirical_term != 0.0:
@@ -190,6 +195,9 @@ def evaluate_bound(
     binning, a, c = _terms(kind, inputs)
     lam = _best_lambda(a, c) if inputs.lam == "auto" else float(inputs.lam)
     statistical = a / lam + c * lam
+    value = empirical_term + binning + statistical
+    if not math.isfinite(value):
+        raise ValidationError(f"{kind.value} certificate overflows to {value}; inputs too large")
     echo = {
         "n": inputs.n,
         "num_bins": inputs.num_bins,
@@ -201,47 +209,13 @@ def evaluate_bound(
     }
     return BoundCertificate(
         kind=kind,
-        value=empirical_term + binning + statistical,
+        value=value,
         binning_term=binning,
         statistical_term=statistical,
         lambda_used=lam,
         empirical_term=empirical_term,
         inputs=echo,
     )
-
-
-def total_bias_bound_test(inputs: BoundInputs) -> BoundCertificate:
-    """Bias of the binned estimate for a fixed predictor on held-out data."""
-    return evaluate_bound(BoundKind.TotalBiasTest, inputs)
-
-
-def pac_bias_bound_train(inputs: BoundInputs) -> BoundCertificate:
-    """Posterior-averaged bias on the training sample; pays kl once."""
-    return evaluate_bound(BoundKind.PacBiasTrain, inputs)
-
-
-def ce_k_bias_bound(inputs: BoundInputs) -> BoundCertificate:
-    """Bias of the K-dimensional L1 estimator; binning decays like B^(-1/K)."""
-    return evaluate_bound(BoundKind.CeKBias, inputs)
-
-
-def gen_recal_bound(inputs: BoundInputs) -> BoundCertificate:
-    """Generalization gap of recalibration, no binning term."""
-    return evaluate_bound(BoundKind.GenRecal, inputs)
-
-
-def bias_recal_bound(inputs: BoundInputs) -> BoundCertificate:
-    """Bias certificate on the recalibration sample."""
-    return evaluate_bound(BoundKind.BiasRecal, inputs)
-
-
-def joint_acc_tce_bound(inputs: BoundInputs, empirical_term: float) -> BoundCertificate:
-    """Joint accuracy-plus-squared-calibration certificate.
-
-    empirical_term is the posterior-averaged 0-1 loss plus Brier score; it is
-    added to the bound value on top of the structural terms.
-    """
-    return evaluate_bound(BoundKind.JointAccTce, inputs, empirical_term)
 
 
 def kl_gaussian_diag(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 from ..bounds import BoundInputs, BoundKind, evaluate_bound
 from ..core import Rng, ValidationError
 from ..ece import ece_full_k, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
-from ..recal import PbrConfig, temperature_scaling_fit, train_pbr
+from ..recal import FAMILIES, PbrConfig, temperature_scaling_fit, train_pbr
 from ..synthetic import BinarySpec, gen_binary, gen_multiclass, spec_from_json, with_n
 from .experiments import (
     ALPHA_GRID,
@@ -25,7 +26,7 @@ from .experiments import (
     convergence_experiment,
     kl_gap_experiment,
 )
-from .io import load_dump, write_dump
+from .io import _resolve_format, load_dump, write_dump
 
 # Every certificate's own name, plus the short alias "ce_k" for ce_k_bias.
 _KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKBias}
@@ -34,23 +35,18 @@ _KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKB
 def _emit(payload: dict, out: str | None, fmt: str) -> None:
     """Write a flat result object as JSON or two-column CSV."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False)
-        if out:
-            Path(out).write_text(text + "\n")
-        else:
-            print(text)
-        return
-    rows = [(k, json.dumps(v) if isinstance(v, (dict, list)) else v)
-            for k, v in payload.items()]
-    if out:
-        with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["key", "value"])
-            writer.writerows(rows)
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        writer = csv.writer(sys.stdout)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
         writer.writerow(["key", "value"])
-        writer.writerows(rows)
+        writer.writerows((k, json.dumps(v) if isinstance(v, (dict, list)) else v)
+                         for k, v in payload.items())
+        text = buffer.getvalue()
+    if out:
+        Path(out).write_text(text, newline="")
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_report(report, out: str | None, fmt: str) -> None:
@@ -65,10 +61,21 @@ def _emit_report(report, out: str | None, fmt: str) -> None:
         print(report.to_json())
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed override")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_source(parser: argparse.ArgumentParser) -> None:
+    """The data-source flags shared by klgap and compare."""
+    parser.add_argument("--spec")
+    parser.add_argument("--dump")
+    parser.add_argument("--family", choices=FAMILIES, default="temperature")
+    parser.add_argument("--reseed", action="store_true")
 
 
 def _load_spec(path: str, seed: int | None, n: int | None):
@@ -106,13 +113,11 @@ def _cmd_ece(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    spec = _load_spec(args.spec, args.seed if args.reseed else None, args.n)
-    data = gen_binary(spec) if isinstance(spec, BinarySpec) else gen_multiclass(spec)
     if not args.out:
         raise ValidationError("synthesize needs --out for the dump file")
-    fmt = args.format if args.format != "json" else "csv"
-    if args.format == "json":
-        fmt = "jsonl" if args.out.endswith((".jsonl", ".ndjson")) else "csv"
+    fmt = _resolve_format(Path(args.out), "auto")
+    spec = _load_spec(args.spec, args.seed if args.reseed else None, args.n)
+    data = gen_binary(spec) if isinstance(spec, BinarySpec) else gen_multiclass(spec)
     write_dump(data, args.out, fmt=fmt, mode=args.mode)
     print(f"wrote {data.n} rows x {data.num_classes} classes to {args.out}")
     return 0
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "probs", "logits"), default="auto")
     p.add_argument("--bins", type=int)
     p.add_argument("--full-k", action="store_true", help="bin the full probability vector")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_ece)
 
     p = sub.add_parser("synthesize", help="generate a dump from a spec JSON")
@@ -224,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="override the spec sample count")
     p.add_argument("--reseed", action="store_true", help="replace the spec seed with --seed")
     p.add_argument("--mode", choices=("probs", "logits"), default="probs")
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--out", help="dump path; .csv, .jsonl or .ndjson picks the format")
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("bounds", help="evaluate a certificate")
@@ -239,17 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-density", action="store_true")
     p.add_argument("--empirical", type=float, default=0.0,
                    help="empirical loss-plus-Brier term for the joint bound")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("recalibrate", help="fit a recalibration map to a dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--method", choices=("temperature", "pbr", "pbr_total"),
                    default="temperature")
-    p.add_argument("--family", choices=("temperature", "vector_scale", "affine"),
-                   default="temperature")
+    p.add_argument("--family", choices=FAMILIES, default="temperature")
     p.add_argument("--alpha", type=float, default=0.25)
-    _add_common(p)
+    _add_seed(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_recalibrate)
 
     p = sub.add_parser("experiment", help="run a replayable experiment")
@@ -262,33 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bins", type=int, help="fixed bin count (default: optimal rule)")
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--reseed", action="store_true")
-    _add_common(c)
+    _add_seed(c)
+    _add_output(c)
     c.set_defaults(fn=_cmd_experiment)
 
     k = which.add_parser("klgap", help="posterior KL against the train/test ECE gap")
-    k.add_argument("--spec")
-    k.add_argument("--dump")
+    _add_source(k)
     k.add_argument("--alpha-grid", default=",".join(str(a) for a in ALPHA_GRID))
     k.add_argument("--replicates", type=int, default=10)
     k.add_argument("--n-re", type=int, default=1000)
-    k.add_argument("--family", choices=("temperature", "vector_scale", "affine"),
-                   default="temperature")
-    k.add_argument("--reseed", action="store_true")
-    _add_common(k)
+    _add_seed(k)
+    _add_output(k)
     k.set_defaults(fn=_cmd_experiment)
 
     m = which.add_parser("compare", help="score recalibration methods on held-out data")
-    m.add_argument("--spec")
-    m.add_argument("--dump")
+    _add_source(m)
     m.add_argument("--methods", default="uncalibrated,temperature,pbr",
                    help=f"comma-separated subset of {','.join(METHODS)}")
     m.add_argument("--folds", type=int, default=5)
     m.add_argument("--n-re", type=int)
     m.add_argument("--n-te", type=int)
-    m.add_argument("--family", choices=("temperature", "vector_scale", "affine"),
-                   default="temperature")
-    m.add_argument("--reseed", action="store_true")
-    _add_common(m)
+    _add_seed(m)
+    _add_output(m)
     m.set_defaults(fn=_cmd_experiment)
 
     return parser

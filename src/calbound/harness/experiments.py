@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +46,9 @@ ALPHA_GRID = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 METHODS = ("uncalibrated", "temperature", "pbr", "pbr_total")
 
+# How compare_methods picks the best method on each held-out metric.
+_BEST = {"ece": min, "accuracy": max, "brier": min, "cross_entropy": min}
+
 # n_grid must span at least this max/min ratio (1.5 decades) for a slope fit.
 _MIN_SPAN = 10.0**1.5
 
@@ -69,19 +73,20 @@ class ExperimentCellError(RuntimeError):
         self.cause = cause
 
 
-def _run_cells(fn, args, workers: int):
-    def guarded(arg):
+def _run_cells(cells, workers: int = 1) -> list:
+    """Run (descriptor, thunk) pairs in order; each row is the descriptor plus the thunk's dict."""
+
+    def run(cell):
+        descriptor, thunk = cell
         try:
-            return fn(arg)
-        except ExperimentCellError:
-            raise
+            return {**descriptor, **thunk()}
         except Exception as err:
-            raise ExperimentCellError({"args": repr(arg)}, err) from err
+            raise ExperimentCellError(descriptor, err) from err
 
     if workers <= 1:
-        return [guarded(a) for a in args]
+        return [run(cell) for cell in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, args))
+        return list(pool.map(run, cells))
 
 
 def _generate(spec: Source, n: int, rng: Rng) -> PredictionSet:
@@ -126,23 +131,18 @@ def convergence_experiment(
             return optimal_bins_1d(n) if binary else optimal_bins_per_dim(n, spec.num_classes)
         return int(bin_rule)
 
-    def run_cell(cell):
-        i_n, seed = cell
+    def measure(i_n: int, seed: int) -> dict:
         n = n_grid[i_n]
-        rng = spec.rng.stream(i_n).stream(seed)
-        data = _generate(spec, n, rng)
+        data = _generate(spec, n, spec.rng.stream(i_n).stream(seed))
         bins = bins_for(n)
         est = ece_top_label(data, bins) if binary else ece_full_k(data, bins)
-        return {
-            "n": n,
-            "seed": seed,
-            "bins": bins,
-            "estimate": est,
-            "deviation": abs(est - oracle),
-        }
+        return {"bins": bins, "estimate": est, "deviation": abs(est - oracle)}
 
-    grid = [(i, s) for i in range(len(n_grid)) for s in range(seeds)]
-    cells = sorted(_run_cells(run_cell, grid, workers), key=lambda c: (c["n"], c["seed"]))
+    cells = _run_cells(
+        (({"n": n, "seed": seed}, partial(measure, i_n, seed))
+         for i_n, n in enumerate(n_grid) for seed in range(seeds)),
+        workers,
+    )
 
     medians = []
     for n in n_grid:
@@ -225,25 +225,25 @@ def kl_gap_experiment(
     cfg = cfg or PbrConfig()
     bins = optimal_bins_1d(n_re)
 
-    cells = []
+    def fit(data_re, data_te, r: int, ia: int, alpha: float) -> dict:
+        cell_cfg = replace(cfg, alpha=alpha, seed=seed + 100003 * r + 7919 * ia)
+        result = train_pbr(data_re, cell_cfg)
+        re_cal = recalibrate_set(result.map, data_re)
+        te_cal = recalibrate_set(result.map, data_te)
+        return {"kl": result.kl, "gap": ece_gap(te_cal, re_cal, bins)}
+
+    def grid():
+        for r in range(replicates):
+            data_re, data_te = _split_source(source, n_re, n_re, r, seed)
+            for ia, alpha in enumerate(alpha_grid):
+                yield ({"replicate": r, "alpha": float(alpha)},
+                       partial(fit, data_re, data_te, r, ia, float(alpha)))
+
+    cells = _run_cells(grid())
     per_replicate = []
     for r in range(replicates):
-        data_re, data_te = _split_source(source, n_re, n_re, r, seed)
-        kls, gaps = [], []
-        for ia, alpha in enumerate(alpha_grid):
-            cell = {"replicate": r, "alpha": float(alpha)}
-            try:
-                cell_cfg = replace(cfg, alpha=float(alpha), seed=seed + 100003 * r + 7919 * ia)
-                result = train_pbr(data_re, cell_cfg)
-                re_cal = recalibrate_set(result.map, data_re)
-                te_cal = recalibrate_set(result.map, data_te)
-                cell["kl"] = result.kl
-                cell["gap"] = ece_gap(te_cal, re_cal, bins)
-            except Exception as err:
-                raise ExperimentCellError(cell, err) from err
-            kls.append(cell["kl"])
-            gaps.append(cell["gap"])
-            cells.append(cell)
+        kls = [c["kl"] for c in cells if c["replicate"] == r]
+        gaps = [c["gap"] for c in cells if c["replicate"] == r]
         per_replicate.append(
             {"replicate": r, "pearson": pearson(kls, gaps), "kendall": kendall_tau(kls, gaps)}
         )
@@ -276,6 +276,10 @@ def _metrics(data: PredictionSet, bins: int) -> dict:
         "brier": brier_score(data),
         "cross_entropy": softmax_cross_entropy(data),
     }
+
+
+def _mean_std(values: list) -> dict:
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
 
 
 def compare_methods(
@@ -313,47 +317,37 @@ def compare_methods(
         raise ValidationError(f"split n_re={n_re}, n_te={n_te} is too small")
     bins_te = optimal_bins_1d(n_te)
 
-    cells = []
-    for fold in range(folds):
-        data_re, data_te = _split_source(source, n_re, n_te, fold, seed)
-        for method in methods:
-            cell = {"fold": fold, "method": method}
-            try:
-                extras = {}
-                if method == "uncalibrated":
-                    fitted = RecalMap.identity("temperature", data_re.num_classes)
-                elif method == "temperature":
-                    fitted = temperature_scaling_fit(data_re)
-                    extras["t"] = fitted.t
-                else:
-                    objective = "brier" if method == "pbr" else "brier_plus_loss"
-                    fold_cfg = replace(cfg, objective=objective)
-                    fitted, alpha, _ = _fit_pbr_with_alpha_selection(
-                        data_re, fold_cfg, alpha_grid, seed + 100003 * fold
-                    )
-                    extras["alpha"] = alpha
-                    if fitted.family == "temperature":
-                        extras["t"] = fitted.t
-                cell.update(_metrics(recalibrate_set(fitted, data_te), bins_te))
-                cell.update(extras)
-            except Exception as err:
-                raise ExperimentCellError(cell, err) from err
-            cells.append(cell)
+    def score(data_re, data_te, fold: int, method: str) -> dict:
+        extras = {}
+        if method == "uncalibrated":
+            fitted = RecalMap.identity("temperature", data_re.num_classes)
+        elif method == "temperature":
+            fitted = temperature_scaling_fit(data_re)
+            extras["t"] = fitted.t
+        else:
+            objective = "brier" if method == "pbr" else "brier_plus_loss"
+            fitted, alpha, _ = _fit_pbr_with_alpha_selection(
+                data_re, replace(cfg, objective=objective), alpha_grid, seed + 100003 * fold
+            )
+            extras["alpha"] = alpha
+            if fitted.family == "temperature":
+                extras["t"] = fitted.t
+        return {**_metrics(recalibrate_set(fitted, data_te), bins_te), **extras}
 
-    by_method = {}
-    for method in methods:
-        rows = [c for c in cells if c["method"] == method]
-        agg = {}
-        for key in ("ece", "accuracy", "brier", "cross_entropy"):
-            vals = [r[key] for r in rows]
-            agg[key] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        by_method[method] = agg
-    best = {
-        "ece": min(methods, key=lambda m: by_method[m]["ece"]["mean"]),
-        "accuracy": max(methods, key=lambda m: by_method[m]["accuracy"]["mean"]),
-        "brier": min(methods, key=lambda m: by_method[m]["brier"]["mean"]),
-        "cross_entropy": min(methods, key=lambda m: by_method[m]["cross_entropy"]["mean"]),
+    def grid():
+        for fold in range(folds):
+            data_re, data_te = _split_source(source, n_re, n_te, fold, seed)
+            for method in methods:
+                yield ({"fold": fold, "method": method},
+                       partial(score, data_re, data_te, fold, method))
+
+    cells = _run_cells(grid())
+    by_method = {
+        method: {key: _mean_std([c[key] for c in cells if c["method"] == method]) for key in _BEST}
+        for method in methods
     }
+    best = {key: pick(methods, key=lambda m: by_method[m][key]["mean"])
+            for key, pick in _BEST.items()}
     summary = {"n_re": n_re, "n_te": n_te, "bins_te": bins_te,
                "by_method": by_method, "best": best}
     config = {
@@ -378,36 +372,21 @@ def _source_from_config(cfg: dict) -> Source:
 
 
 def replay(report: Union[ExperimentReport, dict]) -> ExperimentReport:
-    """Re-run an experiment from its embedded config."""
+    """Re-run an experiment by calling it with its recorded config."""
     if isinstance(report, dict):
         report = ExperimentReport.from_dict(report)
-    cfg = report.config
-    if report.kind == "convergence":
-        return convergence_experiment(
-            spec_from_dict(cfg["spec"]),
-            cfg["n_grid"],
-            cfg["seeds"],
-            bin_rule=cfg["bin_rule"],
-            oracle_samples=cfg["oracle_samples"],
-        )
-    if report.kind == "klgap":
-        return kl_gap_experiment(
-            _source_from_config(cfg["source"]),
-            alpha_grid=cfg["alpha_grid"],
-            replicates=cfg["replicates"],
-            n_re=cfg["n_re"],
-            cfg=PbrConfig.from_dict(cfg["cfg"]),
-            seed=cfg["seed"],
-        )
-    if report.kind == "compare":
-        return compare_methods(
-            _source_from_config(cfg["source"]),
-            methods=cfg["methods"],
-            folds=cfg["folds"],
-            n_re=cfg["n_re"],
-            n_te=cfg["n_te"],
-            cfg=PbrConfig.from_dict(cfg["cfg"]),
-            alpha_grid=cfg["alpha_grid"],
-            seed=cfg["seed"],
-        )
-    raise ValidationError(f"unknown report kind {report.kind!r}")
+    experiments = {
+        "convergence": convergence_experiment,
+        "klgap": kl_gap_experiment,
+        "compare": compare_methods,
+    }
+    if report.kind not in experiments:
+        raise ValidationError(f"unknown report kind {report.kind!r}")
+    config = dict(report.config)
+    if "spec" in config:
+        config["spec"] = spec_from_dict(config["spec"])
+    if "source" in config:
+        config["source"] = _source_from_config(config["source"])
+    if "cfg" in config:
+        config["cfg"] = PbrConfig.from_dict(config["cfg"])
+    return experiments[report.kind](**config)

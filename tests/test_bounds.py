@@ -13,38 +13,34 @@ from calbound import (
     MiscalibrationMap1D,
     Rng,
     ValidationError,
-    bias_recal_bound,
-    ce_k_bias_bound,
     evaluate_bound,
-    gen_recal_bound,
     heuristic_lambda,
-    joint_acc_tce_bound,
     kl_gaussian_diag,
     mc_validate_bound,
     optimize_lambda,
-    pac_bias_bound_train,
-    total_bias_bound_test,
 )
 
 THM1 = BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0)
 
 
 def test_total_bias_worked_example():
-    cert = total_bias_bound_test(THM1)
+    cert = evaluate_bound(BoundKind.TotalBiasTest, THM1)
     assert cert.value == pytest.approx(0.4992720407915345, abs=1e-12)
     assert cert.binning_term == pytest.approx(0.2, abs=1e-12)
     assert cert.lambda_used == 100.0
 
 
 def test_pac_train_adds_kl_over_lambda():
-    cert = pac_bias_bound_train(
+    cert = evaluate_bound(
+        BoundKind.PacBiasTrain,
         BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0, kl=10.0)
     )
     assert cert.value == pytest.approx(0.4992720407915345 + 0.1, abs=1e-12)
 
 
 def test_ce_k_worked_example():
-    cert = ce_k_bias_bound(
+    cert = evaluate_bound(
+        BoundKind.CeKBias,
         BoundInputs(
             n=10_000, num_bins=25, epsilon=0.05, lipschitz=1.0, lam=500.0, num_classes=2
         )
@@ -54,7 +50,8 @@ def test_ce_k_worked_example():
 
 
 def test_gen_recal_worked_example():
-    cert = gen_recal_bound(
+    cert = evaluate_bound(
+        BoundKind.GenRecal,
         BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0, kl=0.0)
     )
     assert cert.value == pytest.approx(0.4992720407915345, abs=1e-12)
@@ -62,14 +59,16 @@ def test_gen_recal_worked_example():
 
 
 def test_bias_recal_worked_example():
-    cert = bias_recal_bound(
+    cert = evaluate_bound(
+        BoundKind.BiasRecal,
         BoundInputs(n=1, num_bins=1, epsilon=math.exp(-1), lipschitz=0.0, lam=1.0)
     )
     assert cert.value == pytest.approx(4.693147180559945, abs=1e-12)
 
 
 def test_joint_worked_example():
-    cert = joint_acc_tce_bound(
+    cert = evaluate_bound(
+        BoundKind.JointAccTce,
         BoundInputs(n=1000, num_bins=1, epsilon=0.05, lipschitz=0.0, lam=10.0),
         empirical_term=0.0,
     )
@@ -80,8 +79,9 @@ def test_joint_worked_example():
 
 
 def test_density_assumption_halves_the_variance_term():
-    loose = total_bias_bound_test(THM1)
-    tight = total_bias_bound_test(
+    loose = evaluate_bound(BoundKind.TotalBiasTest, THM1)
+    tight = evaluate_bound(
+        BoundKind.TotalBiasTest,
         BoundInputs(
             n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0, assume_density=True
         )
@@ -93,9 +93,13 @@ def test_density_assumption_halves_the_variance_term():
 
 
 def test_epsilon_tightening_raises_every_bound():
-    for make in (total_bias_bound_test, gen_recal_bound, bias_recal_bound):
-        loose = make(BoundInputs(n=500, num_bins=5, epsilon=0.1, lipschitz=1.0, lam=50.0))
-        tight = make(BoundInputs(n=500, num_bins=5, epsilon=0.01, lipschitz=1.0, lam=50.0))
+    for kind in (BoundKind.TotalBiasTest, BoundKind.GenRecal, BoundKind.BiasRecal):
+        loose = evaluate_bound(
+            kind, BoundInputs(n=500, num_bins=5, epsilon=0.1, lipschitz=1.0, lam=50.0)
+        )
+        tight = evaluate_bound(
+            kind, BoundInputs(n=500, num_bins=5, epsilon=0.01, lipschitz=1.0, lam=50.0)
+        )
         assert tight.value > loose.value
 
 
@@ -122,14 +126,15 @@ def test_optimize_lambda_beats_any_fixed_choice(gen):
 
 
 def test_optimized_is_default_and_recorded():
-    cert = total_bias_bound_test(
+    cert = evaluate_bound(
+        BoundKind.TotalBiasTest,
         BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0)
     )
     star = optimize_lambda(
         BoundKind.TotalBiasTest, BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0)
     )
     assert cert.lambda_used == pytest.approx(star)
-    assert cert.value <= total_bias_bound_test(THM1).value
+    assert cert.value <= evaluate_bound(BoundKind.TotalBiasTest, THM1).value
 
 
 def test_input_validation():
@@ -153,18 +158,30 @@ def test_non_finite_inputs_rejected():
             with pytest.raises(ValidationError, match="finite"):
                 BoundInputs(n=10, num_bins=2, epsilon=0.05, **{name: bad})
         with pytest.raises(ValidationError, match="finite"):
-            joint_acc_tce_bound(BoundInputs(n=10, num_bins=2, epsilon=0.05), empirical_term=bad)
+            evaluate_bound(
+                BoundKind.JointAccTce, BoundInputs(n=10, num_bins=2, epsilon=0.05),
+                empirical_term=bad,
+            )
     nan_cert = BoundCertificate(BoundKind.GenRecal, math.nan, 0.0, math.nan, 1.0)
     with pytest.raises(ValueError):
         nan_cert.to_json()
 
 
+
+def test_overflowing_certificate_rejected():
+    inputs = BoundInputs(n=10, num_bins=2, epsilon=0.05, kl=1e308)
+    with pytest.raises(ValidationError, match="joint_acc_tce certificate overflows"):
+        evaluate_bound(BoundKind.JointAccTce, inputs)
+
 def test_kind_specific_rejections():
     with pytest.raises(ValidationError):
         # the test-split bound has no posterior, so kl must stay 0
-        total_bias_bound_test(BoundInputs(n=10, num_bins=2, epsilon=0.05, kl=1.0))
+        evaluate_bound(
+            BoundKind.TotalBiasTest, BoundInputs(n=10, num_bins=2, epsilon=0.05, kl=1.0)
+        )
     with pytest.raises(ValidationError):
-        ce_k_bias_bound(BoundInputs(n=10, num_bins=2, epsilon=0.05))  # needs num_classes
+        # needs num_classes
+        evaluate_bound(BoundKind.CeKBias, BoundInputs(n=10, num_bins=2, epsilon=0.05))
     with pytest.raises(ValidationError):
         evaluate_bound(
             BoundKind.GenRecal,
@@ -172,11 +189,14 @@ def test_kind_specific_rejections():
             empirical_term=0.5,
         )
     with pytest.raises(ValidationError):
-        joint_acc_tce_bound(BoundInputs(n=10, num_bins=2, epsilon=0.05), empirical_term=-0.1)
+        evaluate_bound(
+            BoundKind.JointAccTce, BoundInputs(n=10, num_bins=2, epsilon=0.05),
+            empirical_term=-0.1,
+        )
 
 
 def test_certificate_serialization_round_trip():
-    cert = total_bias_bound_test(THM1)
+    cert = evaluate_bound(BoundKind.TotalBiasTest, THM1)
     payload = json.loads(cert.to_json())
     assert payload["bound_kind"] == "total_bias_test"
     assert payload["value"] == pytest.approx(cert.value)

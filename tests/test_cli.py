@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from calbound import (
@@ -117,6 +118,25 @@ def test_synthesize_without_out_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+def test_synthesize_format_follows_suffix(tmp_path, capsys):
+    sp = spec_file(tmp_path)
+    loaded = []
+    for name in ("d.csv", "d.jsonl", "d.ndjson"):
+        out = tmp_path / name
+        assert main(["synthesize", "--spec", str(sp), "--out", str(out)]) == 0
+        loaded.append(load_dump(out))
+    assert [d.format for d in loaded] == ["csv", "jsonl", "jsonl"]
+    for dump in loaded[1:]:
+        assert np.array_equal(dump.data.probs, loaded[0].data.probs)
+        assert np.array_equal(dump.data.labels, loaded[0].data.labels)
+
+    txt = tmp_path / "d.txt"
+    capsys.readouterr()
+    assert main(["synthesize", "--spec", str(sp), "--out", str(txt)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not txt.exists()
+
 def test_bounds_json_matches_library(capsys):
     rc = main(
         ["bounds", "--kind", "total_bias_test", "--n", "1000", "--bins", "10",
@@ -160,6 +180,15 @@ def test_bounds_rejects_non_finite_flags(flag, value, capsys):
     assert out.out == ""
     assert "finite" in out.err
 
+
+
+def test_bounds_overflow_exits_two(capsys):
+    argv = ["bounds", "--kind", "joint_acc_tce", "--n", "10", "--bins", "2",
+            "--epsilon", "0.05", "--kl", "1e308"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err and "overflows" in out.err
 
 def test_bounds_csv_output(tmp_path):
     out = tmp_path / "cert.csv"

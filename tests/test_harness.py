@@ -321,6 +321,31 @@ def test_experiment_cell_error_carries_cell():
     assert "boom" in str(err)
 
 
+
+def _explode(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize(
+    "target, run, cell",
+    [
+        ("ece_top_label", lambda: convergence_experiment(BIN_SPEC, GRID, seeds=20),
+         {"n": 100, "seed": 0}),
+        ("train_pbr",
+         lambda: kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 1.0), replicates=1, n_re=60),
+         {"replicate": 0, "alpha": 0.0}),
+        ("ece_top_label", lambda: compare_methods(MULTI_SPEC, folds=2, n_re=80, n_te=200),
+         {"fold": 0, "method": "uncalibrated"}),
+    ],
+    ids=["convergence", "klgap", "compare"],
+)
+def test_cell_errors_name_their_cell(monkeypatch, target, run, cell):
+    monkeypatch.setattr(f"calbound.harness.experiments.{target}", _explode)
+    with pytest.raises(ExperimentCellError) as exc:
+        run()
+    assert exc.value.cell == cell
+    assert isinstance(exc.value.cause, RuntimeError)
+
 def test_replay_rejects_unknown_kind():
     rep = make_report("convergence", {"spec": {"kind": "binary"}}, [], {})
     bad = rep.to_dict()
