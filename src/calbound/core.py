@@ -57,11 +57,12 @@ def log_probs(probs: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(probs, PROB_FLOOR))
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by the maximum for stability."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over one axis (the last by default), shifted by the maximum for stability."""
+    e = scores - scores.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 class TopPrediction(NamedTuple):

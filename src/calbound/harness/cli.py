@@ -26,10 +26,18 @@ from .experiments import (
     convergence_experiment,
     kl_gap_experiment,
 )
-from .io import _resolve_format, load_dump, write_dump
+from .io import FORMATS, _resolve_format, load_dump, write_dump
 
 # Every certificate's own name, plus the short alias "ce_k" for ce_k_bias.
 _KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKBias}
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write output text to the --out file, or to stdout when it is omitted."""
+    if out:
+        Path(out).write_text(text, newline="")
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(payload: dict, out: str | None, fmt: str) -> None:
@@ -43,22 +51,12 @@ def _emit(payload: dict, out: str | None, fmt: str) -> None:
         writer.writerows((k, json.dumps(v) if isinstance(v, (dict, list)) else v)
                          for k, v in payload.items())
         text = buffer.getvalue()
-    if out:
-        Path(out).write_text(text, newline="")
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _emit_report(report, out: str | None, fmt: str) -> None:
-    if fmt == "csv":
-        if not out:
-            raise ValidationError("csv report output needs --out")
-        report.write_cells_csv(out)
-        return
-    if out:
-        report.write_json(out)
-    else:
-        print(report.to_json())
+    """Write an experiment report as JSON or as its per-cell CSV table."""
+    _write(report.cells_csv() if fmt == "csv" else report.to_json() + "\n", out)
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -97,11 +95,11 @@ def _alpha_list(text: str) -> list[float]:
 def _cmd_ece(args) -> int:
     dump = load_dump(args.dump, args.dump_format, args.mode)
     if args.full_k:
-        bins = args.bins or optimal_bins_per_dim(dump.n, dump.num_classes)
+        bins = optimal_bins_per_dim(dump.n, dump.num_classes) if args.bins is None else args.bins
         value = ece_full_k(dump.data, bins)
         estimator = "full_k"
     else:
-        bins = args.bins or optimal_bins_1d(dump.n)
+        bins = optimal_bins_1d(dump.n) if args.bins is None else args.bins
         value = ece_top_label(dump.data, bins)
         estimator = "top_label"
     _emit(
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ece", help="estimate calibration error of a dump")
     p.add_argument("--dump", required=True)
-    p.add_argument("--dump-format", choices=("auto", "csv", "jsonl"), default="auto")
+    p.add_argument("--dump-format", choices=("auto", *FORMATS), default="auto")
     p.add_argument("--mode", choices=("auto", "probs", "logits"), default="auto")
     p.add_argument("--bins", type=int)
     p.add_argument("--full-k", action="store_true", help="bin the full probability vector")

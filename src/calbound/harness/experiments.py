@@ -308,11 +308,11 @@ def compare_methods(
     cfg = cfg or PbrConfig()
 
     if isinstance(source, (BinarySpec, MulticlassSpec)):
-        n_re = n_re or 1000
-        n_te = n_te or 9000
+        n_re = 1000 if n_re is None else n_re
+        n_te = 9000 if n_te is None else n_te
     else:
-        n_re = n_re or min(1000, max(2, source.n // 5))
-        n_te = n_te or source.n - n_re
+        n_re = min(1000, max(2, source.n // 5)) if n_re is None else n_re
+        n_te = source.n - n_re if n_te is None else n_te
     if n_re < 2 or n_te < 2:
         raise ValidationError(f"split n_re={n_re}, n_te={n_te} is too small")
     bins_te = optimal_bins_1d(n_te)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,17 +57,21 @@ class ExperimentReport:
     def write_json(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
 
-    def write_cells_csv(self, path) -> None:
-        """Flatten the per-cell rows to CSV with the union of their keys."""
+    def cells_csv(self) -> str:
+        """The per-cell rows as CSV text, with the union of their keys as columns."""
         keys: list = []
         for cell in self.cells:
             for key in cell:
                 if key not in keys:
                     keys.append(key)
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=keys)
-            writer.writeheader()
-            writer.writerows(self.cells)
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=keys)
+        writer.writeheader()
+        writer.writerows(self.cells)
+        return buffer.getvalue()
+
+    def write_cells_csv(self, path) -> None:
+        Path(path).write_text(self.cells_csv(), newline="")
 
 
 def _clean(value):

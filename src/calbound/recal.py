@@ -17,6 +17,14 @@ posterior at the mean of j_final fresh samples.
 The temperature family is carried internally as log(t) so that Gaussian
 posteriors cannot leave the valid domain; constructors and reports still speak
 in t.
+
+Scores, probabilities and residuals of the forward and backward pass are laid
+out class-major, as (J, K, n) arrays over J parameter draws, K classes and n
+rows, with the data's log-probabilities transposed once to (K, n). K is small
+(often 2 to 20), and numpy reduces a short inner axis far more slowly than a
+long one, so every softmax and per-row sum over K runs with the n rows as the
+contiguous inner loop. The affine family is then a batched matmul, W @ z^T.
+Public functions still take and return (n, K) probability rows.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,20 +143,19 @@ class RecalMap:
         return cls(d["family"], int(d["num_classes"]), np.asarray(d["params"]))
 
 
-def _scores(family: str, num_classes: int, vs: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _scores(family: str, num_classes: int, vs: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """Transformed log-probabilities for a batch of parameter vectors.
 
-    vs is (J, d), z is (n, K); returns (J, n, K).
+    vs is (J, d), zt is the class-major (K, n); returns (J, K, n).
     """
     k = num_classes
     if family == "temperature":
-        return z[None, :, :] * np.exp(-vs[:, 0])[:, None, None]
+        return zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None]
     if family == "vector_scale":
         w, b = vs[:, :k], vs[:, k:]
-        return z[None, :, :] * w[:, None, :] + b[:, None, :]
+        return zt[None, :, :] * w[:, :, None] + b[:, :, None]
     mats = vs[:, : k * k].reshape(-1, k, k)
-    b = vs[:, k * k :]
-    return np.einsum("jkl,nl->jnk", mats, z) + b[:, None, :]
+    return mats @ zt + vs[:, k * k :, None]
 
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
@@ -160,9 +167,9 @@ def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"map expects {recal_map.num_classes} classes, got {rows.shape[1]}"
         )
-    z = log_probs(rows)
-    out = softmax(_scores(recal_map.family, recal_map.num_classes,
-                          recal_map.params[None, :], z)[0])
+    zt = np.ascontiguousarray(log_probs(rows).T)
+    scores = _scores(recal_map.family, recal_map.num_classes, recal_map.params[None, :], zt)
+    out = np.ascontiguousarray(softmax(scores[0], axis=0).T)
     return out[0] if single else out
 
 
@@ -292,62 +299,69 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
     return GaussianPosterior.at(identity_params(cfg.family, num_classes))
 
 
+class _ClassMajor(NamedTuple):
+    """Per-fit constants of a prediction set in the class-major layout."""
+
+    zt: np.ndarray  # floored log-probabilities, (K, n)
+    et: np.ndarray  # one-hot labels, (K, n)
+    label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
+
+
+def _class_major(data: PredictionSet) -> _ClassMajor:
+    zt = np.ascontiguousarray(log_probs(data.probs).T)
+    et = np.ascontiguousarray(data.one_hot_labels().T)
+    return _ClassMajor(zt, et, data.labels * data.n + np.arange(data.n))
+
+
 def _grad_scores_to_params(
-    family: str, num_classes: int, g_scores: np.ndarray, z: np.ndarray, scores: np.ndarray
+    family: str, g_scores: np.ndarray, zt: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Chain dObjective/dscores back to the parameter vectors, shape (J, d)."""
-    k = num_classes
+    """Chain dObjective/dscores, (J, K, n), back to the parameter vectors, shape (J, d)."""
     if family == "temperature":
         # scores = z * exp(-w), so dscores/dw = -scores.
         return -(g_scores * scores).sum(axis=(1, 2))[:, None]
     if family == "vector_scale":
-        gw = (g_scores * z[None, :, :]).sum(axis=1)
-        gb = g_scores.sum(axis=1)
-        return np.concatenate([gw, gb], axis=1)
-    gmat = np.einsum("jnk,nl->jkl", g_scores, z)
-    gb = g_scores.sum(axis=1)
-    return np.concatenate([gmat.reshape(g_scores.shape[0], -1), gb], axis=1)
+        gw = (g_scores * zt[None, :, :]).sum(axis=2)
+    else:
+        gw = (g_scores @ zt.T).reshape(g_scores.shape[0], -1)
+    return np.concatenate([gw, g_scores.sum(axis=2)], axis=1)
 
 
 def _objective_and_gradient(
     posterior: GaussianPosterior,
     prior: GaussianPosterior,
-    data: PredictionSet,
+    fit: _ClassMajor,
     cfg: PbrConfig,
     xi: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective with its exact gradient over (mu, log_sigma) for fixed draws."""
     sigma = posterior.sigma
     vs = posterior.mu[None, :] + sigma[None, :] * xi
-    z = log_probs(data.probs)
-    scores = _scores(cfg.family, data.num_classes, vs, z)
-    p = softmax(scores)
-    e = data.one_hot_labels()
+    k, n = fit.zt.shape
+    scores = _scores(cfg.family, k, vs, fit.zt)
+    p = softmax(scores, axis=1)
 
-    resid = p - e[None, :, :]
-    briers = (resid**2).sum(axis=2).mean(axis=1)
-    picked = p[:, np.arange(data.n), data.labels]
-    xents = -log_probs(picked).mean(axis=1)
-
-    inner = (p * resid).sum(axis=2, keepdims=True)
-    g_scores = 2.0 * p * (resid - inner)
+    resid = p - fit.et[None, :, :]
+    value = (resid**2).sum(axis=1).mean(axis=1).mean()
+    inner = (p * resid).sum(axis=1, keepdims=True)
+    g_scores = 2.0 * p
+    g_scores *= resid - inner
     if cfg.objective == "brier_plus_loss":
-        g_scores = g_scores + resid
-    g_scores = g_scores / data.n
+        picked = p.reshape(p.shape[0], -1)[:, fit.label_at]
+        value -= log_probs(picked).mean(axis=1).mean()
+        g_scores += resid
+    g_scores /= n
 
-    g_vs = _grad_scores_to_params(cfg.family, data.num_classes, g_scores, z, scores)
+    g_vs = _grad_scores_to_params(cfg.family, g_scores, fit.zt, scores)
     g_mu = g_vs.mean(axis=0)
     g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
 
-    value = briers.mean()
-    if cfg.objective == "brier_plus_loss":
-        value += xents.mean()
     kl = posterior.kl_to(prior)
-    value = float(value + cfg.alpha * kl / data.n)
+    value = float(value + cfg.alpha * kl / n)
 
     var_p = prior.sigma**2
-    g_mu = g_mu + cfg.alpha / data.n * (posterior.mu - prior.mu) / var_p
-    g_log_sigma = g_log_sigma + cfg.alpha / data.n * (sigma**2 / var_p - 1.0)
+    g_mu = g_mu + cfg.alpha / n * (posterior.mu - prior.mu) / var_p
+    g_log_sigma = g_log_sigma + cfg.alpha / n * (sigma**2 / var_p - 1.0)
     return value, g_mu, g_log_sigma
 
 
@@ -364,7 +378,7 @@ def pbr_objective(
 ) -> float:
     """Monte Carlo objective; the same rng value always yields the same draws."""
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _objective_and_gradient(posterior, prior, data, cfg, xi)[0]
+    return _objective_and_gradient(posterior, prior, _class_major(data), cfg, xi)[0]
 
 
 def pbr_gradient(
@@ -376,17 +390,28 @@ def pbr_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`pbr_objective` as concat(d/dmu, d/dlog_sigma)."""
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    _, g_mu, g_log_sigma = _objective_and_gradient(posterior, prior, data, cfg, xi)
+    _, g_mu, g_log_sigma = _objective_and_gradient(
+        posterior, prior, _class_major(data), cfg, xi
+    )
     return np.concatenate([g_mu, g_log_sigma])
 
 
 @dataclass(frozen=True)
 class PbrResult:
+    """Outcome of :func:`train_pbr`.
+
+    stop_reason is "patience" when the best objective stopped improving and
+    "max_iters" when the step budget ran out; best_step is the 0-based step
+    whose objective last improved the best value by more than the tolerance.
+    """
+
     posterior: GaussianPosterior
     map: RecalMap
     prior: GaussianPosterior
     final_objective: float
     steps: int
+    stop_reason: str
+    best_step: int
 
     @property
     def kl(self) -> float:
@@ -399,8 +424,16 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     Deterministic given (data, cfg): per-step noise comes from child streams
     of cfg.seed, and the returned map evaluates the family at the mean of
     j_final fresh posterior samples.
+
+    The result holds the last iterate, not the best one: the posterior is
+    where descent stopped, and final_objective is the Monte Carlo objective
+    of the last step taken. On a patience stop that is the returned
+    posterior's own objective; on a max_iters stop the posterior has taken
+    that step's update as well. Each step's objective uses fresh draws, so the
+    lowest value seen (at best_step) is partly noise and is not returned.
     """
     prior = _default_prior(cfg, data.num_classes)
+    fit = _class_major(data)
     mu = prior.mu.copy()
     log_sigma = prior.log_sigma.copy()
     noise_root = Rng(cfg.seed).stream(0)
@@ -410,10 +443,11 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     best_step = 0
     value = math.inf
     steps = 0
+    stop_reason = "max_iters"
     for i in range(cfg.max_iters):
         posterior = GaussianPosterior(mu, log_sigma)
         xi = _draws(noise_root.stream(i), cfg.mc_samples, posterior.dim)
-        value, g_mu, g_log_sigma = _objective_and_gradient(posterior, prior, data, cfg, xi)
+        value, g_mu, g_log_sigma = _objective_and_gradient(posterior, prior, fit, cfg, xi)
         if not math.isfinite(value):
             raise RuntimeError(
                 f"objective became non-finite at step {i} (family={cfg.family}, "
@@ -424,6 +458,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
             best = value
             best_step = i
         elif i - best_step >= _PATIENCE:
+            stop_reason = "patience"
             break
         lr = cfg.step_size * cfg.step_decay**i
         mu = mu - lr * g_mu
@@ -432,7 +467,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     posterior = GaussianPosterior(mu, log_sigma)
     final_v = posterior.sample(final_rng, cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
-    return PbrResult(posterior, fitted, prior, float(value), steps)
+    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

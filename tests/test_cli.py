@@ -252,14 +252,31 @@ def test_experiment_needs_exactly_one_source(tmp_path, gen, capsys):
     capsys.readouterr()
 
 
-def test_csv_report_requires_out(tmp_path, gen, capsys):
+def test_csv_report_to_stdout_matches_out(tmp_path, capsys):
+    sp = spec_file(tmp_path)
+    argv = ["experiment", "klgap", "--spec", str(sp), "--alpha-grid", "0,1",
+            "--replicates", "1", "--n-re", "40", "--format", "csv"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cells.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode() == out.read_bytes()
+    assert printed.startswith("replicate,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ece", "--bins", "0"],
+    ["ece", "--full-k", "--bins", "0"],
+    ["experiment", "compare", "--n-re", "0"],
+    ["experiment", "compare", "--n-te", "0"],
+], ids=["ece", "ece-full-k", "compare-n-re", "compare-n-te"])
+def test_explicit_zero_is_rejected(tmp_path, gen, capsys, argv):
     p, _ = dump_file(tmp_path, gen)
-    rc = main(
-        ["experiment", "compare", "--dump", str(p), "--methods", "uncalibrated",
-         "--folds", "2", "--format", "csv"]
-    )
-    assert rc == 2
-    assert "--out" in capsys.readouterr().err
+    assert main(argv + ["--dump", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err
 
 
 def test_cell_failure_exits_three(tmp_path, gen, capsys, monkeypatch):

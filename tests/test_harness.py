@@ -310,6 +310,14 @@ def test_klgap_on_dump_records_path_and_replays(tmp_path, gen):
         replay(inline.to_dict())
 
 
+def test_compare_methods_rejects_explicit_zero_split(gen):
+    dump = random_prediction_set(gen, 200, 3)
+    for source in (MULTI_SPEC, dump):
+        for split in ({"n_re": 0}, {"n_te": 0}):
+            with pytest.raises(ValidationError, match="too small"):
+                compare_methods(source, methods=("uncalibrated",), folds=2, **split)
+
+
 def test_compare_methods_rejects_unknown_method():
     with pytest.raises(ValidationError):
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))

@@ -17,8 +17,64 @@ from calbound import (
     temperature_scaling_fit,
     train_pbr,
 )
-from calbound.recal import identity_params, param_dim
+from calbound.core import log_probs, softmax
+from calbound.recal import _PATIENCE, FAMILIES, identity_params, param_dim
 from tests.conftest import random_prediction_set
+
+
+def _row_major_scores(family, k, vs, z):
+    """Reference forward map in the (J, n, K) layout: vs is (J, d), z is (n, K)."""
+    if family == "temperature":
+        return z[None, :, :] * np.exp(-vs[:, 0])[:, None, None]
+    if family == "vector_scale":
+        w, b = vs[:, :k], vs[:, k:]
+        return z[None, :, :] * w[:, None, :] + b[:, None, :]
+    mats = vs[:, : k * k].reshape(-1, k, k)
+    b = vs[:, k * k :]
+    return np.einsum("jkl,nl->jnk", mats, z) + b[:, None, :]
+
+
+def _row_major_objective_and_gradient(posterior, prior, data, cfg, xi):
+    """Reference objective and (d/dmu, d/dlog_sigma) in the (J, n, K) layout."""
+    k = data.num_classes
+    sigma = posterior.sigma
+    vs = posterior.mu[None, :] + sigma[None, :] * xi
+    z = log_probs(data.probs)
+    scores = _row_major_scores(cfg.family, k, vs, z)
+    p = softmax(scores)
+    e = data.one_hot_labels()
+
+    resid = p - e[None, :, :]
+    briers = (resid**2).sum(axis=2).mean(axis=1)
+    picked = p[:, np.arange(data.n), data.labels]
+    xents = -log_probs(picked).mean(axis=1)
+
+    inner = (p * resid).sum(axis=2, keepdims=True)
+    g_scores = 2.0 * p * (resid - inner)
+    if cfg.objective == "brier_plus_loss":
+        g_scores = g_scores + resid
+    g_scores = g_scores / data.n
+
+    if cfg.family == "temperature":
+        g_vs = -(g_scores * scores).sum(axis=(1, 2))[:, None]
+    elif cfg.family == "vector_scale":
+        gw = (g_scores * z[None, :, :]).sum(axis=1)
+        g_vs = np.concatenate([gw, g_scores.sum(axis=1)], axis=1)
+    else:
+        gmat = np.einsum("jnk,nl->jkl", g_scores, z)
+        g_vs = np.concatenate([gmat.reshape(g_scores.shape[0], -1), g_scores.sum(axis=1)], axis=1)
+    g_mu = g_vs.mean(axis=0)
+    g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
+
+    value = briers.mean()
+    if cfg.objective == "brier_plus_loss":
+        value += xents.mean()
+    value = float(value + cfg.alpha * posterior.kl_to(prior) / data.n)
+
+    var_p = prior.sigma**2
+    g_mu = g_mu + cfg.alpha / data.n * (posterior.mu - prior.mu) / var_p
+    g_log_sigma = g_log_sigma + cfg.alpha / data.n * (sigma**2 / var_p - 1.0)
+    return value, np.concatenate([g_mu, g_log_sigma])
 
 
 def test_param_dims_per_family():
@@ -150,30 +206,69 @@ def test_objective_is_deterministic_given_rng(gen):
     assert v1 == pytest.approx(v0 + 0.25 * post.kl_to(prior) / data.n, abs=1e-12)
 
 
-def test_gradient_matches_finite_differences(gen):
-    # smaller sibling of the acceptance sweep, one config per family
+@pytest.mark.parametrize("k", [2, 5, 10, 20])
+@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_class_major_pass_matches_row_major_reference(gen, family, objective, k):
+    # Sums over n, and over K once K >= 8, run in another order than in the
+    # reference, so agreement is to rounding, not bit for bit.
+    data = random_prediction_set(gen, 60, k)
+    dim = param_dim(family, k)
+    cfg = PbrConfig(family=family, alpha=0.3, mc_samples=3, objective=objective)
+    post = GaussianPosterior(
+        identity_params(family, k) + gen.normal(0.0, 0.2, dim), gen.normal(-1.0, 0.2, dim)
+    )
+    prior = GaussianPosterior.standard(dim)
+    xi = Rng(11).generator().standard_normal((cfg.mc_samples, dim))
+    value, grad = _row_major_objective_and_gradient(post, prior, data, cfg, xi)
+    assert pbr_objective(post, prior, data, cfg, Rng(11)) == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(pbr_gradient(post, prior, data, cfg, Rng(11)), grad, rtol=1e-12)
+
+    m = RecalMap(family, k, post.mu)
+    expect = softmax(_row_major_scores(family, k, post.mu[None, :], log_probs(data.probs))[0])
+    np.testing.assert_allclose(apply_recal(m, data.probs), expect, rtol=1e-12)
+
+
+def _assert_gradient_matches_finite_differences(data, family, objective, post):
     h = 1e-5
-    for family in ("temperature", "vector_scale", "affine"):
-        data = random_prediction_set(gen, 30, 3)
-        dim = param_dim(family, 3)
-        cfg = PbrConfig(family=family, alpha=0.3, mc_samples=3, objective="brier_plus_loss")
-        post = GaussianPosterior(
-            gen.normal(0.0, 0.3, dim), gen.normal(-0.5, 0.2, dim)
-        )
-        prior = GaussianPosterior.standard(dim)
-        grad = pbr_gradient(post, prior, data, cfg, Rng(11))
-        theta = np.concatenate([post.mu, post.log_sigma])
-        for j in (0, dim - 1, dim, 2 * dim - 1):
-            up, dn = theta.copy(), theta.copy()
-            up[j] += h
-            dn[j] -= h
-            pu = GaussianPosterior(up[:dim], up[dim:])
-            pd = GaussianPosterior(dn[:dim], dn[dim:])
-            fd = (
-                pbr_objective(pu, prior, data, cfg, Rng(11))
-                - pbr_objective(pd, prior, data, cfg, Rng(11))
-            ) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    dim = post.dim
+    cfg = PbrConfig(family=family, alpha=0.3, mc_samples=3, objective=objective)
+    prior = GaussianPosterior.standard(dim)
+    grad = pbr_gradient(post, prior, data, cfg, Rng(11))
+    theta = np.concatenate([post.mu, post.log_sigma])
+    for j in (0, dim - 1, dim, 2 * dim - 1):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        pu = GaussianPosterior(up[:dim], up[dim:])
+        pd = GaussianPosterior(dn[:dim], dn[dim:])
+        fd = (
+            pbr_objective(pu, prior, data, cfg, Rng(11))
+            - pbr_objective(pd, prior, data, cfg, Rng(11))
+        ) / (2 * h)
+        assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def test_gradient_matches_finite_differences(gen):
+    # smaller sibling of the acceptance sweep, one config per family; K = 10
+    # sums over the classes with numpy's pairwise summation
+    for k, objective in ((3, "brier_plus_loss"), (10, "brier")):
+        for family in FAMILIES:
+            data = random_prediction_set(gen, 30, k)
+            dim = param_dim(family, k)
+            post = GaussianPosterior(gen.normal(0.0, 0.3, dim), gen.normal(-0.5, 0.2, dim))
+            _assert_gradient_matches_finite_differences(data, family, objective, post)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the cross-entropy gradient ignores PROB_FLOOR")
+def test_loss_gradient_where_the_probability_floor_is_active():
+    # W = 20 I sends the first row's label probability to about 1e-25, below
+    # PROB_FLOOR, where the floored objective is flat in the scores.
+    data = PredictionSet.from_probs([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]], [1, 1])
+    mu = RecalMap.affine(20.0 * np.eye(3), np.zeros(3)).params
+    post = GaussianPosterior(mu, np.full(mu.size, -5.0))
+    _assert_gradient_matches_finite_differences(data, "affine", "brier_plus_loss", post)
 
 
 def test_train_pbr_improves_objective_and_is_deterministic(gen):
@@ -195,6 +290,19 @@ def test_train_pbr_improves_objective_and_is_deterministic(gen):
     assert np.allclose(res.posterior.mu, again.posterior.mu)
     assert res.final_objective == again.final_objective
     assert res.map == again.map
+
+
+def test_train_pbr_reports_why_it_stopped(gen):
+    data = random_prediction_set(gen, 80, 2)
+    res = train_pbr(data, PbrConfig(alpha=0.0, seed=1, max_iters=300))
+    assert res.stop_reason == "patience"
+    assert res.steps < 300
+    assert res.best_step == res.steps - 1 - _PATIENCE
+
+    capped = train_pbr(data, PbrConfig(alpha=0.0, seed=1, max_iters=20))
+    assert capped.stop_reason == "max_iters"
+    assert capped.steps == 20
+    assert 0 <= capped.best_step < 20
 
 
 def test_train_pbr_zero_alpha_ignores_prior(gen):
