@@ -2,9 +2,11 @@
 
 All estimators share one binning convention: B uniform-width bins on [0, 1]
 where bin i covers ((i-1)/B, i/B], indexed from 1, and an exact zero joins
-bin 1. Empty bins contribute nothing. The K-dimensional estimator bins every
-coordinate of the probability vector with the same rule and keys occupied
-hypercube cells sparsely, since (B')^K cells cannot be materialized densely.
+bin 1. Empty bins contribute nothing. The top-label, full-K and partial-K
+estimators are one reduction, :func:`_cell_ece`, over one of two cell
+numberings: the dense bin index in 1-D, and in K-D the keys of occupied
+hypercube cells (each coordinate binned by the same rule) numbered by
+``np.unique``, since (B')^K cells cannot be materialized densely.
 """
 
 from __future__ import annotations
@@ -26,23 +28,45 @@ def _check_bins(num_bins: int) -> int:
 
 def assign_bin_1d(p: float, num_bins: int) -> int:
     """Bin index in 1..B for a scalar in [0, 1]; right-closed bins, 0 -> bin 1."""
-    b = _check_bins(num_bins)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"value {p} outside [0, 1]")
-    return int(assign_bins_1d(np.array([p]), b)[0])
+    return int(assign_bins_1d(np.array([p]), num_bins)[0])
 
 
 def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Vectorized bin assignment; same convention as :func:`assign_bin_1d`."""
     b = _check_bins(num_bins)
     values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        bad = values[(values < 0.0) | (values > 1.0)][0]
+    # min and max propagate NaN, so NaN fails this check too.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        bad = values[~((values >= 0.0) & (values <= 1.0))][0]
         raise ValidationError(f"value {bad} outside [0, 1]")
     uppers = np.arange(1, b + 1) / b
     # side='left' puts p exactly at an upper boundary into the bin it closes.
     idx = np.searchsorted(uppers, values, side="left") + 1
     return np.minimum(idx, b).astype(np.int64)
+
+
+def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray) -> float:
+    """Occupancy-weighted L1 gap between each cell's mean vector and mean target.
+
+    cells numbers the cell of each row; vectors and targets are (n, d).
+    """
+    counts = np.bincount(cells).astype(float)
+    occupied = counts > 0
+    counts = counts[occupied]
+    # (cells, d) rows: from d = 8 on, a (d, cells) layout sums over d in another order.
+    sum_vec, sum_tgt = [
+        np.column_stack([np.bincount(cells, weights=col)[occupied] for col in cols.T])
+        for cols in (vectors, targets)
+    ]
+    gaps = np.abs(sum_vec / counts[:, None] - sum_tgt / counts[:, None]).sum(axis=1)
+    return float(np.sum(counts / len(cells) * gaps))
+
+
+def _top_label_bins(data: PredictionSet, num_bins: int):
+    """0-based top-label bins, confidences and hits, and the bin count."""
+    b = _check_bins(num_bins)
+    conf = data.top_confidences()
+    return assign_bins_1d(conf, b) - 1, conf, data.top_hits(), b
 
 
 def ece_top_label(data: PredictionSet, num_bins: int) -> float:
@@ -51,18 +75,8 @@ def ece_top_label(data: PredictionSet, num_bins: int) -> float:
     Bins the top-class confidences, then averages |mean confidence - mean hit
     rate| over bins weighted by occupancy.
     """
-    b = _check_bins(num_bins)
-    conf = data.top_confidences()
-    hits = data.top_hits()
-    bins = assign_bins_1d(conf, b) - 1
-    counts = np.bincount(bins, minlength=b).astype(float)
-    sum_conf = np.bincount(bins, weights=conf, minlength=b)
-    sum_hits = np.bincount(bins, weights=hits, minlength=b)
-    occupied = counts > 0
-    mean_conf = sum_conf[occupied] / counts[occupied]
-    mean_hits = sum_hits[occupied] / counts[occupied]
-    weights = counts[occupied] / data.n
-    return float(np.sum(weights * np.abs(mean_conf - mean_hits)))
+    bins, conf, hits, _ = _top_label_bins(data, num_bins)
+    return _cell_ece(bins, conf[:, None], hits[:, None])
 
 
 def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
@@ -72,20 +86,13 @@ def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
     conditional means; it must agree with :func:`ece_top_label` to floating
     rounding, which the test suite pins at 1e-12.
     """
-    b = _check_bins(num_bins)
-    conf = data.top_confidences()
-    hits = data.top_hits()
-    bins = assign_bins_1d(conf, b) - 1
+    bins, conf, hits, b = _top_label_bins(data, num_bins)
     residual_sums = np.bincount(bins, weights=hits - conf, minlength=b)
     return float(np.sum(np.abs(residual_sums)) / data.n)
 
 
 def _sparse_cell_ece(vectors: np.ndarray, targets: np.ndarray, bins_per_dim: int) -> float:
-    """Shared L1 cell estimator over sparse occupied cells.
-
-    vectors and targets are (n, d) arrays with entries in [0, 1]; cells are
-    keyed by the d-tuple of per-coordinate bin indices.
-    """
+    """Cell estimator over the occupied hypercube cells of (n, d) vectors in [0, 1]."""
     n, d = vectors.shape
     b = _check_bins(bins_per_dim)
     if b**d > MAX_TOTAL_CELLS:
@@ -93,17 +100,9 @@ def _sparse_cell_ece(vectors: np.ndarray, targets: np.ndarray, bins_per_dim: int
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"
         )
     idx = assign_bins_1d(vectors.ravel(), b).reshape(n, d) - 1
-    strides = b ** np.arange(d, dtype=np.int64)
-    keys = idx @ strides
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    num_cells = counts.size
-    sum_vec = np.zeros((num_cells, d))
-    sum_tgt = np.zeros((num_cells, d))
-    np.add.at(sum_vec, inverse, vectors)
-    np.add.at(sum_tgt, inverse, targets)
-    counts = counts.astype(float)
-    gaps = np.abs(sum_vec / counts[:, None] - sum_tgt / counts[:, None]).sum(axis=1)
-    return float(np.sum(counts / n * gaps))
+    keys = idx @ b ** np.arange(d, dtype=np.int64)
+    _, cells = np.unique(keys, return_inverse=True)
+    return _cell_ece(cells, vectors, targets)
 
 
 def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:

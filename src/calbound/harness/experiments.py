@@ -117,8 +117,10 @@ def convergence_experiment(
         raise ValidationError("n_grid must span at least 1.5 decades")
     if seeds < 20:
         raise ValidationError("need at least 20 seeds per n")
-    if isinstance(bin_rule, str) and bin_rule != "optimal":
-        raise ValidationError(f"bin rule must be 'optimal' or an integer, got {bin_rule!r}")
+    if bin_rule != "optimal" and (not isinstance(bin_rule, (int, np.integer)) or bin_rule < 1):
+        raise ValidationError(
+            f"bin rule must be 'optimal' or a positive integer, got {bin_rule!r}"
+        )
 
     binary = isinstance(spec, BinarySpec)
     if binary:

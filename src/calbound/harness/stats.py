@@ -7,7 +7,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 
 from ..core import ValidationError
 
@@ -27,12 +26,16 @@ def pearson(x, y) -> float:
     x, y = _paired(x, y)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return math.nan
+    # Imported here, not at module level: scipy.stats takes about a second to
+    # import, and only the KL-gap summary calls pearson and kendall_tau.
+    from scipy import stats as sps
     return float(sps.pearsonr(x, y).statistic)
 
 
 def kendall_tau(x, y) -> float:
     """Kendall's tau with tie correction; NaN when undefined."""
     x, y = _paired(x, y)
+    from scipy import stats as sps  # imported here for the reason given in pearson
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tau = sps.kendalltau(x, y).statistic

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .core import PredictionSet, Rng, ValidationError
 
@@ -74,6 +73,9 @@ class ConfidenceLaw:
         if self.kind == "uniform":
             inside = (c >= self.lo) & (c <= self.hi)
             return np.where(inside, 1.0 / width, 0.0)
+        # Imported here, not at module level: scipy.stats takes about a second
+        # to import, and only the beta law's density needs it.
+        from scipy import stats
         return stats.beta.pdf((c - self.lo) / width, self.a, self.b) / width
 
 

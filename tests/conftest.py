@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from calbound import PredictionSet
+
+# pytest puts src/ on its own import path (pyproject.toml); tests that start
+# `python -m calbound` in a fresh interpreter need it on that one's path too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_prediction_set(gen: np.random.Generator, n: int, k: int) -> PredictionSet:

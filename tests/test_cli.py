@@ -279,6 +279,16 @@ def test_explicit_zero_is_rejected(tmp_path, gen, capsys, argv):
     assert "error:" in out.err
 
 
+def test_convergence_explicit_zero_bins_exits_two(tmp_path, capsys):
+    sp = spec_file(tmp_path)
+    argv = ["experiment", "convergence", "--spec", str(sp), "--n-grid", "50,100,400,2000",
+            "--bins", "0"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err
+
+
 def test_cell_failure_exits_three(tmp_path, gen, capsys, monkeypatch):
     p, _ = dump_file(tmp_path, gen)
 

@@ -49,6 +49,33 @@ def test_bin_edges_exact_on_boundaries():
         assert assign_bin_1d(np.nextafter(edge, 1.0), b) == i + 1
 
 
+def test_vector_bins_reject_nan():
+    for values in ([0.2, np.nan], [np.nan, 0.2], [np.nan]):
+        with pytest.raises(ValidationError):
+            assign_bins_1d(np.array(values), 4)
+    with pytest.raises(ValidationError):
+        assign_bin_1d(float("nan"), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200))
+def test_vector_bins_exact_on_and_next_to_every_edge(b):
+    # i/B and the float just below it land in bin i, the float just above in bin i+1
+    i = np.arange(1, b + 1)
+    edges = i / b
+    assert assign_bins_1d(edges, b).tolist() == i.tolist()
+    assert assign_bins_1d(np.nextafter(edges, 0.0), b).tolist() == i.tolist()
+    assert assign_bins_1d(np.nextafter(edges[:-1], 1.0), b).tolist() == (i[:-1] + 1).tolist()
+    assert assign_bins_1d(np.array([0.0, 5e-324]), b).tolist() == [1, 1]
+
+
+def lattice_set(gen, total: int, k: int) -> PredictionSet:
+    """Rows of multiples of 1/total: entries sit on bin edges and maxima often tie."""
+    n = int(gen.integers(1, 120))
+    counts = gen.multinomial(total, gen.dirichlet(np.ones(k)), size=n)
+    return PredictionSet.from_probs(counts / total, gen.integers(0, k, n))
+
+
 def test_ece_top_label_hand_example():
     ps = binary_set([0.9, 0.6, 0.7, 0.55], [1, 0, 1, 1])
     assert ece_top_label(ps, 2) == pytest.approx(0.0625, abs=1e-15)
@@ -95,6 +122,33 @@ def test_reformulated_matches_definitional(seed, bins, k):
     b = ece_top_label_reformulated(ps, bins)
     assert abs(a - b) < 1e-12
     assert 0.0 <= a <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 5))
+def test_reformulated_matches_with_ties_and_edge_values(seed, bins, k):
+    gen = np.random.default_rng(seed)
+    ps = lattice_set(gen, bins * int(gen.integers(1, 4)), k)
+    assert abs(ece_top_label(ps, bins) - ece_top_label_reformulated(ps, bins)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 5), st.booleans())
+def test_k_estimators_invariant_under_class_permutation(seed, bins, k, on_lattice):
+    gen = np.random.default_rng(seed)
+    if on_lattice:
+        # dyadic rows sum to exactly 1 in any class order, so renormalizing
+        # the permuted rows cannot move an entry off its bin edge
+        ps = lattice_set(gen, 2 ** int(gen.integers(1, 5)), k)
+    else:
+        ps = random_prediction_set(gen, int(gen.integers(1, 200)), k)
+    perm = gen.permutation(k)  # new class j is old class perm[j]
+    moved = np.argsort(perm)  # old class c is new class moved[c]
+    permuted = PredictionSet.from_probs(ps.probs[:, perm], moved[ps.labels])
+    assert abs(ece_full_k(permuted, bins) - ece_full_k(ps, bins)) < 1e-12
+    subset = gen.choice(k, int(gen.integers(1, k + 1)), replace=False)
+    expect = ece_partial_k(ps, subset.tolist(), bins)
+    assert abs(ece_partial_k(permuted, moved[subset].tolist(), bins) - expect) < 1e-12
 
 
 def test_full_k_hand_example():

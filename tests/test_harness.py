@@ -248,6 +248,12 @@ def test_convergence_validates_grid():
         convergence_experiment(BIN_SPEC, GRID, seeds=19)  # too few seeds
 
 
+@pytest.mark.parametrize("bin_rule", [0, -3, 2.7, "fixed"])
+def test_convergence_rejects_bad_bin_rule_before_any_cell(bin_rule):
+    with pytest.raises(ValidationError, match="bin rule"):
+        convergence_experiment(BIN_SPEC, GRID, seeds=20, bin_rule=bin_rule)
+
+
 def test_klgap_report_structure():
     rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5, 1.0), replicates=2, n_re=60)
     jsonschema.validate(rep.to_dict(), REPORT_SCHEMA)
