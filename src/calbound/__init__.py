@@ -20,14 +20,10 @@ from .bounds import (
 from .core import (
     PredictionSet,
     Rng,
-    TopPrediction,
     ValidationError,
-    one_hot,
-    top_prediction,
     validate_prediction_set,
 )
 from .ece import (
-    assign_bin_1d,
     ece_full_k,
     ece_gap,
     ece_partial_k,
@@ -79,10 +75,8 @@ __all__ = [
     "PredictionSet",
     "RecalMap",
     "Rng",
-    "TopPrediction",
     "ValidationError",
     "apply_recal",
-    "assign_bin_1d",
     "brier_score",
     "ece_full_k",
     "ece_gap",
@@ -95,7 +89,6 @@ __all__ = [
     "heuristic_lambda",
     "kl_gaussian_diag",
     "mc_validate_bound",
-    "one_hot",
     "optimal_bins_1d",
     "optimal_bins_per_dim",
     "optimize_lambda",
@@ -104,7 +97,6 @@ __all__ = [
     "recalibrate_set",
     "softmax_cross_entropy",
     "temperature_scaling_fit",
-    "top_prediction",
     "train_pbr",
     "true_ce_k",
     "true_tce",

@@ -1,14 +1,24 @@
-"""Shared value types (prediction sets, seeded RNG streams) and the floored log and softmax."""
+"""Shared value types (prediction sets, seeded RNG streams) and the floored log and softmax.
+
+:meth:`PredictionSet.from_probs` is the one checked constructor: it takes
+input from outside the package (loaded dumps, user maps, user code). Sets
+the package derives from valid data are built with ``PredictionSet(probs,
+labels)`` directly.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 # Row sums may drift from 1 by this much before the row is rejected.
 SIMPLEX_ATOL = 1e-9
+
+# Rows whose sum is within this of 1 are kept as given: a row normalized once
+# sums to within 2 eps of 1 for K up to 1000, and dividing it again would move
+# entries by an ulp, possibly across a bin edge.
+RENORM_TOL = 4 * np.finfo(float).eps
 
 # Probabilities are floored here before taking logs, so log(0) stays finite.
 PROB_FLOOR = 1e-12
@@ -65,28 +75,6 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-class TopPrediction(NamedTuple):
-    class_index: int
-    confidence: float
-
-
-def top_prediction(probs: np.ndarray) -> TopPrediction:
-    """Most confident class of a single probability row, ties to the lowest index."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size < 2:
-        raise ValidationError("expected a probability vector with K >= 2 entries")
-    idx = int(np.argmax(probs))
-    return TopPrediction(idx, float(probs[idx]))
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    if not 0 <= label < num_classes:
-        raise ValidationError(f"label {label} outside [0, {num_classes})")
-    e = np.zeros(num_classes)
-    e[label] = 1.0
-    return e
-
-
 def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
     """Collect human-readable violations; empty list means the pair is valid."""
     problems: list[str] = []
@@ -124,25 +112,31 @@ def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
 class PredictionSet:
     """Immutable batch of probability rows with integer labels.
 
-    Construct through :meth:`from_probs`, which validates and renormalizes
-    rows whose sums drift within ``SIMPLEX_ATOL`` of 1.
+    The constructor trusts its arrays (float rows on the simplex, int64
+    labels) and makes them read-only in place. Input from outside the
+    package goes through :meth:`from_probs`, which checks it and rescales
+    only rows whose sum is off 1 by more than ``RENORM_TOL``; drift within
+    a few ulp is kept as given, so a valid set passes through unchanged.
     """
 
     probs: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        self.probs.setflags(write=False)
+        self.labels.setflags(write=False)
+
     @classmethod
     def from_probs(cls, probs, labels) -> "PredictionSet":
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         labels = np.asarray(labels)
         problems = validate_prediction_set(probs, labels)
         if problems:
             raise ValidationError("; ".join(problems))
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        labels = labels.astype(np.int64)
-        probs.setflags(write=False)
-        labels.setflags(write=False)
-        return cls(probs, labels)
+        sums = probs.sum(axis=1)
+        drift = np.abs(sums - 1.0) > RENORM_TOL
+        probs[drift] /= sums[drift, None]
+        return cls(probs, labels.astype(np.int64))
 
     @property
     def n(self) -> int:
@@ -152,13 +146,10 @@ class PredictionSet:
     def num_classes(self) -> int:
         return self.probs.shape[1]
 
-    def top_confidences(self) -> np.ndarray:
+    def top_label(self) -> tuple[np.ndarray, np.ndarray]:
+        """Top-class confidences and hits: 1.0 where the label is the argmax (ties to lowest index)."""
         idx = np.argmax(self.probs, axis=1)
-        return self.probs[np.arange(self.n), idx]
-
-    def top_hits(self) -> np.ndarray:
-        """1.0 where the label equals the argmax class (ties to lowest index)."""
-        return (self.labels == np.argmax(self.probs, axis=1)).astype(float)
+        return self.probs[np.arange(self.n), idx], (self.labels == idx).astype(float)
 
     def one_hot_labels(self) -> np.ndarray:
         e = np.zeros_like(self.probs)
@@ -166,4 +157,4 @@ class PredictionSet:
         return e
 
     def subset(self, rows: np.ndarray) -> "PredictionSet":
-        return PredictionSet.from_probs(self.probs[rows], self.labels[rows])
+        return PredictionSet(self.probs[rows], self.labels[rows])

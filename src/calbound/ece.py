@@ -26,13 +26,8 @@ def _check_bins(num_bins: int) -> int:
     return int(num_bins)
 
 
-def assign_bin_1d(p: float, num_bins: int) -> int:
-    """Bin index in 1..B for a scalar in [0, 1]; right-closed bins, 0 -> bin 1."""
-    return int(assign_bins_1d(np.array([p]), num_bins)[0])
-
-
 def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
-    """Vectorized bin assignment; same convention as :func:`assign_bin_1d`."""
+    """Bin indices in 1..B for values in [0, 1]; right-closed bins, 0 -> bin 1."""
     b = _check_bins(num_bins)
     values = np.asarray(values, dtype=float)
     # min and max propagate NaN, so NaN fails this check too.
@@ -65,8 +60,8 @@ def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray) -> fl
 def _top_label_bins(data: PredictionSet, num_bins: int):
     """0-based top-label bins, confidences and hits, and the bin count."""
     b = _check_bins(num_bins)
-    conf = data.top_confidences()
-    return assign_bins_1d(conf, b) - 1, conf, data.top_hits(), b
+    conf, hits = data.top_label()
+    return assign_bins_1d(conf, b) - 1, conf, hits, b
 
 
 def ece_top_label(data: PredictionSet, num_bins: int) -> float:

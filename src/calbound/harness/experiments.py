@@ -121,6 +121,8 @@ def convergence_experiment(
         raise ValidationError(
             f"bin rule must be 'optimal' or a positive integer, got {bin_rule!r}"
         )
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
 
     binary = isinstance(spec, BinarySpec)
     if binary:
@@ -274,7 +276,7 @@ def kl_gap_experiment(
 def _metrics(data: PredictionSet, bins: int) -> dict:
     return {
         "ece": ece_top_label(data, bins),
-        "accuracy": float(data.top_hits().mean()),
+        "accuracy": float(data.top_label()[1].mean()),
         "brier": brier_score(data),
         "cross_entropy": softmax_cross_entropy(data),
     }

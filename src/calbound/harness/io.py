@@ -62,13 +62,15 @@ def _header_mode(header: list[str]) -> tuple[str, int]:
 
 
 def _parse_label(raw, row_index: int) -> int:
+    # int() raises ValueError on NaN and OverflowError on inf.
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+        label = int(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"row {row_index}: label {raw!r} is not an integer")
-    if value != int(value):
+    if value != label:
         raise ValidationError(f"row {row_index}: label {raw!r} is not an integer")
-    return int(value)
+    return label
 
 
 def _parse_values(raw, row_index: int) -> list[float]:

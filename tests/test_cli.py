@@ -289,6 +289,24 @@ def test_convergence_explicit_zero_bins_exits_two(tmp_path, capsys):
     assert "error:" in out.err
 
 
+def test_convergence_zero_workers_exits_two(tmp_path, capsys):
+    sp = spec_file(tmp_path)
+    argv = ["experiment", "convergence", "--spec", str(sp), "--n-grid", "50,100,400,2000",
+            "--workers", "0"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err
+
+
+def test_non_finite_dump_label_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p0,p1,label\n0.6,0.4,0\n0.5,0.5,nan\n")
+    assert main(["ece", "--dump", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 2" in err
+
+
 def test_cell_failure_exits_three(tmp_path, gen, capsys, monkeypatch):
     p, _ = dump_file(tmp_path, gen)
 

@@ -2,13 +2,35 @@ import numpy as np
 import pytest
 
 from calbound import (
+    BinarySpec,
+    ConfidenceLaw,
+    MiscalibrationMap1D,
+    MiscalibrationMapK,
+    MulticlassSpec,
     PredictionSet,
+    RecalMap,
     Rng,
     ValidationError,
-    one_hot,
-    top_prediction,
+    gen_binary,
+    gen_multiclass,
+    recalibrate_set,
     validate_prediction_set,
 )
+
+
+def _multiclass():
+    spec = MulticlassSpec(10, (0.3,) * 10, MiscalibrationMapK.temperature(2.0), 2000, Rng(3))
+    return gen_multiclass(spec)
+
+
+# Sets the package derives from valid data; each is built without from_probs.
+DERIVED = {
+    "gen_binary": lambda: gen_binary(BinarySpec(
+        ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.1, 2.0), 500, Rng(4))),
+    "gen_multiclass": _multiclass,
+    "subset": lambda: _multiclass().subset(np.arange(0, 2000, 3)),
+    "recalibrate_set": lambda: recalibrate_set(RecalMap.temperature(1.7, 10), _multiclass()),
+}
 
 
 def test_rng_same_key_is_bit_identical():
@@ -34,37 +56,6 @@ def test_rng_nested_streams_do_not_collide():
             key = Rng(1).stream(i).stream(j).stream_id
             assert key not in seen
             seen.add(key)
-
-
-def test_top_prediction_examples():
-    assert top_prediction([0.2, 0.7, 0.1]) == (1, 0.7)
-    assert top_prediction([0.5, 0.5]) == (0, 0.5)
-    assert top_prediction([1.0, 0.0, 0.0]) == (0, 1.0)
-
-
-def test_top_prediction_ignores_appended_zero_classes():
-    assert top_prediction([0.6, 0.4, 0.0, 0.0]) == top_prediction([0.6, 0.4])
-
-
-def test_top_prediction_rejects_scalar_and_short_rows():
-    with pytest.raises(ValidationError):
-        top_prediction([1.0])
-
-
-def test_one_hot_examples():
-    assert np.array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
-    assert np.array_equal(one_hot(0, 2), [1.0, 0.0])
-    assert np.array_equal(one_hot(4, 5), [0.0, 0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(ValidationError):
-        one_hot(3, 3)
-
-
-def test_one_hot_round_trips_through_top_prediction():
-    for k in (2, 3, 7):
-        for label in range(k):
-            e = one_hot(label, k)
-            assert e.sum() == 1.0
-            assert top_prediction(e) == (label, 1.0)
 
 
 def test_validate_reports_row_indices():
@@ -101,20 +92,45 @@ def test_from_probs_rejects_nan_rows():
         PredictionSet.from_probs([[0.3, 0.7], [np.nan, 1.0]], [0, 1])
 
 
+def test_from_probs_keeps_rows_within_a_few_ulp():
+    # 3/6 + 2/6 + 1/6 sums to 1 - 2**-53; dividing by it would move 0.5 off the B=2 edge
+    row = np.array([[3 / 6, 2 / 6, 1 / 6]])
+    assert row.sum() != 1.0
+    ps = PredictionSet.from_probs(row, [0])
+    assert np.array_equal(ps.probs, row)
+
+
 def test_prediction_set_arrays_are_read_only():
-    ps = PredictionSet.from_probs([[0.4, 0.6]], [1])
-    with pytest.raises(ValueError):
-        ps.probs[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        ps.labels[0] = 0
+    for make in (lambda: PredictionSet.from_probs([[0.4, 0.6]], [1]), *DERIVED.values()):
+        ps = make()
+        with pytest.raises(ValueError):
+            ps.probs[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            ps.labels[0] = 0
+
+
+@pytest.mark.parametrize("make", DERIVED.values(), ids=DERIVED)
+def test_from_probs_reproduces_derived_sets_bit_for_bit(make):
+    ps = make()
+    again = PredictionSet.from_probs(ps.probs, ps.labels)
+    assert again.probs.tobytes() == ps.probs.tobytes()
+    assert again.labels.dtype == ps.labels.dtype == np.int64
+    assert np.array_equal(again.labels, ps.labels)
+
+
+def test_from_probs_leaves_the_callers_array_writable():
+    probs = np.array([[0.4, 0.6]])
+    PredictionSet.from_probs(probs, [1])
+    probs[0, 0] = 0.5
 
 
 def test_top_views_and_subset(gen):
     probs = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]])
     ps = PredictionSet.from_probs(probs, [0, 0, 1])
-    assert np.allclose(ps.top_confidences(), [0.8, 0.7, 0.5])
+    conf, hits = ps.top_label()
+    assert np.allclose(conf, [0.8, 0.7, 0.5])
     # row 2 ties; argmax goes to class 0 so the label-1 row is a miss
-    assert np.allclose(ps.top_hits(), [1.0, 0.0, 0.0])
+    assert np.allclose(hits, [1.0, 0.0, 0.0])
     assert np.array_equal(ps.one_hot_labels()[2], [0.0, 1.0])
     sub = ps.subset(np.array([2, 0]))
     assert sub.n == 2

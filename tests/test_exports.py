@@ -1,5 +1,9 @@
-"""Guard the public surface: every export resolves, once, in sorted order, and cheaply."""
+"""Guard the public surface: every export resolves, once, in sorted order, and cheaply.
 
+The names the benchmark tracer wraps must resolve too.
+"""
+
+import importlib
 import subprocess
 import sys
 
@@ -7,6 +11,7 @@ import pytest
 
 import calbound
 import calbound.harness
+from perfbench.tracing import FUNCTIONS, METHODS
 
 
 @pytest.mark.parametrize("module", [calbound, calbound.harness], ids=lambda m: m.__name__)
@@ -24,3 +29,12 @@ def test_import_leaves_scipy_stats_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_names_resolve():
+    # The traced benchmark run wraps these by name; a renamed or deleted one breaks it.
+    missing = [(module, name) for module, name, *_ in FUNCTIONS
+               if not hasattr(importlib.import_module(module), name)]
+    missing += [(module, f"{cls}.{name}") for module, cls, name, *_ in METHODS
+                if not hasattr(getattr(importlib.import_module(module), cls), name)]
+    assert missing == []

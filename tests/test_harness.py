@@ -13,6 +13,7 @@ from calbound import (
     MulticlassSpec,
     Rng,
     ValidationError,
+    gen_multiclass,
 )
 from calbound.harness import (
     ExperimentCellError,
@@ -45,6 +46,18 @@ def test_csv_probs_round_trip(tmp_path, gen):
     assert loaded.n == 25 and loaded.num_classes == 3
     assert np.allclose(loaded.data.probs, data.probs, atol=1e-15)
     assert np.array_equal(loaded.data.labels, data.labels)
+
+
+def test_csv_round_trip_is_bit_exact(tmp_path):
+    # at K=1000 a fifth of numpy's raw Dirichlet rows sum to more than 4 eps off 1,
+    # so this needs gen_multiclass to divide them by their sum once
+    spec = MulticlassSpec(1000, (1.0,) * 1000, MiscalibrationMapK.temperature(2.0), 50, Rng(13))
+    data = gen_multiclass(spec)
+    p = tmp_path / "dump.csv"
+    write_dump(data, p)
+    loaded = load_dump(p).data
+    assert loaded.probs.tobytes() == data.probs.tobytes()
+    assert np.array_equal(loaded.labels, data.labels)
 
 
 def test_jsonl_logits_round_trip(tmp_path, gen):
@@ -111,6 +124,16 @@ def test_load_rejects_non_finite_cells(tmp_path):
                          '{"logits": [Infinity, 0.0], "label": 1}\n')
     with pytest.raises(ValidationError, match="row 2: non-finite"):
         load_dump(inf_logit)
+
+    # int() of a NaN label raises ValueError, of an infinite one OverflowError
+    for name, text in [("h.csv", "p0,p1,label\n0.6,0.4,0\n0.5,0.5,nan\n"),
+                       ("i.csv", "p0,p1,label\n0.6,0.4,0\n0.5,0.5,inf\n"),
+                       ("j.jsonl", '{"probs": [0.6, 0.4], "label": 0}\n'
+                                   '{"probs": [0.5, 0.5], "label": 1e400}\n')]:
+        bad_label = tmp_path / name
+        bad_label.write_text(text)
+        with pytest.raises(ValidationError, match="row 2: label"):
+            load_dump(bad_label)
 
 
 def test_unknown_suffix_needs_explicit_format(tmp_path):
@@ -252,6 +275,16 @@ def test_convergence_validates_grid():
 def test_convergence_rejects_bad_bin_rule_before_any_cell(bin_rule):
     with pytest.raises(ValidationError, match="bin rule"):
         convergence_experiment(BIN_SPEC, GRID, seeds=20, bin_rule=bin_rule)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5])
+def test_convergence_rejects_bad_workers_before_any_cell(workers, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("calbound.harness.experiments._generate", no_cells)
+    with pytest.raises(ValidationError, match="workers"):
+        convergence_experiment(BIN_SPEC, GRID, seeds=20, workers=workers)
 
 
 def test_klgap_report_structure():

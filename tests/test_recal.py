@@ -145,6 +145,13 @@ def test_recalibrate_set_keeps_labels(gen):
     assert out.n == data.n
 
 
+def test_recalibrate_set_rejects_a_map_that_makes_nan_rows(gen):
+    # t = exp(-800) underflows to 0, so the scaled scores are infinite
+    data = random_prediction_set(gen, 5, 2)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="NaN"):
+        recalibrate_set(RecalMap("temperature", 2, [-800.0]), data)
+
+
 def test_brier_and_cross_entropy_hand_values():
     ps = PredictionSet.from_probs([[0.8, 0.2]], [0])
     assert brier_score(ps) == pytest.approx(0.04 + 0.04, abs=1e-12)

@@ -86,7 +86,7 @@ def test_gen_binary_layout_and_determinism():
     assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
     # class 0 always carries the confidence, so it is always the top class
     assert np.all(a.probs[:, 0] > 0.5)
-    assert np.all(a.top_confidences() == a.probs[:, 0])
+    assert np.all(a.top_label()[0] == a.probs[:, 0])
 
 
 def test_gen_binary_hit_rate_tracks_the_map():
@@ -94,8 +94,9 @@ def test_gen_binary_hit_rate_tracks_the_map():
         ConfidenceLaw.uniform(0.6, 0.9), MiscalibrationMap1D.shift(-0.2), 200_000, Rng(5)
     )
     data = gen_binary(spec)
-    hit_rate = data.top_hits().mean()
-    expect = np.mean(spec.map(data.top_confidences()))
+    conf, hits = data.top_label()
+    hit_rate = hits.mean()
+    expect = np.mean(spec.map(conf))
     assert hit_rate == pytest.approx(expect, abs=0.005)
 
 
