@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reseed", action="store_true", help="replace the spec seed with --seed")
     p.add_argument("--mode", choices=("probs", "logits"), default="probs")
     _add_seed(p)
-    p.add_argument("--out", help="dump path; .csv, .jsonl or .ndjson picks the format")
+    p.add_argument("--out", help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("bounds", help="evaluate a certificate")

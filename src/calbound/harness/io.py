@@ -1,9 +1,17 @@
 """Reading and writing prediction dumps.
 
-Two formats are supported. CSV carries a header of p0..p{K-1},label for
+Three formats are supported. CSV carries a header of p0..p{K-1},label for
 probability rows or z0..z{K-1},label for logit rows. JSON lines carries one
-object per line with a "probs" or "logits" array and a "label". Logits are
-pushed through a softmax on load.
+object per line with a "probs" or "logits" array and a "label". An .npz
+archive carries a "probs" or "logits" array plus a "labels" array. Logits
+are pushed through a softmax on load.
+
+What a text dump may contain is defined by the row-wise parser
+(``_parse_values``/``_parse_label``: every entry through ``float()``, errors
+numbered by row). The loaders first hand the whole body to numpy and check
+the result in vectorized form; that path only speeds up files the row-wise
+parser accepts, and any file it refuses goes through the row-wise parser,
+which either raises the row-numbered error or returns its own result.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +28,7 @@ import numpy as np
 
 from ..core import PredictionSet, ValidationError, log_probs, softmax
 
-FORMATS = ("csv", "jsonl")
+FORMATS = ("csv", "jsonl", "npz")
 MODES = ("probs", "logits")
 
 
@@ -38,8 +48,8 @@ def _resolve_format(path: Path, fmt: str) -> str:
             raise ValidationError(f"unknown dump format {fmt!r}")
         return fmt
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
+    if suffix in (".csv", ".npz"):
+        return suffix[1:]
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
     raise ValidationError(f"cannot infer dump format from {path.name!r}; pass format")
@@ -62,13 +72,14 @@ def _header_mode(header: list[str]) -> tuple[str, int]:
 
 
 def _parse_label(raw, row_index: int) -> int:
-    # int() raises ValueError on NaN and OverflowError on inf.
+    # int() raises ValueError on NaN and OverflowError on inf; bool is an int,
+    # so the JSON literals true and false are refused by type.
     try:
         value = float(raw)
         label = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"row {row_index}: label {raw!r} is not an integer")
-    if value != label:
+        label = None
+    if label is None or value != label or isinstance(raw, bool):
         raise ValidationError(f"row {row_index}: label {raw!r} is not an integer")
     return label
 
@@ -76,11 +87,78 @@ def _parse_label(raw, row_index: int) -> int:
 def _parse_values(raw, row_index: int) -> list[float]:
     try:
         values = [float(x) for x in raw]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or any(isinstance(x, bool) for x in raw):
         raise ValidationError(f"row {row_index}: non-numeric entry in {raw}")
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"row {row_index}: non-finite entry in {raw}")
     return values
+
+
+def _parse_rows(numbers, rows, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise parser over raw rows, in file order; numbers are their row numbers."""
+    values, ints = [], []
+    for i, vec, label in zip(numbers, rows, labels):
+        values.append(_parse_values(vec, i))
+        ints.append(_parse_label(label, i))
+    return np.array(values), np.array(ints)
+
+
+def _checked(values, labels):
+    """Float values and int64 labels if both pass the row-wise rules, else None.
+
+    Numbers only (no bool, str or object arrays), every cell finite, every
+    label a whole number below 2**53 in magnitude, where a float holds every integer.
+    """
+    try:
+        values, labels = np.asarray(values), np.asarray(labels)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting, ints past 64 bits
+        return None
+    if (values.ndim != 2 or labels.ndim != 1
+            or values.dtype.kind not in "iuf" or labels.dtype.kind not in "iuf"):
+        return None
+    values = values.astype(float, copy=False)
+    labels = labels.astype(float, copy=False)
+    if not (np.isfinite(values).all() and np.isfinite(labels).all()
+            and (labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**53).all()):
+        return None
+    return values, labels.astype(np.int64)
+
+
+def _numpy_lines(handle):
+    # numpy strips \x1c-\x1f around a number as whitespace and float() does
+    # not, so a line holding one is left to the row-wise parser.
+    for line in handle:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("information separator in line")
+        yield line
+
+
+def _read_table(handle):
+    """The rest of a CSV file as one float array, or None where numpy refuses it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a body without rows
+            return np.loadtxt(_numpy_lines(handle), delimiter=",", comments=None,
+                              ndmin=2, quotechar='"')
+    except ValueError:
+        return None
+
+
+def _parse_csv_rows(reader, k: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise parser over the records after the header."""
+    rows, labels = [], []
+    for i, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != k + 1:
+            raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
+        rows.append(_parse_values(row[:k], i))
+        labels.append(_parse_label(row[k], i))
+    if not rows:
+        raise ValidationError(f"{path}: dump has a header but no rows")
+    return np.array(rows), np.array(labels)
 
 
 def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
@@ -91,53 +169,98 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
         except StopIteration:
             raise ValidationError(f"{path}: empty dump")
         mode, k = _header_mode(header)
-        rows, labels = [], []
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
-            rows.append(_parse_values(row[:k], i))
-            labels.append(_parse_label(row[k], i))
-    if not rows:
-        raise ValidationError(f"{path}: dump has a header but no rows")
-    return mode, np.array(rows), np.array(labels)
+        table = _read_table(handle)
+        if table is not None and len(table) and table.shape[1] == k + 1:
+            checked = _checked(table[:, :k], table[:, k])
+            if checked is not None:
+                return mode, *checked
+        handle.seek(0)
+        reader = csv.reader(handle)
+        next(reader)
+        return mode, *_parse_csv_rows(reader, k, path)
 
 
 def _load_jsonl(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    rows, labels = [], []
+    numbers, rows, labels = [], [], []
+    suspects = []  # (row number, entries, label) where the line holds a literal true or false
     mode = None
     k = None
     with open(path) as handle:
-        for i, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"row {i}: invalid JSON ({err.msg})")
-            if "probs" in obj:
-                row_mode, vec = "probs", obj["probs"]
-            elif "logits" in obj:
-                row_mode, vec = "logits", obj["logits"]
-            else:
-                raise ValidationError(f"row {i}: needs a 'probs' or 'logits' key")
-            if mode is None:
-                mode = row_mode
-            elif row_mode != mode:
-                raise ValidationError(f"row {i}: mixes {row_mode} into a {mode} dump")
-            if "label" not in obj:
-                raise ValidationError(f"row {i}: missing 'label'")
-            if k is None:
-                k = len(vec)
-            elif len(vec) != k:
-                raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
-            rows.append(_parse_values(vec, i))
-            labels.append(_parse_label(obj["label"], i))
+        try:
+            for i, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValidationError(f"row {i}: invalid JSON ({err.msg})")
+                if not isinstance(obj, dict):
+                    raise ValidationError(f"row {i}: expected a JSON object")
+                if "probs" in obj:
+                    row_mode, vec = "probs", obj["probs"]
+                elif "logits" in obj:
+                    row_mode, vec = "logits", obj["logits"]
+                else:
+                    raise ValidationError(f"row {i}: needs a 'probs' or 'logits' key")
+                if mode is None:
+                    mode = row_mode
+                elif row_mode != mode:
+                    raise ValidationError(f"row {i}: mixes {row_mode} into a {mode} dump")
+                if "label" not in obj:
+                    raise ValidationError(f"row {i}: missing 'label'")
+                if not isinstance(vec, list):
+                    raise ValidationError(f"row {i}: '{row_mode}' must be a list")
+                if k is None:
+                    k = len(vec)
+                elif len(vec) != k:
+                    raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
+                if "true" in line or "false" in line:
+                    suspects.append((i, vec, obj["label"]))
+                numbers.append(i)
+                rows.append(vec)
+                labels.append(obj["label"])
+        except ValidationError:
+            _parse_rows(numbers, rows, labels)  # a bad entry in an earlier row comes first
+            raise
     if not rows:
         raise ValidationError(f"{path}: empty dump")
-    return mode, np.array(rows), np.array(labels)
+    checked = _checked(rows, labels)
+    if checked is None:
+        return mode, *_parse_rows(numbers, rows, labels)
+    # np.asarray takes a JSON boolean as a number, and only these rows can hold one
+    for i, vec, label in suspects:
+        _parse_values(vec, i)
+        _parse_label(label, i)
+    return mode, *checked
+
+
+def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise ValidationError(f"{path}: not an npz archive ({err})")
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path}: not an npz archive")
+    with archive:
+        keys = sorted(archive.files)
+        found = [m for m in MODES if m in keys]
+        if len(found) != 1 or "labels" not in keys:
+            raise ValidationError(
+                f"{path}: needs 'labels' and exactly one of 'probs' or 'logits', has {keys}")
+        try:
+            values, labels = archive[found[0]], archive["labels"]
+        except ValueError as err:  # object arrays need pickle
+            raise ValidationError(f"{path}: {err}")
+    checked = _checked(values, labels)
+    if checked is None:
+        raise ValidationError(
+            f"{path}: '{found[0]}' must be a finite 2-D numeric array and "
+            "'labels' a 1-D array of whole numbers")
+    return found[0], *checked
+
+
+_LOADERS = {"csv": _load_csv, "jsonl": _load_jsonl, "npz": _load_npz}
 
 
 def load_dump(path, fmt: str = "auto", mode: str = "auto") -> PredictionDump:
@@ -150,13 +273,14 @@ def load_dump(path, fmt: str = "auto", mode: str = "auto") -> PredictionDump:
     if not path.exists():
         raise ValidationError(f"no such dump: {path}")
     fmt = _resolve_format(path, fmt)
-    found_mode, values, labels = (_load_csv if fmt == "csv" else _load_jsonl)(path)
+    found_mode, values, labels = _LOADERS[fmt](path)
     if mode != "auto":
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}")
         if mode != found_mode:
             raise ValidationError(f"dump carries {found_mode}, but mode={mode} requested")
-    probs = softmax(values) if found_mode == "logits" else values
+    # rows without entries have no maximum; from_probs reports the missing classes
+    probs = softmax(values) if found_mode == "logits" and values.shape[1] else values
     data = PredictionSet.from_probs(probs, labels)
     return PredictionDump(
         source=str(path),
@@ -176,15 +300,21 @@ def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs")
         raise ValidationError(f"unknown mode {mode!r}")
     path = Path(path)
     values = data.probs if mode == "probs" else log_probs(data.probs)
-    prefix = "p" if mode == "probs" else "z"
+    if fmt == "npz":
+        # a handle, so np.savez does not append .npz to another suffix
+        with open(path, "wb") as handle:
+            np.savez(handle, **{mode: values, "labels": data.labels})
+        return
+    labels = data.labels.tolist()
     if fmt == "csv":
+        # The bytes csv.writer gives: CRLF rows, no field needs quoting.
+        prefix = "p" if mode == "probs" else "z"
+        row_format = "{:.17g}," * data.num_classes + "{}\r\n"
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f"{prefix}{i}" for i in range(data.num_classes)] + ["label"])
-            for row, label in zip(values, data.labels):
-                writer.writerow([f"{x:.17g}" for x in row] + [int(label)])
+            handle.write("".join(f"{prefix}{i}," for i in range(data.num_classes)) + "label\r\n")
+            for row, label in zip(values, labels):
+                handle.write(row_format.format(*row.tolist(), label))
     else:
-        key = "probs" if mode == "probs" else "logits"
         with open(path, "w") as handle:
-            for row, label in zip(values, data.labels):
-                handle.write(json.dumps({key: row.tolist(), "label": int(label)}) + "\n")
+            for row, label in zip(values, labels):
+                handle.write(json.dumps({mode: row.tolist(), "label": label}) + "\n")

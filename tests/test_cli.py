@@ -122,11 +122,11 @@ def test_synthesize_without_out_is_a_usage_error(tmp_path, capsys):
 def test_synthesize_format_follows_suffix(tmp_path, capsys):
     sp = spec_file(tmp_path)
     loaded = []
-    for name in ("d.csv", "d.jsonl", "d.ndjson"):
+    for name in ("d.csv", "d.jsonl", "d.ndjson", "d.npz"):
         out = tmp_path / name
         assert main(["synthesize", "--spec", str(sp), "--out", str(out)]) == 0
         loaded.append(load_dump(out))
-    assert [d.format for d in loaded] == ["csv", "jsonl", "jsonl"]
+    assert [d.format for d in loaded] == ["csv", "jsonl", "jsonl", "npz"]
     for dump in loaded[1:]:
         assert np.array_equal(dump.data.probs, loaded[0].data.probs)
         assert np.array_equal(dump.data.labels, loaded[0].data.labels)
@@ -305,6 +305,22 @@ def test_non_finite_dump_label_exits_two(tmp_path, capsys):
     assert main(["ece", "--dump", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "row 2" in err
+
+
+@pytest.mark.parametrize("line", ["5", '{"probs": 0.5, "label": 0}', '{"probs": [true, false], "label": 1}'])
+def test_malformed_jsonl_row_exits_two(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"probs": [0.6, 0.4], "label": 0}\n' + line + "\n")
+    assert main(["ece", "--dump", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 2" in err
+
+
+def test_malformed_npz_dump_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, probs=np.array([[0.6, 0.4]]))
+    assert main(["ece", "--dump", str(bad)]) == 2
+    assert "'labels'" in capsys.readouterr().err
 
 
 def test_cell_failure_exits_three(tmp_path, gen, capsys, monkeypatch):

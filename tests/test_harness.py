@@ -1,9 +1,13 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import jsonschema
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calbound import (
     BinarySpec,
@@ -11,6 +15,7 @@ from calbound import (
     MiscalibrationMap1D,
     MiscalibrationMapK,
     MulticlassSpec,
+    PredictionSet,
     Rng,
     ValidationError,
     gen_multiclass,
@@ -30,6 +35,7 @@ from calbound.harness import (
     replay,
     write_dump,
 )
+from calbound.harness import io as dio
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
 
@@ -112,12 +118,28 @@ def test_load_errors_carry_row_numbers(tmp_path):
     with pytest.raises(ValidationError, match="label"):
         load_dump(fractional)
 
+    # lines that are not objects, values that are not a list, JSON booleans
+    for name, line in [("k.jsonl", "5"), ("l.jsonl", "null"), ("m.jsonl", '"probs"'),
+                       ("n.jsonl", '{"probs": 0.5, "label": 0}'),
+                       ("o.jsonl", '{"probs": [true, false], "label": 1}'),
+                       ("p.jsonl", '{"probs": [0.5, 0.5], "label": true}')]:
+        bad = tmp_path / name
+        bad.write_text('{"probs": [0.6, 0.4], "label": 0}\n' + line + "\n")
+        with pytest.raises(ValidationError, match="row 2"):
+            load_dump(bad)
+
 
 def test_load_rejects_non_finite_cells(tmp_path):
     nan_cell = tmp_path / "f.csv"
     nan_cell.write_text("p0,p1,label\n0.6,0.4,0\n0.5,nan,1\n")
     with pytest.raises(ValidationError, match="row 2: non-finite"):
         load_dump(nan_cell)
+
+    # a bad entry is reported before a malformed line after it
+    first = tmp_path / "f.jsonl"
+    first.write_text('{"probs": [NaN, 1.0], "label": 0}\n5\n')
+    with pytest.raises(ValidationError, match="row 1: non-finite"):
+        load_dump(first)
 
     inf_logit = tmp_path / "g.jsonl"
     inf_logit.write_text('{"logits": [1.0, 0.0], "label": 0}\n'
@@ -136,6 +158,14 @@ def test_load_rejects_non_finite_cells(tmp_path):
             load_dump(bad_label)
 
 
+def test_rows_without_entries_are_validation_errors(tmp_path):
+    for key in ("probs", "logits"):
+        p = tmp_path / f"{key}.jsonl"
+        p.write_text(f'{{"{key}": [], "label": 0}}\n')
+        with pytest.raises(ValidationError, match="need at least 2 classes, got 0"):
+            load_dump(p)
+
+
 def test_unknown_suffix_needs_explicit_format(tmp_path):
     p = tmp_path / "dump.dat"
     p.write_text("p0,p1,label\n0.6,0.4,0\n")
@@ -147,6 +177,204 @@ def test_unknown_suffix_needs_explicit_format(tmp_path):
 def test_missing_file_is_validation_error(tmp_path):
     with pytest.raises(ValidationError):
         load_dump(tmp_path / "absent.csv")
+
+
+# A fixed 3x3 set and the exact bytes each text format holds for it.
+GOLDEN_SET = ([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7], [0.6, 0.3, 0.1]], [0, 2, 1])
+GOLDEN_BYTES = {
+    ("csv", "probs"): b"p0,p1,p2,label\r\n0.5,0.25,0.25,0\r\n"
+                      b"0.10000000000000001,0.20000000000000001,0.69999999999999996,2\r\n"
+                      b"0.59999999999999998,0.29999999999999999,0.10000000000000001,1\r\n",
+    ("csv", "logits"): b"z0,z1,z2,label\r\n"
+                       b"-0.69314718055994529,-1.3862943611198906,-1.3862943611198906,0\r\n"
+                       b"-2.3025850929940455,-1.6094379124341003,-0.35667494393873245,2\r\n"
+                       b"-0.51082562376599072,-1.2039728043259361,-2.3025850929940455,1\r\n",
+    ("jsonl", "probs"): b'{"probs": [0.5, 0.25, 0.25], "label": 0}\n'
+                        b'{"probs": [0.1, 0.2, 0.7], "label": 2}\n'
+                        b'{"probs": [0.6, 0.3, 0.1], "label": 1}\n',
+    ("jsonl", "logits"): b'{"logits": [-0.6931471805599453, -1.3862943611198906, '
+                         b'-1.3862943611198906], "label": 0}\n'
+                         b'{"logits": [-2.3025850929940455, -1.6094379124341003, '
+                         b'-0.35667494393873245], "label": 2}\n'
+                         b'{"logits": [-0.5108256237659907, -1.2039728043259361, '
+                         b'-2.3025850929940455], "label": 1}\n',
+}
+
+
+@pytest.mark.parametrize("fmt,mode", list(GOLDEN_BYTES))
+def test_write_dump_golden_bytes(tmp_path, fmt, mode):
+    p = tmp_path / f"golden.{fmt}"
+    write_dump(PredictionSet.from_probs(*GOLDEN_SET), p, fmt=fmt, mode=mode)
+    assert p.read_bytes() == GOLDEN_BYTES[fmt, mode]
+
+
+def _outcome(path):
+    """A loaded dump as (mode, probability bytes, label bytes), or its error message."""
+    try:
+        dump = load_dump(path)
+    except ValidationError as err:
+        return str(err)
+    return dump.mode, dump.data.probs.tobytes(), dump.data.labels.tobytes()
+
+
+def _row_wise_outcome(path):
+    # with the vectorized check refusing everything, every file takes the row-wise parser
+    with mock.patch.object(dio, "_checked", lambda values, labels: None):
+        return _outcome(path)
+
+
+# Valid rows by class count, then what a perturbation may put in a cell, a
+# label, or a line of its own.
+_CSV_ROWS = {2: ["0.5,0.5,1", "1,0,0", "0.25,0.75,1"],
+             3: ["0.25,0.25,0.5,2", "1,0,0,0", "0.5,0.25,0.25,1"]}
+_CSV_CELLS = ['"0.5"', " 0.5 ", "0.5\t", "1e-400", "nan", "inf", "1e400", "1_000", "０.5",
+              "\x1c0.5", "0.5\x1f", "", "oops", '"0,5"']
+_CSV_LABELS = ["1.0", '"1"', "-0", "0.5", "nan", "inf", "1e400", "9007199254740992", "1e20"]
+_CSV_LINES = ["", "  ", "\t", '""', ","]
+_JSON_ROWS = {2: [["0.5", "0.5"], ["1", "0"], ["0.25", "0.75"]],
+              3: [["0.25", "0.25", "0.5"], ["1", "0", "0"], ["0.5", "0.25", "0.25"]]}
+_JSON_VALUES = ["true", "false", "null", "NaN", "Infinity", "1e400", '"0.5"', '"1_000"',
+                "[0.5]", "{}", "18446744073709551616", "1" + "0" * 400]
+_JSON_LABELS = ["1.0", "true", "false", "0.5", "1e400", "9007199254740993", '"1"', "[1]", "null"]
+_JSON_LINES = ["", "  ", "5", "null", '"probs"', "[0.5, 0.5]", "not json",
+               '{"probs": 0.5, "label": 0}', '{"logits": "ab", "label": 0}', '{"label": 0}',
+               '{"probs": [0.5, 0.5], "label": 0, "note": "true"}']
+
+
+@st.composite
+def _dump_texts(draw):
+    """A valid CSV or JSONL text with up to three cells, labels or lines made odd."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    k = draw(st.integers(2, 3))
+    key = draw(st.sampled_from(["probs", "logits"]))
+    pool = _CSV_ROWS[k] if fmt == "csv" else _JSON_ROWS[k]
+    rows = [list(r.split(",") if fmt == "csv" else r) for r in
+            draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))]
+    labels = [r.pop() for r in rows] if fmt == "csv" else \
+        [str(draw(st.integers(0, k - 1))) for _ in rows]
+    cells, odd_labels, lines = ((_CSV_CELLS, _CSV_LABELS, _CSV_LINES) if fmt == "csv"
+                                else (_JSON_VALUES, _JSON_LABELS, _JSON_LINES))
+    extra = {}  # row index -> a line of its own before it
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(["cell", "label", "line", "drop", "add"]))
+        if change == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(cells))
+        elif change == "label":
+            labels[i] = draw(st.sampled_from(odd_labels))
+        elif change == "line":
+            extra[i] = draw(st.sampled_from(lines))
+        elif change == "drop":
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + ["0" if fmt == "jsonl" else ""]
+    out = []
+    if fmt == "csv":
+        prefix = "p" if key == "probs" else "z"
+        out.append(",".join(f"{prefix}{i}" for i in range(k)) + ",label")
+    for i, (row, label) in enumerate(zip(rows, labels)):
+        if i in extra:
+            out.append(extra[i])
+        out.append(",".join(row + [label]) if fmt == "csv"
+                   else f'{{"{key}": [{", ".join(row)}], "label": {label}}}')
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return fmt, newline.join(out) + newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dump_texts())
+# the cases where numpy alone would accept what the row-wise parser refuses
+@example(("csv", "p0,p1,label\n\x1c0.5,0.5,1\n"))
+@example(("csv", "p0,p1,label\n0.5,0.5\x1f,1\n"))
+@example(("csv", "p0,p1,label\n0.5,0.5,0.5\n"))
+@example(("jsonl", '{"probs": [true, 0], "label": 0}\n'))
+@example(("jsonl", '{"probs": [null, 1], "label": 0}\n'))
+@example(("jsonl", '{"logits": ["0.5", "1_000"], "label": 0}\n'))
+@example(("jsonl", '{"logits": ["oops", 1], "label": 0}\n'))
+def test_fast_path_agrees_with_row_wise_parser(tmp_path_factory, case):
+    fmt, text = case
+    p = tmp_path_factory.getbasetemp() / f"agree.{fmt}"
+    p.write_bytes(text.encode())
+    assert _outcome(p) == _row_wise_outcome(p)
+
+
+def test_valid_dumps_skip_the_row_wise_parser(tmp_path, gen, monkeypatch):
+    data = random_prediction_set(gen, 40, 4)
+    paths = []
+    for fmt, mode in (("csv", "probs"), ("csv", "logits"), ("jsonl", "probs"), ("jsonl", "logits")):
+        paths.append(tmp_path / f"{mode}.{fmt}")
+        write_dump(data, paths[-1], fmt=fmt, mode=mode)
+    expected = [load_dump(p).data.probs for p in paths]
+
+    def refuse(*args):
+        raise AssertionError("row-wise parser ran on a valid dump")
+
+    monkeypatch.setattr(dio, "_parse_values", refuse)
+    monkeypatch.setattr(dio, "_parse_label", refuse)
+    for p, probs in zip(paths, expected):
+        assert load_dump(p).data.probs.tobytes() == probs.tobytes()
+
+
+def test_csv_load_does_not_hold_every_field(tmp_path):
+    # the benchmark's dump shape; a reader holding each field as a str peaks at about 5x
+    spec = MulticlassSpec(100, (1.0,) * 100, MiscalibrationMapK.temperature(2.0), 2000, Rng(13))
+    data = gen_multiclass(spec)
+    p = tmp_path / "wide.csv"
+    write_dump(data, p)
+    tracemalloc.start()
+    try:
+        load_dump(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * data.probs.nbytes
+
+
+def test_npz_round_trip_is_bit_exact(tmp_path, gen):
+    data = random_prediction_set(gen, 50, 6)
+    write_dump(data, tmp_path / "p.npz", fmt="npz")
+    loaded = load_dump(tmp_path / "p.npz")
+    assert (loaded.format, loaded.mode) == ("npz", "probs")
+    assert loaded.data.probs.tobytes() == data.probs.tobytes()
+    assert loaded.data.labels.tobytes() == data.labels.tobytes()
+    # logits hold every bit in both formats, so both loads give the same set
+    write_dump(data, tmp_path / "z.npz", fmt="npz", mode="logits")
+    write_dump(data, tmp_path / "z.csv", mode="logits")
+    from_npz, from_csv = load_dump(tmp_path / "z.npz"), load_dump(tmp_path / "z.csv")
+    assert from_npz.mode == "logits"
+    assert from_npz.data.probs.tobytes() == from_csv.data.probs.tobytes()
+    # an explicit format writes to the path as given
+    write_dump(data, tmp_path / "p.dat", fmt="npz")
+    assert load_dump(tmp_path / "p.dat", fmt="npz").data.probs.tobytes() == data.probs.tobytes()
+
+
+def test_npz_errors_are_validation_errors(tmp_path):
+    probs = np.array([[0.6, 0.4], [0.5, 0.5]])
+    labels = np.array([0, 1])
+    cases = {
+        "missing_labels": {"probs": probs},
+        "no_values": {"labels": labels},
+        "both_values": {"probs": probs, "logits": np.log(probs), "labels": labels},
+        "object_values": {"probs": probs.astype(object), "labels": labels},
+        "bool_labels": {"probs": probs, "labels": labels.astype(bool)},
+        "non_finite": {"logits": np.array([[np.inf, 0.0], [0.0, 0.0]]), "labels": labels},
+        "fractional_labels": {"probs": probs, "labels": np.array([0.5, 1.0])},
+    }
+    for name, arrays in cases.items():
+        p = tmp_path / f"{name}.npz"
+        np.savez(p, **arrays)
+        with pytest.raises(ValidationError):
+            load_dump(p)
+    text = tmp_path / "text.npz"
+    text.write_text("p0,p1,label\n0.6,0.4,0\n")
+    single = tmp_path / "single.npz"
+    with open(single, "wb") as handle:
+        np.save(handle, probs)
+    empty = tmp_path / "empty.npz"
+    empty.touch()
+    for p in (text, single, empty):
+        with pytest.raises(ValidationError, match="not an npz archive"):
+            load_dump(p)
 
 
 # ---------------------------------------------------------------- stats
