@@ -8,10 +8,12 @@ are pushed through a softmax on load.
 
 What a text dump may contain is defined by the row-wise parser
 (``_parse_values``/``_parse_label``: every entry through ``float()``, errors
-numbered by row). The loaders first hand the whole body to numpy and check
-the result in vectorized form; that path only speeds up files the row-wise
-parser accepts, and any file it refuses goes through the row-wise parser,
-which either raises the row-numbered error or returns its own result.
+numbered by row). JSON lines are parsed row by row, since ``json`` already
+makes one Python object per field. A CSV body is first handed whole to
+numpy and the result checked in vectorized form; that path only speeds up
+files the row-wise parser accepts, and any file it refuses goes through the
+row-wise parser, which either raises the row-numbered error or returns its
+own result.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,20 +92,11 @@ def _parse_values(raw, row_index: int) -> list[float]:
         values = [float(x) for x in raw]
     except (TypeError, ValueError, OverflowError):
         values = None
-    if values is None or any(isinstance(x, bool) for x in raw):
+    if values is None or bool in map(type, raw):
         raise ValidationError(f"row {row_index}: non-numeric entry in {raw}")
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"row {row_index}: non-finite entry in {raw}")
     return values
-
-
-def _parse_rows(numbers, rows, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The row-wise parser over raw rows, in file order; numbers are their row numbers."""
-    values, ints = [], []
-    for i, vec, label in zip(numbers, rows, labels):
-        values.append(_parse_values(vec, i))
-        ints.append(_parse_label(label, i))
-    return np.array(values), np.array(ints)
 
 
 def _checked(values, labels):
@@ -181,58 +175,43 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
 
 
 def _load_jsonl(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    numbers, rows, labels = [], [], []
-    suspects = []  # (row number, entries, label) where the line holds a literal true or false
+    rows, labels = [], []
     mode = None
     k = None
     with open(path) as handle:
-        try:
-            for i, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ValidationError(f"row {i}: invalid JSON ({err.msg})")
-                if not isinstance(obj, dict):
-                    raise ValidationError(f"row {i}: expected a JSON object")
-                if "probs" in obj:
-                    row_mode, vec = "probs", obj["probs"]
-                elif "logits" in obj:
-                    row_mode, vec = "logits", obj["logits"]
-                else:
-                    raise ValidationError(f"row {i}: needs a 'probs' or 'logits' key")
-                if mode is None:
-                    mode = row_mode
-                elif row_mode != mode:
-                    raise ValidationError(f"row {i}: mixes {row_mode} into a {mode} dump")
-                if "label" not in obj:
-                    raise ValidationError(f"row {i}: missing 'label'")
-                if not isinstance(vec, list):
-                    raise ValidationError(f"row {i}: '{row_mode}' must be a list")
-                if k is None:
-                    k = len(vec)
-                elif len(vec) != k:
-                    raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
-                if "true" in line or "false" in line:
-                    suspects.append((i, vec, obj["label"]))
-                numbers.append(i)
-                rows.append(vec)
-                labels.append(obj["label"])
-        except ValidationError:
-            _parse_rows(numbers, rows, labels)  # a bad entry in an earlier row comes first
-            raise
+        for i, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValidationError(f"row {i}: invalid JSON ({err.msg})")
+            if not isinstance(obj, dict):
+                raise ValidationError(f"row {i}: expected a JSON object")
+            if "probs" in obj:
+                row_mode, vec = "probs", obj["probs"]
+            elif "logits" in obj:
+                row_mode, vec = "logits", obj["logits"]
+            else:
+                raise ValidationError(f"row {i}: needs a 'probs' or 'logits' key")
+            if mode is None:
+                mode = row_mode
+            elif row_mode != mode:
+                raise ValidationError(f"row {i}: mixes {row_mode} into a {mode} dump")
+            if "label" not in obj:
+                raise ValidationError(f"row {i}: missing 'label'")
+            if not isinstance(vec, list):
+                raise ValidationError(f"row {i}: '{row_mode}' must be a list")
+            if k is None:
+                k = len(vec)
+            elif len(vec) != k:
+                raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
+            rows.append(_parse_values(vec, i))
+            labels.append(_parse_label(obj["label"], i))
     if not rows:
         raise ValidationError(f"{path}: empty dump")
-    checked = _checked(rows, labels)
-    if checked is None:
-        return mode, *_parse_rows(numbers, rows, labels)
-    # np.asarray takes a JSON boolean as a number, and only these rows can hold one
-    for i, vec, label in suspects:
-        _parse_values(vec, i)
-        _parse_label(label, i)
-    return mode, *checked
+    return mode, np.array(rows), np.array(labels)
 
 
 def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
@@ -250,7 +229,8 @@ def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
                 f"{path}: needs 'labels' and exactly one of 'probs' or 'logits', has {keys}")
         try:
             values, labels = archive[found[0]], archive["labels"]
-        except ValueError as err:  # object arrays need pickle
+        # object arrays need pickle; a damaged member fails its CRC or inflation
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as err:
             raise ValidationError(f"{path}: {err}")
     checked = _checked(values, labels)
     if checked is None:

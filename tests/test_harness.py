@@ -231,69 +231,47 @@ _CSV_CELLS = ['"0.5"', " 0.5 ", "0.5\t", "1e-400", "nan", "inf", "1e400", "1_000
               "\x1c0.5", "0.5\x1f", "", "oops", '"0,5"']
 _CSV_LABELS = ["1.0", '"1"', "-0", "0.5", "nan", "inf", "1e400", "9007199254740992", "1e20"]
 _CSV_LINES = ["", "  ", "\t", '""', ","]
-_JSON_ROWS = {2: [["0.5", "0.5"], ["1", "0"], ["0.25", "0.75"]],
-              3: [["0.25", "0.25", "0.5"], ["1", "0", "0"], ["0.5", "0.25", "0.25"]]}
-_JSON_VALUES = ["true", "false", "null", "NaN", "Infinity", "1e400", '"0.5"', '"1_000"',
-                "[0.5]", "{}", "18446744073709551616", "1" + "0" * 400]
-_JSON_LABELS = ["1.0", "true", "false", "0.5", "1e400", "9007199254740993", '"1"', "[1]", "null"]
-_JSON_LINES = ["", "  ", "5", "null", '"probs"', "[0.5, 0.5]", "not json",
-               '{"probs": 0.5, "label": 0}', '{"logits": "ab", "label": 0}', '{"label": 0}',
-               '{"probs": [0.5, 0.5], "label": 0, "note": "true"}']
 
 
 @st.composite
-def _dump_texts(draw):
-    """A valid CSV or JSONL text with up to three cells, labels or lines made odd."""
-    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+def _csv_texts(draw):
+    """A valid CSV text with up to three cells, labels or lines made odd."""
     k = draw(st.integers(2, 3))
-    key = draw(st.sampled_from(["probs", "logits"]))
-    pool = _CSV_ROWS[k] if fmt == "csv" else _JSON_ROWS[k]
-    rows = [list(r.split(",") if fmt == "csv" else r) for r in
-            draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))]
-    labels = [r.pop() for r in rows] if fmt == "csv" else \
-        [str(draw(st.integers(0, k - 1))) for _ in rows]
-    cells, odd_labels, lines = ((_CSV_CELLS, _CSV_LABELS, _CSV_LINES) if fmt == "csv"
-                                else (_JSON_VALUES, _JSON_LABELS, _JSON_LINES))
+    prefix = draw(st.sampled_from(["p", "z"]))
+    rows = [r.split(",") for r in
+            draw(st.lists(st.sampled_from(_CSV_ROWS[k]), min_size=1, max_size=5))]
+    labels = [r.pop() for r in rows]
     extra = {}  # row index -> a line of its own before it
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
         change = draw(st.sampled_from(["cell", "label", "line", "drop", "add"]))
         if change == "cell" and rows[i]:
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(cells))
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_CSV_CELLS))
         elif change == "label":
-            labels[i] = draw(st.sampled_from(odd_labels))
+            labels[i] = draw(st.sampled_from(_CSV_LABELS))
         elif change == "line":
-            extra[i] = draw(st.sampled_from(lines))
+            extra[i] = draw(st.sampled_from(_CSV_LINES))
         elif change == "drop":
             rows[i] = rows[i][:-1]
         else:
-            rows[i] = rows[i] + ["0" if fmt == "jsonl" else ""]
-    out = []
-    if fmt == "csv":
-        prefix = "p" if key == "probs" else "z"
-        out.append(",".join(f"{prefix}{i}" for i in range(k)) + ",label")
+            rows[i] = rows[i] + [""]
+    out = [",".join(f"{prefix}{i}" for i in range(k)) + ",label"]
     for i, (row, label) in enumerate(zip(rows, labels)):
         if i in extra:
             out.append(extra[i])
-        out.append(",".join(row + [label]) if fmt == "csv"
-                   else f'{{"{key}": [{", ".join(row)}], "label": {label}}}')
+        out.append(",".join(row + [label]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return fmt, newline.join(out) + newline
+    return newline.join(out) + newline
 
 
 @settings(max_examples=300, deadline=None)
-@given(_dump_texts())
+@given(_csv_texts())
 # the cases where numpy alone would accept what the row-wise parser refuses
-@example(("csv", "p0,p1,label\n\x1c0.5,0.5,1\n"))
-@example(("csv", "p0,p1,label\n0.5,0.5\x1f,1\n"))
-@example(("csv", "p0,p1,label\n0.5,0.5,0.5\n"))
-@example(("jsonl", '{"probs": [true, 0], "label": 0}\n'))
-@example(("jsonl", '{"probs": [null, 1], "label": 0}\n'))
-@example(("jsonl", '{"logits": ["0.5", "1_000"], "label": 0}\n'))
-@example(("jsonl", '{"logits": ["oops", 1], "label": 0}\n'))
-def test_fast_path_agrees_with_row_wise_parser(tmp_path_factory, case):
-    fmt, text = case
-    p = tmp_path_factory.getbasetemp() / f"agree.{fmt}"
+@example("p0,p1,label\n\x1c0.5,0.5,1\n")
+@example("p0,p1,label\n0.5,0.5\x1f,1\n")
+@example("p0,p1,label\n0.5,0.5,0.5\n")
+def test_fast_path_agrees_with_row_wise_parser(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "agree.csv"
     p.write_bytes(text.encode())
     assert _outcome(p) == _row_wise_outcome(p)
 
@@ -301,9 +279,9 @@ def test_fast_path_agrees_with_row_wise_parser(tmp_path_factory, case):
 def test_valid_dumps_skip_the_row_wise_parser(tmp_path, gen, monkeypatch):
     data = random_prediction_set(gen, 40, 4)
     paths = []
-    for fmt, mode in (("csv", "probs"), ("csv", "logits"), ("jsonl", "probs"), ("jsonl", "logits")):
-        paths.append(tmp_path / f"{mode}.{fmt}")
-        write_dump(data, paths[-1], fmt=fmt, mode=mode)
+    for mode in ("probs", "logits"):
+        paths.append(tmp_path / f"{mode}.csv")
+        write_dump(data, paths[-1], mode=mode)
     expected = [load_dump(p).data.probs for p in paths]
 
     def refuse(*args):
@@ -375,6 +353,14 @@ def test_npz_errors_are_validation_errors(tmp_path):
     for p in (text, single, empty):
         with pytest.raises(ValidationError, match="not an npz archive"):
             load_dump(p)
+    # a member whose stored bytes were damaged fails its CRC when read
+    damaged = tmp_path / "damaged.npz"
+    np.savez(damaged, probs=probs, labels=labels)
+    raw = bytearray(damaged.read_bytes())
+    raw[raw.index(probs.tobytes()) + 3] ^= 0xFF
+    damaged.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="damaged.npz"):
+        load_dump(damaged)
 
 
 # ---------------------------------------------------------------- stats
