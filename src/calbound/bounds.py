@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -198,15 +198,8 @@ def evaluate_bound(
     value = empirical_term + binning + statistical
     if not math.isfinite(value):
         raise ValidationError(f"{kind.value} certificate overflows to {value}; inputs too large")
-    echo = {
-        "n": inputs.n,
-        "num_bins": inputs.num_bins,
-        "epsilon": inputs.epsilon,
-        "lipschitz": inputs.lipschitz,
-        "kl": inputs.kl,
-        "num_classes": inputs.num_classes,
-        "assume_density": inputs.assume_density,
-    }
+    # Every input but lam, which the certificate reports as lambda_used.
+    echo = {f.name: getattr(inputs, f.name) for f in fields(inputs) if f.name != "lam"}
     return BoundCertificate(
         kind=kind,
         value=value,
@@ -247,13 +240,10 @@ def mc_validate_bound(
     trials: int,
     lam: Union[float, str] = "auto",
     assume_density: bool = False,
-    certificate_value: Optional[float] = None,
 ) -> CoverageResult:
     """Fraction of synthetic trials whose realized |TCE - ECE| the bound covers.
 
     Only the 1-D bias kinds describe the quantity this harness realizes.
-    certificate_value overrides the computed bound, which lets tests pin the
-    degenerate coverages 0 and 1.
     """
     if kind not in _BIAS_1D:
         raise ValidationError(
@@ -261,20 +251,19 @@ def mc_validate_bound(
         )
     if trials < 1:
         raise ValidationError("need at least one trial")
-    if certificate_value is None:
-        inputs = BoundInputs(
-            n=spec.n,
-            num_bins=num_bins,
-            epsilon=epsilon,
-            lipschitz=spec.map.lipschitz_constant,
-            lam=lam,
-            assume_density=assume_density,
-        )
-        certificate_value = evaluate_bound(kind, inputs).value
+    inputs = BoundInputs(
+        n=spec.n,
+        num_bins=num_bins,
+        epsilon=epsilon,
+        lipschitz=spec.map.lipschitz_constant,
+        lam=lam,
+        assume_density=assume_density,
+    )
+    certificate = evaluate_bound(kind, inputs).value
     oracle = true_tce(spec)
     deviations = np.empty(trials)
     for t in range(trials):
         data = gen_binary(replace(spec, rng=spec.rng.stream(t)))
         deviations[t] = abs(oracle - ece_top_label(data, num_bins))
-    coverage = float(np.mean(deviations <= certificate_value))
-    return CoverageResult(coverage, float(certificate_value), deviations)
+    coverage = float(np.mean(deviations <= certificate))
+    return CoverageResult(coverage, certificate, deviations)

@@ -16,7 +16,7 @@ from pathlib import Path
 from ..bounds import BoundInputs, BoundKind, evaluate_bound
 from ..core import Rng, ValidationError
 from ..ece import ece_full_k, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
-from ..recal import FAMILIES, PbrConfig, temperature_scaling_fit, train_pbr
+from ..recal import FAMILIES, PbrConfig
 from ..synthetic import BinarySpec, gen_binary, gen_multiclass, spec_from_json, with_n
 from .experiments import (
     ALPHA_GRID,
@@ -24,9 +24,10 @@ from .experiments import (
     ExperimentCellError,
     compare_methods,
     convergence_experiment,
+    fit_method,
     kl_gap_experiment,
 )
-from .io import FORMATS, _resolve_format, load_dump, write_dump
+from .io import FORMATS, MODES, _resolve_format, load_dump, write_dump
 
 # Every certificate's own name, plus the short alias "ce_k" for ce_k_bias.
 _KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKBias}
@@ -140,28 +141,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_recalibrate(args) -> int:
+    """One compare-cell fit on the whole dump, with --alpha as a one-entry grid."""
     dump = load_dump(args.dump)
-    data = dump.data
+    fitted, result = fit_method(args.method, dump.data, PbrConfig(family=args.family),
+                                [args.alpha], args.seed)
     payload: dict = {"source": dump.source, "n": dump.n, "num_classes": dump.num_classes,
-                     "method": args.method}
-    if args.method == "temperature":
-        fitted = temperature_scaling_fit(data)
-        payload["map"] = fitted.to_dict()
-    else:
-        objective = "brier" if args.method == "pbr" else "brier_plus_loss"
-        cfg = PbrConfig(
-            family=args.family,
-            alpha=args.alpha,
-            seed=args.seed,
-            objective=objective,
-        )
-        result = train_pbr(data, cfg)
-        payload["map"] = result.map.to_dict()
+                     "method": args.method, "map": fitted.to_dict()}
+    if result is not None:
         payload["posterior"] = result.posterior.to_dict()
         payload["kl"] = result.kl
         payload["final_objective"] = result.final_objective
         payload["steps"] = result.steps
-        payload["config"] = cfg.to_dict()
+        payload["config"] = result.cfg.to_dict()
     _emit(payload, args.out, args.format)
     return 0
 
@@ -216,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ece", help="estimate calibration error of a dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--dump-format", choices=("auto", *FORMATS), default="auto")
-    p.add_argument("--mode", choices=("auto", "probs", "logits"), default="auto")
+    p.add_argument("--mode", choices=("auto", *MODES), default="auto")
     p.add_argument("--bins", type=int)
     p.add_argument("--full-k", action="store_true", help="bin the full probability vector")
     _add_output(p)
@@ -226,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, help="override the spec sample count")
     p.add_argument("--reseed", action="store_true", help="replace the spec seed with --seed")
-    p.add_argument("--mode", choices=("probs", "logits"), default="probs")
+    p.add_argument("--mode", choices=MODES, default="probs")
     _add_seed(p)
     p.add_argument("--out", help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
     p.set_defaults(fn=_cmd_synthesize)
@@ -248,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recalibrate", help="fit a recalibration map to a dump")
     p.add_argument("--dump", required=True)
-    p.add_argument("--method", choices=("temperature", "pbr", "pbr_total"),
-                   default="temperature")
+    p.add_argument("--method", choices=METHODS, default="temperature")
     p.add_argument("--family", choices=FAMILIES, default="temperature")
     p.add_argument("--alpha", type=float, default=0.25)
     _add_seed(p)

@@ -20,6 +20,7 @@ from ..core import PredictionSet, Rng, ValidationError
 from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
+    PbrResult,
     RecalMap,
     brier_score,
     recalibrate_set,
@@ -45,6 +46,9 @@ from .stats import fit_loglog_slope, kendall_tau, pearson
 ALPHA_GRID = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 METHODS = ("uncalibrated", "temperature", "pbr", "pbr_total")
+
+# The PBR methods and the objective each one fits.
+PBR_OBJECTIVES = {"pbr": "brier", "pbr_total": "brier_plus_loss"}
 
 # How compare_methods picks the best method on each held-out metric.
 _BEST = {"ece": min, "accuracy": max, "brier": min, "cross_entropy": min}
@@ -189,22 +193,45 @@ def _split_source(
     return source.subset(order[:n_re]), source.subset(order[n_re : n_re + n_te])
 
 
+def _fit_at_alpha(
+    data_re: PredictionSet, cfg: PbrConfig, alpha: float, seed: int, split: int, ia: int
+) -> PbrResult:
+    """The PBR fit at alpha = alpha_grid[ia] on klgap replicate or compare fold `split`."""
+    seed = seed + 100003 * split + 7919 * ia  # one noise stream per fit of an experiment
+    return train_pbr(data_re, replace(cfg, alpha=float(alpha), seed=seed))
+
+
 def _fit_pbr_with_alpha_selection(
-    data_re: PredictionSet,
-    cfg: PbrConfig,
-    alpha_grid: Sequence[float],
-    seed: int,
-) -> tuple[RecalMap, float, float]:
-    """Sweep the KL weight, keep the alpha whose map best calibrates the fit set."""
+    data_re: PredictionSet, cfg: PbrConfig, alpha_grid: Sequence[float], seed: int, split: int
+) -> PbrResult:
+    """Sweep the KL weight, keep the first fit whose map best calibrates the fit set."""
     bins_re = optimal_bins_1d(data_re.n)
-    best = None
+    best = best_score = None
     for ia, alpha in enumerate(alpha_grid):
-        cell_cfg = replace(cfg, alpha=float(alpha), seed=seed + 7919 * ia)
-        result = train_pbr(data_re, cell_cfg)
+        result = _fit_at_alpha(data_re, cfg, alpha, seed, split, ia)
         score = ece_top_label(recalibrate_set(result.map, data_re), bins_re)
-        if best is None or score < best[0]:
-            best = (score, alpha, result)
-    return best[2].map, float(best[1]), float(best[0])
+        if best is None or score < best_score:
+            best, best_score = result, score
+    return best
+
+
+def fit_method(
+    method: str, data_re: PredictionSet, cfg: PbrConfig, alpha_grid: Sequence[float],
+    seed: int, split: int = 0,
+) -> tuple[RecalMap, Optional[PbrResult]]:
+    """Fit one of METHODS to data_re; a PBR method also returns the fit it chose.
+
+    A PBR method sweeps cfg over alpha_grid with the method's own objective.
+    """
+    if method == "uncalibrated":
+        return RecalMap.identity("temperature", data_re.num_classes), None
+    if method == "temperature":
+        return temperature_scaling_fit(data_re), None
+    if method not in PBR_OBJECTIVES:
+        raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
+    cfg = replace(cfg, objective=PBR_OBJECTIVES[method])
+    result = _fit_pbr_with_alpha_selection(data_re, cfg, alpha_grid, seed, split)
+    return result.map, result
 
 
 def kl_gap_experiment(
@@ -230,8 +257,7 @@ def kl_gap_experiment(
     bins = optimal_bins_1d(n_re)
 
     def fit(data_re, data_te, r: int, ia: int, alpha: float) -> dict:
-        cell_cfg = replace(cfg, alpha=alpha, seed=seed + 100003 * r + 7919 * ia)
-        result = train_pbr(data_re, cell_cfg)
+        result = _fit_at_alpha(data_re, cfg, alpha, seed, r, ia)
         re_cal = recalibrate_set(result.map, data_re)
         te_cal = recalibrate_set(result.map, data_te)
         return {"kl": result.kl, "gap": ece_gap(te_cal, re_cal, bins)}
@@ -322,20 +348,10 @@ def compare_methods(
     bins_te = optimal_bins_1d(n_te)
 
     def score(data_re, data_te, fold: int, method: str) -> dict:
-        extras = {}
-        if method == "uncalibrated":
-            fitted = RecalMap.identity("temperature", data_re.num_classes)
-        elif method == "temperature":
-            fitted = temperature_scaling_fit(data_re)
+        fitted, result = fit_method(method, data_re, cfg, alpha_grid, seed, fold)
+        extras = {} if result is None else {"alpha": result.cfg.alpha}
+        if method != "uncalibrated" and fitted.family == "temperature":
             extras["t"] = fitted.t
-        else:
-            objective = "brier" if method == "pbr" else "brier_plus_loss"
-            fitted, alpha, _ = _fit_pbr_with_alpha_selection(
-                data_re, replace(cfg, objective=objective), alpha_grid, seed + 100003 * fold
-            )
-            extras["alpha"] = alpha
-            if fitted.family == "temperature":
-                extras["t"] = fitted.t
         return {**_metrics(recalibrate_set(fitted, data_te), bins_te), **extras}
 
     def grid():

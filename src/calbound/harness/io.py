@@ -143,13 +143,17 @@ def _read_table(handle):
 def _parse_csv_rows(reader, k: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The row-wise parser over the records after the header."""
     rows, labels = [], []
-    for i, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != k + 1:
-            raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
-        rows.append(_parse_values(row[:k], i))
-        labels.append(_parse_label(row[k], i))
+    i = 0
+    try:
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != k + 1:
+                raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
+            rows.append(_parse_values(row[:k], i))
+            labels.append(_parse_label(row[k], i))
+    except csv.Error as err:  # e.g. a field past csv.field_size_limit()
+        raise ValidationError(f"row {i + 1}: {err}")
     if not rows:
         raise ValidationError(f"{path}: dump has a header but no rows")
     return np.array(rows), np.array(labels)
@@ -162,6 +166,8 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty dump")
+        except csv.Error as err:
+            raise ValidationError(f"{path}: header: {err}")
         mode, k = _header_mode(header)
         table = _read_table(handle)
         if table is not None and len(table) and table.shape[1] == k + 1:
@@ -253,7 +259,10 @@ def load_dump(path, fmt: str = "auto", mode: str = "auto") -> PredictionDump:
     if not path.exists():
         raise ValidationError(f"no such dump: {path}")
     fmt = _resolve_format(path, fmt)
-    found_mode, values, labels = _LOADERS[fmt](path)
+    try:
+        found_mode, values, labels = _LOADERS[fmt](path)
+    except UnicodeDecodeError as err:  # text dumps are read in the locale encoding
+        raise ValidationError(f"{path}: not {err.encoding} text ({err.reason})")
     if mode != "auto":
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}")

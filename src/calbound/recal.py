@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -159,18 +159,17 @@ def _scores(family: str, num_classes: int, vs: np.ndarray, zt: np.ndarray) -> np
 
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
-    """Apply a map to one probability row or a batch of rows."""
+    """Apply a map to a 2-D batch of probability rows."""
     probs = np.asarray(probs, dtype=float)
-    single = probs.ndim == 1
-    rows = probs[None, :] if single else probs
-    if rows.shape[1] != recal_map.num_classes:
+    if probs.ndim != 2:
+        raise ValidationError(f"rows must form a 2-D array, got shape {probs.shape}")
+    if probs.shape[1] != recal_map.num_classes:
         raise ValidationError(
-            f"map expects {recal_map.num_classes} classes, got {rows.shape[1]}"
+            f"map expects {recal_map.num_classes} classes, got {probs.shape[1]}"
         )
-    zt = np.ascontiguousarray(log_probs(rows).T)
+    zt = np.ascontiguousarray(log_probs(probs).T)
     scores = _scores(recal_map.family, recal_map.num_classes, recal_map.params[None, :], zt)
-    out = np.ascontiguousarray(softmax(scores[0], axis=0).T)
-    return out[0] if single else out
+    return np.ascontiguousarray(softmax(scores[0], axis=0).T)
 
 
 def recalibrate_set(recal_map: RecalMap, data: PredictionSet) -> PredictionSet:
@@ -186,6 +185,10 @@ def softmax_cross_entropy(data: PredictionSet) -> float:
     """Mean negative floored log-probability of the label."""
     picked = data.probs[np.arange(data.n), data.labels]
     return float(-np.mean(log_probs(picked)))
+
+
+def _draws(rng: Rng, count: int, dim: int) -> np.ndarray:
+    return rng.generator().standard_normal((count, dim))
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,7 @@ class GaussianPosterior:
         return np.exp(self.log_sigma)
 
     def sample(self, rng: Rng, count: int) -> np.ndarray:
-        xi = rng.generator().standard_normal((count, self.dim))
-        return self.mu[None, :] + self.sigma[None, :] * xi
+        return self.mu[None, :] + self.sigma[None, :] * _draws(rng, count, self.dim)
 
     def kl_to(self, prior: "GaussianPosterior") -> float:
         return kl_gaussian_diag(self.mu, self.sigma**2, prior.mu, prior.sigma**2)
@@ -267,18 +269,9 @@ class PbrConfig:
             raise ValidationError(f"unknown objective {self.objective!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "mc_samples": self.mc_samples,
-            "j_final": self.j_final,
-            "step_size": self.step_size,
-            "step_decay": self.step_decay,
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-            "objective": self.objective,
-            "prior": self.prior.to_dict() if self.prior else None,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["prior"] = self.prior.to_dict() if self.prior else None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PbrConfig":
@@ -365,10 +358,6 @@ def _objective_and_gradient(
     return value, g_mu, g_log_sigma
 
 
-def _draws(rng: Rng, count: int, dim: int) -> np.ndarray:
-    return rng.generator().standard_normal((count, dim))
-
-
 def pbr_objective(
     posterior: GaussianPosterior,
     prior: GaussianPosterior,
@@ -398,7 +387,7 @@ def pbr_gradient(
 
 @dataclass(frozen=True)
 class PbrResult:
-    """Outcome of :func:`train_pbr`.
+    """Outcome of :func:`train_pbr`, with the config it was fitted with.
 
     stop_reason is "patience" when the best objective stopped improving and
     "max_iters" when the step budget ran out; best_step is the 0-based step
@@ -412,6 +401,7 @@ class PbrResult:
     steps: int
     stop_reason: str
     best_step: int
+    cfg: PbrConfig
 
     @property
     def kl(self) -> float:
@@ -467,15 +457,16 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     posterior = GaussianPosterior(mu, log_sigma)
     final_v = posterior.sample(final_rng, cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
-    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step)
+    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step, cfg)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section search bracket for log(t), and the bracket width where it stops.
+_LOG_T_RANGE = (-5.0, 5.0)
+_LOG_T_TOL = 1e-6
 
 
-def temperature_scaling_fit(
-    data: PredictionSet, tol: float = 1e-6, log_t_range: tuple = (-5.0, 5.0)
-) -> RecalMap:
+def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
     """Classic single-temperature fit minimizing the cross-entropy.
 
     Golden-section search over log(t); data whose labels are all one class
@@ -489,11 +480,11 @@ def temperature_scaling_fit(
         m = RecalMap("temperature", data.num_classes, np.array([log_t]))
         return softmax_cross_entropy(recalibrate_set(m, data))
 
-    lo, hi = log_t_range
+    lo, hi = _LOG_T_RANGE
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = nll(x1), nll(x2)
-    while hi - lo > tol:
+    while hi - lo > _LOG_T_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

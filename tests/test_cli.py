@@ -20,10 +20,12 @@ from calbound import (
     BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
+    PbrConfig,
     Rng,
     ece_full_k,
     ece_top_label,
     optimal_bins_1d,
+    train_pbr,
 )
 from calbound.harness.cli import main
 from calbound.harness.experiments import ExperimentCellError
@@ -213,6 +215,25 @@ def test_recalibrate_temperature(tmp_path, gen, capsys):
     assert payload["map"]["t"] > 0.0
 
 
+@pytest.mark.parametrize("method, objective",
+                         [("pbr", "brier"), ("pbr_total", "brier_plus_loss")])
+def test_recalibrate_pbr_prints_a_direct_fit(tmp_path, gen, capsys, method, objective):
+    p, _ = dump_file(tmp_path, gen, n=120)
+    argv = ["recalibrate", "--dump", str(p), "--method", method, "--family", "vector_scale",
+            "--alpha", "0.7", "--seed", "3"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cfg = PbrConfig(family="vector_scale", alpha=0.7, seed=3, objective=objective)
+    result = train_pbr(load_dump(p).data, cfg)
+    assert payload["method"] == method
+    assert payload["map"] == result.map.to_dict()
+    assert payload["posterior"] == result.posterior.to_dict()
+    assert payload["kl"] == result.kl
+    assert payload["final_objective"] == result.final_objective
+    assert payload["steps"] == result.steps
+    assert payload["config"] == cfg.to_dict()
+
+
 def test_missing_dump_exits_two(capsys):
     assert main(["ece", "--dump", "/no/such/file.csv"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -314,6 +335,19 @@ def test_malformed_jsonl_row_exits_two(tmp_path, capsys, line):
     assert main(["ece", "--dump", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "row 2" in err
+
+
+@pytest.mark.parametrize("name, body", [
+    ("bad.csv", b"p0,p1,label\n0.6,0.4,0\n0.5,0.5\xff,1\n"),
+    ("bad.jsonl", b'{"probs": [0.6, 0.4], "label": 0}\n{"probs": [0.5, 0.5], "label": 1}\xff'),
+], ids=["csv", "jsonl"])
+def test_undecodable_dump_exits_two(tmp_path, capsys, name, body):
+    # \xff starts no UTF-8 sequence; dumps are read in the locale encoding, assumed UTF-8.
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    assert main(["ece", "--dump", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "text" in err
 
 
 def test_malformed_npz_dump_exits_two(tmp_path, capsys):

@@ -15,10 +15,16 @@ from calbound import (
     MiscalibrationMap1D,
     MiscalibrationMapK,
     MulticlassSpec,
+    PbrConfig,
     PredictionSet,
     Rng,
     ValidationError,
+    ece_gap,
+    ece_top_label,
     gen_multiclass,
+    optimal_bins_1d,
+    recalibrate_set,
+    train_pbr,
 )
 from calbound.harness import (
     ExperimentCellError,
@@ -36,6 +42,7 @@ from calbound.harness import (
     write_dump,
 )
 from calbound.harness import io as dio
+from calbound.harness.experiments import _split_source
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
 
@@ -156,6 +163,21 @@ def test_load_rejects_non_finite_cells(tmp_path):
         bad_label.write_text(text)
         with pytest.raises(ValidationError, match="row 2: label"):
             load_dump(bad_label)
+
+
+def test_csv_field_past_the_csv_module_limit(tmp_path):
+    # 200,003 characters, past csv.field_size_limit() (131,072); numpy reads it, and a
+    # file numpy refuses goes to csv.reader, whose error must come back as a row number.
+    wide = "0.5" + "0" * 200_000
+    p = tmp_path / "wide.csv"
+    p.write_text(f"p0,p1,label\n{wide},0.5,0\n0.5,0.5,1\n")
+    assert load_dump(p).n == 2
+    p.write_text(f"p0,p1,label\n{wide},0.5,0\n0.5,nan,1\n")
+    with pytest.raises(ValidationError, match="row 1: field larger than field limit"):
+        load_dump(p)
+    p.write_text(f"p0,{wide},label\n0.5,0.5,0\n")
+    with pytest.raises(ValidationError, match="header"):
+        load_dump(p)
 
 
 def test_rows_without_entries_are_validation_errors(tmp_path):
@@ -514,6 +536,40 @@ def test_klgap_report_structure():
 
     again = replay(rep.to_dict())
     assert again.to_dict() == rep.to_dict()
+
+
+def test_klgap_cell_follows_the_seed_rule():
+    # Cell (replicate r, alpha index ia) under master seed s fits with seed s + 100003 r + 7919 ia.
+    rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5), replicates=2, n_re=60, seed=3)
+    cell = rep.cells[3]
+    assert (cell["replicate"], cell["alpha"]) == (1, 0.5)
+    data_re, data_te = _split_source(MULTI_SPEC, 60, 60, 1, 3)
+    result = train_pbr(data_re, PbrConfig(alpha=0.5, seed=3 + 100003 + 7919))
+    assert cell["kl"] == result.kl
+    assert cell["gap"] == ece_gap(recalibrate_set(result.map, data_te),
+                                  recalibrate_set(result.map, data_re), optimal_bins_1d(60))
+
+
+@pytest.mark.parametrize("method, objective",
+                         [("pbr", "brier"), ("pbr_total", "brier_plus_loss")])
+def test_compare_pbr_cell_follows_the_seed_rule(method, objective):
+    # Fold f under master seed s fits alpha index ia with seed s + 100003 f + 7919 ia and
+    # keeps the first alpha whose map has the lowest ECE on the fit set.
+    grid = (0.1, 1.0)
+    rep = compare_methods(MULTI_SPEC, methods=(method,), folds=2, n_re=80, n_te=200,
+                          alpha_grid=grid, seed=3)
+    cell = rep.cells[1]
+    assert (cell["fold"], cell["method"]) == (1, method)
+    data_re, data_te = _split_source(MULTI_SPEC, 80, 200, 1, 3)
+    fits = [train_pbr(data_re, PbrConfig(alpha=a, seed=3 + 100003 + 7919 * ia,
+                                         objective=objective))
+            for ia, a in enumerate(grid)]
+    scores = [ece_top_label(recalibrate_set(r.map, data_re), optimal_bins_1d(80)) for r in fits]
+    pick = int(np.argmin(scores))
+    best = fits[pick]
+    assert cell["alpha"] == grid[pick]
+    assert cell["t"] == best.map.t
+    assert cell["ece"] == ece_top_label(recalibrate_set(best.map, data_te), optimal_bins_1d(200))
 
 
 def test_compare_methods_on_spec_and_replay():

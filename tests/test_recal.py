@@ -94,8 +94,8 @@ def test_identity_params_are_fixed_points(gen):
 
 
 def test_temperature_two_flattens_hand_example():
-    out = apply_recal(RecalMap.temperature(2.0), np.array([0.8, 0.2]))
-    assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    out = apply_recal(RecalMap.temperature(2.0), np.array([[0.8, 0.2]]))
+    assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
 
 def test_temperature_constructor_validates_and_round_trips():
@@ -130,12 +130,12 @@ def test_vector_scale_and_affine_apply(gen):
     assert np.allclose(apply_recal(ma, probs), expect, atol=1e-12)
 
 
-def test_apply_recal_single_row_matches_batch(gen):
-    probs = gen.dirichlet(np.ones(4), 5)
+def test_apply_recal_rejects_a_single_row():
     m = RecalMap.vector_scale(np.array([1.5, 1.0, 0.7, 1.1]), np.zeros(4))
-    batch = apply_recal(m, probs)
-    rows = np.stack([apply_recal(m, row) for row in probs])
-    assert np.allclose(batch, rows, atol=1e-12)
+    with pytest.raises(ValidationError, match="2-D"):
+        apply_recal(m, np.array([0.1, 0.2, 0.3, 0.4]))
+    with pytest.raises(ValidationError, match="4 classes"):
+        apply_recal(m, np.full((2, 3), 1.0 / 3.0))
 
 
 def test_recalibrate_set_keeps_labels(gen):
