@@ -238,8 +238,6 @@ def mc_validate_bound(
     num_bins: int,
     epsilon: float,
     trials: int,
-    lam: Union[float, str] = "auto",
-    assume_density: bool = False,
 ) -> CoverageResult:
     """Fraction of synthetic trials whose realized |TCE - ECE| the bound covers.
 
@@ -256,8 +254,6 @@ def mc_validate_bound(
         num_bins=num_bins,
         epsilon=epsilon,
         lipschitz=spec.map.lipschitz_constant,
-        lam=lam,
-        assume_density=assume_density,
     )
     certificate = evaluate_bound(kind, inputs).value
     oracle = true_tce(spec)

@@ -14,20 +14,21 @@ import sys
 from pathlib import Path
 
 from ..bounds import BoundInputs, BoundKind, evaluate_bound
-from ..core import Rng, ValidationError
+from ..core import ValidationError
 from ..ece import ece_full_k, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import FAMILIES, PbrConfig
-from ..synthetic import BinarySpec, gen_binary, gen_multiclass, spec_from_json, with_n
+from ..synthetic import spec_from_json
 from .experiments import (
     ALPHA_GRID,
     METHODS,
     ExperimentCellError,
+    _generate,
     compare_methods,
     convergence_experiment,
     fit_method,
     kl_gap_experiment,
 )
-from .io import FORMATS, MODES, _resolve_format, load_dump, write_dump
+from .io import MODES, _resolve_format, load_dump, write_dump
 
 # Every certificate's own name, plus the short alias "ce_k" for ce_k_bias.
 _KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKBias}
@@ -61,7 +62,7 @@ def _emit_report(report, out: str | None, fmt: str) -> None:
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed override")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -74,16 +75,10 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec")
     parser.add_argument("--dump")
     parser.add_argument("--family", choices=FAMILIES, default="temperature")
-    parser.add_argument("--reseed", action="store_true")
 
 
-def _load_spec(path: str, seed: int | None, n: int | None):
-    spec = spec_from_json(Path(path).read_text())
-    if seed is not None:
-        spec = with_n(spec, spec.n, Rng(seed))
-    if n is not None:
-        spec = with_n(spec, n)
-    return spec
+def _load_spec(path: str):
+    return spec_from_json(Path(path).read_text())
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -94,7 +89,7 @@ def _alpha_list(text: str) -> list[float]:
 
 
 def _cmd_ece(args) -> int:
-    dump = load_dump(args.dump, args.dump_format, args.mode)
+    dump = load_dump(args.dump)
     if args.full_k:
         bins = optimal_bins_per_dim(dump.n, dump.num_classes) if args.bins is None else args.bins
         value = ece_full_k(dump.data, bins)
@@ -114,9 +109,9 @@ def _cmd_ece(args) -> int:
 def _cmd_synthesize(args) -> int:
     if not args.out:
         raise ValidationError("synthesize needs --out for the dump file")
-    fmt = _resolve_format(Path(args.out), "auto")
-    spec = _load_spec(args.spec, args.seed if args.reseed else None, args.n)
-    data = gen_binary(spec) if isinstance(spec, BinarySpec) else gen_multiclass(spec)
+    fmt = _resolve_format(Path(args.out))
+    spec = _load_spec(args.spec)
+    data = _generate(spec, spec.n if args.n is None else args.n, spec.rng)
     write_dump(data, args.out, fmt=fmt, mode=args.mode)
     print(f"wrote {data.n} rows x {data.num_classes} classes to {args.out}")
     return 0
@@ -159,9 +154,8 @@ def _cmd_recalibrate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.which == "convergence":
-        spec = _load_spec(args.spec, args.seed if args.reseed else None, None)
         report = convergence_experiment(
-            spec,
+            _load_spec(args.spec),
             [int(x) for x in args.n_grid.split(",")],
             args.seeds,
             bin_rule="optimal" if args.bins is None else args.bins,
@@ -171,7 +165,7 @@ def _cmd_experiment(args) -> int:
         if bool(args.spec) == bool(args.dump):
             raise ValidationError("pass exactly one of --spec or --dump")
         if args.spec:
-            source = _load_spec(args.spec, args.seed if args.reseed else None, None)
+            source = _load_spec(args.spec)
         else:
             source = load_dump(args.dump)
         if args.which == "klgap":
@@ -197,8 +191,18 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers, that take a long flag only as spelled in full.
+
+    With prefix matching, convergence would read a stray --seed as --seeds.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calbound",
         description="Calibration-error estimation, certificates, and recalibration",
     )
@@ -206,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ece", help="estimate calibration error of a dump")
     p.add_argument("--dump", required=True)
-    p.add_argument("--dump-format", choices=("auto", *FORMATS), default="auto")
-    p.add_argument("--mode", choices=("auto", *MODES), default="auto")
     p.add_argument("--bins", type=int)
     p.add_argument("--full-k", action="store_true", help="bin the full probability vector")
     _add_output(p)
@@ -216,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="generate a dump from a spec JSON")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, help="override the spec sample count")
-    p.add_argument("--reseed", action="store_true", help="replace the spec seed with --seed")
     p.add_argument("--mode", choices=MODES, default="probs")
-    _add_seed(p)
     p.add_argument("--out", help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
     p.set_defaults(fn=_cmd_synthesize)
 
@@ -255,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seeds", type=int, default=20)
     c.add_argument("--bins", type=int, help="fixed bin count (default: optimal rule)")
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--reseed", action="store_true")
-    _add_seed(c)
     _add_output(c)
     c.set_defaults(fn=_cmd_experiment)
 

@@ -246,7 +246,8 @@ def kl_gap_experiment(
 
     The held-out set matches the recalibration set size, and the gap is the
     absolute ECE difference of the recalibrated model between the two sets at
-    floor(n_re^(1/3)) bins.
+    floor(n_re^(1/3)) bins. Each fit replaces cfg.alpha and cfg.seed, so the
+    recorded cfg is the one passed in, not the one any cell fitted with.
     """
     source, source_config = _as_source(source)
     if len(alpha_grid) < 2:
@@ -326,6 +327,8 @@ def compare_methods(
 
     The default split keeps 1000 rows for recalibration and 9000 for testing
     when the source is that large, scaling down proportionally otherwise.
+    Each PBR fit replaces cfg.alpha, cfg.seed and cfg.objective, so the
+    recorded cfg is the one passed in, not the one any cell fitted with.
     """
     source, source_config = _as_source(source)
     if folds < 2:

@@ -45,17 +45,14 @@ class PredictionDump:
     data: PredictionSet = field(repr=False)
 
 
-def _resolve_format(path: Path, fmt: str) -> str:
-    if fmt != "auto":
-        if fmt not in FORMATS:
-            raise ValidationError(f"unknown dump format {fmt!r}")
-        return fmt
+def _resolve_format(path: Path) -> str:
+    """The dump format a path's suffix names."""
     suffix = path.suffix.lower()
     if suffix in (".csv", ".npz"):
         return suffix[1:]
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
-    raise ValidationError(f"cannot infer dump format from {path.name!r}; pass format")
+    raise ValidationError(f"cannot infer dump format from {path.name!r}")
 
 
 def _header_mode(header: list[str]) -> tuple[str, int]:
@@ -249,32 +246,27 @@ def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
 _LOADERS = {"csv": _load_csv, "jsonl": _load_jsonl, "npz": _load_npz}
 
 
-def load_dump(path, fmt: str = "auto", mode: str = "auto") -> PredictionDump:
+def load_dump(path) -> PredictionDump:
     """Load a prediction dump into a validated PredictionDump.
 
-    mode may be "auto" (inferred from the header or keys) or an explicit
-    "probs"/"logits" that must agree with the file.
+    The suffix picks the format; the header (CSV) or the keys (JSON lines,
+    npz) say whether the file holds probabilities or logits.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such dump: {path}")
-    fmt = _resolve_format(path, fmt)
+    fmt = _resolve_format(path)
     try:
-        found_mode, values, labels = _LOADERS[fmt](path)
+        mode, values, labels = _LOADERS[fmt](path)
     except UnicodeDecodeError as err:  # text dumps are read in the locale encoding
         raise ValidationError(f"{path}: not {err.encoding} text ({err.reason})")
-    if mode != "auto":
-        if mode not in MODES:
-            raise ValidationError(f"unknown mode {mode!r}")
-        if mode != found_mode:
-            raise ValidationError(f"dump carries {found_mode}, but mode={mode} requested")
     # rows without entries have no maximum; from_probs reports the missing classes
-    probs = softmax(values) if found_mode == "logits" and values.shape[1] else values
+    probs = softmax(values) if mode == "logits" and values.shape[1] else values
     data = PredictionSet.from_probs(probs, labels)
     return PredictionDump(
         source=str(path),
         format=fmt,
-        mode=found_mode,
+        mode=mode,
         n=data.n,
         num_classes=data.num_classes,
         data=data,

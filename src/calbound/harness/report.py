@@ -6,7 +6,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 SCHEMA_VERSION = 1
 
@@ -54,9 +53,6 @@ class ExperimentReport:
             schema=d["schema"],
         )
 
-    def write_json(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
     def cells_csv(self) -> str:
         """The per-cell rows as CSV text, with the union of their keys as columns."""
         keys: list = []
@@ -69,9 +65,6 @@ class ExperimentReport:
         writer.writeheader()
         writer.writerows(self.cells)
         return buffer.getvalue()
-
-    def write_cells_csv(self, path) -> None:
-        Path(path).write_text(self.cells_csv(), newline="")
 
 
 def _clean(value):

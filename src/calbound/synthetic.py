@@ -193,12 +193,12 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return h / 3.0 * (values[0] + values[-1] + 4 * values[1::2].sum() + 2 * values[2:-2:2].sum())
 
 
-def true_tce(spec: BinarySpec, tol: float = QUADRATURE_TOL) -> float:
+def true_tce(spec: BinarySpec) -> float:
     """True top-label calibration error E|g(c) - c| by composite Simpson.
 
-    Panels are doubled until successive estimates agree within tol; the
-    integrand has kinks at clip boundaries, so refinement rather than a fixed
-    panel count is required.
+    Panels are doubled until successive estimates agree within
+    QUADRATURE_TOL; the integrand has kinks at clip boundaries, so refinement
+    rather than a fixed panel count is required.
     """
     lo, hi = spec.law.lo, spec.law.hi
 
@@ -212,7 +212,7 @@ def true_tce(spec: BinarySpec, tol: float = QUADRATURE_TOL) -> float:
         panels *= 2
         grid = np.linspace(lo, hi, panels + 1)
         current = _simpson(integrand(grid), (hi - lo) / panels)
-        if abs(current - previous) < tol:
+        if abs(current - previous) < QUADRATURE_TOL:
             return float(current)
         previous = current
     raise QuadratureError(

@@ -300,6 +300,47 @@ def test_explicit_zero_is_rejected(tmp_path, gen, capsys, argv):
     assert "error:" in out.err
 
 
+def test_klgap_bad_alpha_grid_exits_two(tmp_path, capsys):
+    sp = spec_file(tmp_path)
+    assert main(["experiment", "klgap", "--spec", str(sp), "--alpha-grid", "0.1,x"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bad alpha grid" in out.err
+
+
+# Flags the input file already decides (the dump's suffix and header, the spec's
+# seed), and a prefix of a flag, which is no longer read as the flag.
+@pytest.mark.parametrize("command, flag", [
+    ("ece", ["--full"]),
+    ("ece", ["--dump-format", "csv"]),
+    ("ece", ["--mode", "probs"]),
+    ("synthesize", ["--reseed"]),
+    ("synthesize", ["--seed", "1"]),
+    ("convergence", ["--reseed"]),
+    ("convergence", ["--seed", "1"]),
+    ("klgap", ["--reseed"]),
+    ("compare", ["--reseed"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_removed_flags_exit_two(tmp_path, gen, capsys, command, flag):
+    p, _ = dump_file(tmp_path, gen)
+    sp = str(spec_file(tmp_path))
+    argv = {
+        "ece": ["ece", "--dump", str(p)],
+        "synthesize": ["synthesize", "--spec", sp, "--out", str(tmp_path / "out.csv")],
+        "convergence": ["experiment", "convergence", "--spec", sp, "--n-grid", "50,100,400,2000"],
+        "klgap": ["experiment", "klgap", "--spec", sp, "--alpha-grid", "0,1",
+                  "--replicates", "1", "--n-re", "40"],
+        "compare": ["experiment", "compare", "--spec", sp, "--methods", "uncalibrated",
+                    "--folds", "2", "--n-re", "20", "--n-te", "20"],
+    }[command]
+    assert main(argv) == 0  # the command runs without the flag
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_convergence_explicit_zero_bins_exits_two(tmp_path, capsys):
     sp = spec_file(tmp_path)
     argv = ["experiment", "convergence", "--spec", str(sp), "--n-grid", "50,100,400,2000",

@@ -91,14 +91,6 @@ def test_csv_logits_header_detected(tmp_path):
     assert np.allclose(loaded.data.probs[0], expect, atol=1e-12)
 
 
-def test_explicit_mode_must_match(tmp_path):
-    p = tmp_path / "p.csv"
-    p.write_text("p0,p1,label\n0.6,0.4,0\n")
-    assert load_dump(p, mode="probs").n == 1
-    with pytest.raises(ValidationError):
-        load_dump(p, mode="logits")
-
-
 def test_load_errors_carry_row_numbers(tmp_path):
     bad_field = tmp_path / "a.csv"
     bad_field.write_text("p0,p1,label\n0.6,0.4,0\n0.5,oops,1\n")
@@ -188,12 +180,11 @@ def test_rows_without_entries_are_validation_errors(tmp_path):
             load_dump(p)
 
 
-def test_unknown_suffix_needs_explicit_format(tmp_path):
+def test_unknown_suffix_is_refused(tmp_path):
     p = tmp_path / "dump.dat"
     p.write_text("p0,p1,label\n0.6,0.4,0\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cannot infer dump format"):
         load_dump(p)
-    assert load_dump(p, fmt="csv").n == 1
 
 
 def test_missing_file_is_validation_error(tmp_path):
@@ -345,7 +336,9 @@ def test_npz_round_trip_is_bit_exact(tmp_path, gen):
     assert from_npz.data.probs.tobytes() == from_csv.data.probs.tobytes()
     # an explicit format writes to the path as given
     write_dump(data, tmp_path / "p.dat", fmt="npz")
-    assert load_dump(tmp_path / "p.dat", fmt="npz").data.probs.tobytes() == data.probs.tobytes()
+    with np.load(tmp_path / "p.dat") as archive:
+        assert archive["probs"].tobytes() == data.probs.tobytes()
+        assert archive["labels"].tobytes() == data.labels.tobytes()
 
 
 def test_npz_errors_are_validation_errors(tmp_path):
@@ -423,7 +416,7 @@ def test_loglog_slope_needs_three_positive_points():
 # ---------------------------------------------------------------- report
 
 
-def test_report_round_trip_and_schema(tmp_path):
+def test_report_round_trip_and_schema():
     rep = make_report(
         "convergence",
         {"spec": {"kind": "binary"}},
@@ -434,10 +427,7 @@ def test_report_round_trip_and_schema(tmp_path):
     clone = ExperimentReport.from_dict(json.loads(rep.to_json()))
     assert clone.kind == "convergence"
     assert clone.cells == rep.cells
-
-    p = tmp_path / "rep.json"
-    rep.write_json(p)
-    jsonschema.validate(json.loads(p.read_text()), REPORT_SCHEMA)
+    jsonschema.validate(json.loads(rep.to_json()), REPORT_SCHEMA)
 
 
 def test_report_cleans_nan_to_null():
@@ -447,11 +437,9 @@ def test_report_cleans_nan_to_null():
     assert json.loads(text)["summary"]["x"] is None
 
 
-def test_report_cells_csv_takes_union_of_keys(tmp_path):
+def test_report_cells_csv_takes_union_of_keys():
     rep = make_report("compare", {}, [{"a": 1}, {"b": 2.5}], {})
-    p = tmp_path / "cells.csv"
-    rep.write_cells_csv(p)
-    lines = p.read_text().strip().splitlines()
+    lines = rep.cells_csv().strip().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,"
     assert lines[2] == ",2.5"
@@ -505,6 +493,13 @@ def test_convergence_validates_grid():
         convergence_experiment(BIN_SPEC, [200, 400, 800, 1000], seeds=20)  # span < 10^1.5
     with pytest.raises(ValidationError):
         convergence_experiment(BIN_SPEC, GRID, seeds=19)  # too few seeds
+
+
+@pytest.mark.parametrize("spec", [BIN_SPEC, MULTI_SPEC], ids=["binary", "multiclass"])
+def test_convergence_fixed_bin_rule_is_used_in_every_cell(spec):
+    rep = convergence_experiment(spec, GRID, seeds=20, bin_rule=3, oracle_samples=1000)
+    assert [c["bins"] for c in rep.cells] == [3] * 80
+    assert rep.config["bin_rule"] == 3
 
 
 @pytest.mark.parametrize("bin_rule", [0, -3, 2.7, "fixed"])

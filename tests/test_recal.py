@@ -312,6 +312,15 @@ def test_train_pbr_reports_why_it_stopped(gen):
     assert 0 <= capped.best_step < 20
 
 
+@pytest.mark.parametrize("family, dim", [("temperature", 2), ("vector_scale", 4), ("affine", 6)])
+def test_train_pbr_rejects_a_prior_of_the_wrong_dimension(gen, family, dim):
+    # over 3 classes the families have 1, 6 and 12 parameters
+    data = random_prediction_set(gen, 40, 3)
+    cfg = PbrConfig(family=family, prior=GaussianPosterior.standard(dim), max_iters=5)
+    with pytest.raises(ValidationError, match="prior dimension"):
+        train_pbr(data, cfg)
+
+
 def test_train_pbr_zero_alpha_ignores_prior(gen):
     data = random_prediction_set(gen, 80, 2)
     cfg0 = PbrConfig(alpha=0.0, seed=1, max_iters=60)

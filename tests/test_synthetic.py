@@ -16,6 +16,7 @@ from calbound import (
     true_ce_k,
     true_tce,
 )
+from calbound import synthetic
 from calbound.synthetic import QuadratureError, spec_from_json, with_n
 
 
@@ -119,10 +120,11 @@ def test_true_tce_matches_dense_trapezoid():
     assert true_tce(spec) == pytest.approx(expect, abs=1e-7)
 
 
-def test_true_tce_unreachable_tolerance_raises():
+def test_true_tce_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(synthetic, "QUADRATURE_TOL", 0.0)
     spec = BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.1, 2.0), 1, Rng(0))
     with pytest.raises(QuadratureError):
-        true_tce(spec, tol=0.0)
+        true_tce(spec)
 
 
 def test_binary_spec_json_round_trip():
