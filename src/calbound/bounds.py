@@ -24,7 +24,6 @@ JointAccTce additionally adds the empirical loss-plus-Brier term to the value.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
@@ -32,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ValidationError
-from .ece import ece_top_label
+from .ece import _check_bins, ece_top_label
 from .synthetic import BinarySpec, gen_binary, true_tce
 
 LAMBDA_MIN = 1e-6
@@ -74,8 +73,7 @@ class BoundInputs:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"sample count must be >= 1, got {self.n}")
-        if not isinstance(self.num_bins, (int, np.integer)) or self.num_bins < 1:
-            raise ValidationError(f"bin count must be a positive integer, got {self.num_bins!r}")
+        _check_bins(self.num_bins)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         # The chained comparisons also reject NaN and infinity.
@@ -114,9 +112,6 @@ class BoundCertificate:
             "empirical_term": self.empirical_term,
             "lambda_used": self.lambda_used,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundCertificate":

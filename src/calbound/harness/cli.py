@@ -1,14 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for validation problems (bad flags, malformed
-dumps, impossible configs), 3 when an experiment grid cell fails.
+Exit codes: 0 on success, 2 for validation problems (bad flags or flag values
+the parser rejects, malformed dumps or specs, impossible configs), 3 when an
+experiment grid cell fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -30,9 +29,6 @@ from .experiments import (
 )
 from .io import MODES, _resolve_format, load_dump, write_dump
 
-# Every certificate's own name, plus the short alias "ce_k" for ce_k_bias.
-_KIND_NAMES = {kind.value: kind for kind in BoundKind} | {"ce_k": BoundKind.CeKBias}
-
 
 def _write(text: str, out: str | None) -> None:
     """Write output text to the --out file, or to stdout when it is omitted."""
@@ -42,50 +38,53 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, out: str | None, fmt: str) -> None:
-    """Write a flat result object as JSON or two-column CSV."""
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["key", "value"])
-        writer.writerows((k, json.dumps(v) if isinstance(v, (dict, list)) else v)
-                         for k, v in payload.items())
-        text = buffer.getvalue()
-    _write(text, out)
+def _emit(payload: dict, out: str | None) -> None:
+    """Write a result object as JSON."""
+    _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
 
 
-def _emit_report(report, out: str | None, fmt: str) -> None:
-    """Write an experiment report as JSON or as its per-cell CSV table."""
-    _write(report.cells_csv() if fmt == "csv" else report.to_json() + "\n", out)
+def _comma_list(item):
+    """An argparse type: comma-separated item values, blank entries skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [item(x.strip()) for x in text.split(",") if x.strip()]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}: {err}")
+    return parse
+
+
+def _lam(text: str):
+    """An argparse type: "auto" or a number."""
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def _add_source(parser: argparse.ArgumentParser) -> None:
     """The data-source flags shared by klgap and compare."""
-    parser.add_argument("--spec")
-    parser.add_argument("--dump")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec")
+    source.add_argument("--dump")
     parser.add_argument("--family", choices=FAMILIES, default="temperature")
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+
+
+def _add_report_output(parser: argparse.ArgumentParser) -> None:
+    """An experiment report is JSON, or its per-cell rows as a CSV table."""
+    _add_out(parser)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _load_spec(path: str):
     return spec_from_json(Path(path).read_text())
-
-
-def _alpha_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValidationError(f"bad alpha grid {text!r}")
 
 
 def _cmd_ece(args) -> int:
@@ -101,14 +100,12 @@ def _cmd_ece(args) -> int:
     _emit(
         {"ece": value, "estimator": estimator, "bins": bins,
          "n": dump.n, "num_classes": dump.num_classes, "source": dump.source},
-        args.out, args.format,
+        args.out,
     )
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    if not args.out:
-        raise ValidationError("synthesize needs --out for the dump file")
     fmt = _resolve_format(Path(args.out))
     spec = _load_spec(args.spec)
     data = _generate(spec, spec.n if args.n is None else args.n, spec.rng)
@@ -118,20 +115,18 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    lam = "auto" if args.lam == "auto" else float(args.lam)
     inputs = BoundInputs(
         n=args.n,
         num_bins=args.bins,
         epsilon=args.epsilon,
         lipschitz=args.lipschitz,
-        lam=lam,
+        lam=args.lam,
         kl=args.kl,
         num_classes=args.classes,
         assume_density=args.assume_density,
     )
-    kind = _KIND_NAMES[args.kind]
-    cert = evaluate_bound(kind, inputs, empirical_term=args.empirical)
-    _emit(cert.to_dict(), args.out, args.format)
+    cert = evaluate_bound(BoundKind(args.kind), inputs, empirical_term=args.empirical)
+    _emit(cert.to_dict(), args.out)
     return 0
 
 
@@ -148,46 +143,31 @@ def _cmd_recalibrate(args) -> int:
         payload["final_objective"] = result.final_objective
         payload["steps"] = result.steps
         payload["config"] = result.cfg.to_dict()
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    """Run one experiment; write its report as JSON or as its per-cell CSV table."""
     if args.which == "convergence":
         report = convergence_experiment(
             _load_spec(args.spec),
-            [int(x) for x in args.n_grid.split(",")],
+            args.n_grid,
             args.seeds,
             bin_rule="optimal" if args.bins is None else args.bins,
             workers=args.workers,
         )
     else:
-        if bool(args.spec) == bool(args.dump):
-            raise ValidationError("pass exactly one of --spec or --dump")
-        if args.spec:
-            source = _load_spec(args.spec)
-        else:
-            source = load_dump(args.dump)
+        source = _load_spec(args.spec) if args.spec else load_dump(args.dump)
+        cfg = PbrConfig(family=args.family)
         if args.which == "klgap":
-            report = kl_gap_experiment(
-                source,
-                alpha_grid=_alpha_list(args.alpha_grid),
-                replicates=args.replicates,
-                n_re=args.n_re,
-                cfg=PbrConfig(family=args.family),
-                seed=args.seed,
-            )
+            report = kl_gap_experiment(source, alpha_grid=args.alpha_grid,
+                                       replicates=args.replicates, n_re=args.n_re, cfg=cfg,
+                                       seed=args.seed)
         else:
-            report = compare_methods(
-                source,
-                methods=[m.strip() for m in args.methods.split(",") if m.strip()],
-                folds=args.folds,
-                n_re=args.n_re,
-                n_te=args.n_te,
-                cfg=PbrConfig(family=args.family),
-                seed=args.seed,
-            )
-    _emit_report(report, args.out, args.format)
+            report = compare_methods(source, methods=args.methods, folds=args.folds,
+                                     n_re=args.n_re, n_te=args.n_te, cfg=cfg, seed=args.seed)
+    _write(report.cells_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
     return 0
 
 
@@ -212,29 +192,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True)
     p.add_argument("--bins", type=int)
     p.add_argument("--full-k", action="store_true", help="bin the full probability vector")
-    _add_output(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_ece)
 
     p = sub.add_parser("synthesize", help="generate a dump from a spec JSON")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, help="override the spec sample count")
     p.add_argument("--mode", choices=MODES, default="probs")
-    p.add_argument("--out", help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
+    p.add_argument("--out", required=True,
+                   help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("bounds", help="evaluate a certificate")
-    p.add_argument("--kind", choices=sorted(_KIND_NAMES), required=True)
+    p.add_argument("--kind", choices=[kind.value for kind in BoundKind], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--lipschitz", type=float, default=0.0)
-    p.add_argument("--lam", default="auto")
+    p.add_argument("--lam", type=_lam, default="auto", help="'auto' or a positive number")
     p.add_argument("--kl", type=float, default=0.0)
     p.add_argument("--classes", type=int)
     p.add_argument("--assume-density", action="store_true")
     p.add_argument("--empirical", type=float, default=0.0,
                    help="empirical loss-plus-Brier term for the joint bound")
-    _add_output(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("recalibrate", help="fit a recalibration map to a dump")
@@ -243,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, default="temperature")
     p.add_argument("--alpha", type=float, default=0.25)
     _add_seed(p)
-    _add_output(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_recalibrate)
 
     p = sub.add_parser("experiment", help="run a replayable experiment")
@@ -251,31 +232,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = which.add_parser("convergence", help="estimator bias against sample size")
     c.add_argument("--spec", required=True)
-    c.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
+    c.add_argument("--n-grid", type=_comma_list(int), required=True,
+                   help="comma-separated sample sizes")
     c.add_argument("--seeds", type=int, default=20)
     c.add_argument("--bins", type=int, help="fixed bin count (default: optimal rule)")
     c.add_argument("--workers", type=int, default=1)
-    _add_output(c)
+    _add_report_output(c)
     c.set_defaults(fn=_cmd_experiment)
 
     k = which.add_parser("klgap", help="posterior KL against the train/test ECE gap")
     _add_source(k)
-    k.add_argument("--alpha-grid", default=",".join(str(a) for a in ALPHA_GRID))
+    k.add_argument("--alpha-grid", type=_comma_list(float), default=ALPHA_GRID,
+                   help="comma-separated alpha values")
     k.add_argument("--replicates", type=int, default=10)
     k.add_argument("--n-re", type=int, default=1000)
     _add_seed(k)
-    _add_output(k)
+    _add_report_output(k)
     k.set_defaults(fn=_cmd_experiment)
 
     m = which.add_parser("compare", help="score recalibration methods on held-out data")
     _add_source(m)
-    m.add_argument("--methods", default="uncalibrated,temperature,pbr",
+    m.add_argument("--methods", type=_comma_list(str), default="uncalibrated,temperature,pbr",
                    help=f"comma-separated subset of {','.join(METHODS)}")
     m.add_argument("--folds", type=int, default=5)
     m.add_argument("--n-re", type=int)
     m.add_argument("--n-te", type=int)
     _add_seed(m)
-    _add_output(m)
+    _add_report_output(m)
     m.set_defaults(fn=_cmd_experiment)
 
     return parser

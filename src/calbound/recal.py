@@ -211,9 +211,10 @@ class GaussianPosterior:
         return cls(np.zeros(dim), np.zeros(dim))
 
     @classmethod
-    def at(cls, mu: np.ndarray, sigma: float = 1.0) -> "GaussianPosterior":
+    def at(cls, mu: np.ndarray) -> "GaussianPosterior":
+        """Unit-sigma posterior centred at mu."""
         mu = np.asarray(mu, dtype=float)
-        return cls(mu, np.full(mu.shape, math.log(sigma)))
+        return cls(mu, np.zeros(mu.shape))
 
     @property
     def dim(self) -> int:

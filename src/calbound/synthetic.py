@@ -29,9 +29,30 @@ _MAX_PANELS = 2**21
 # do not collide with internal draws.
 _STREAM_ORACLE = 0xACE
 
+# Parameter count of each miscalibration map kind, binary and K-class.
+_MAP_PARAMS_1D = {"identity": 0, "shift": 1, "sine": 2, "power": 1}
+_MAP_PARAMS_K = {"identity": 0, "temperature": 1, "mixture": 1}
+
 
 class QuadratureError(RuntimeError):
     """Composite Simpson refinement failed to converge."""
+
+
+def _check_map(kind: str, params: tuple, param_counts: dict) -> None:
+    if kind not in param_counts:
+        raise ValidationError(f"unknown map kind {kind!r}")
+    if len(params) != param_counts[kind]:
+        raise ValidationError(
+            f"{kind} map needs params of length {param_counts[kind]}, got {len(params)}"
+        )
+
+
+def _seed_rng(seed) -> Rng:
+    """The Rng of a spec's "seed": [master_seed] or [master_seed, stream_id]."""
+    if not (isinstance(seed, (list, tuple)) and 1 <= len(seed) <= 2
+            and all(type(s) is int for s in seed)):
+        raise ValidationError(f"spec seed must be a list of one or two integers, got {seed!r}")
+    return Rng(*seed)
 
 
 @dataclass(frozen=True)
@@ -91,8 +112,7 @@ class MiscalibrationMap1D:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("identity", "shift", "sine", "power"):
-            raise ValidationError(f"unknown map kind {self.kind!r}")
+        _check_map(self.kind, self.params, _MAP_PARAMS_1D)
         if self.kind == "power" and self.params[0] < 1.0:
             # Exponents below 1 have unbounded slope at 0, so no finite
             # constant could be declared for the whole unit interval.
@@ -171,7 +191,7 @@ class BinarySpec:
             d["law"]["kind"], d["law"]["lo"], d["law"]["hi"], d["law"]["a"], d["law"]["b"]
         )
         m = MiscalibrationMap1D(d["map"]["kind"], tuple(d["map"]["params"]))
-        return cls(law, m, int(d["n"]), Rng(*d["seed"]))
+        return cls(law, m, int(d["n"]), _seed_rng(d["seed"]))
 
 
 def gen_binary(spec: BinarySpec) -> PredictionSet:
@@ -229,8 +249,7 @@ class MiscalibrationMapK:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("identity", "temperature", "mixture"):
-            raise ValidationError(f"unknown map kind {self.kind!r}")
+        _check_map(self.kind, self.params, _MAP_PARAMS_K)
         if self.kind == "temperature" and self.params[0] <= 0:
             raise ValidationError("temperature must be positive")
         if self.kind == "mixture" and not 0.0 <= self.params[0] <= 1.0:
@@ -300,20 +319,28 @@ class MulticlassSpec:
             tuple(d["concentration"]),
             m,
             int(d["n"]),
-            Rng(*d["seed"]),
+            _seed_rng(d["seed"]),
         )
 
 
 def spec_from_dict(d: dict):
-    if d.get("kind") == "binary":
-        return BinarySpec.from_dict(d)
-    if d.get("kind") == "multiclass":
-        return MulticlassSpec.from_dict(d)
-    raise ValidationError(f"unknown spec kind {d.get('kind')!r}")
+    if not isinstance(d, dict):
+        raise ValidationError(f"a spec must be a JSON object, got {type(d).__name__}")
+    kinds = {"binary": BinarySpec, "multiclass": MulticlassSpec}
+    if d.get("kind") not in kinds:
+        raise ValidationError(f"unknown spec kind {d.get('kind')!r}")
+    try:
+        return kinds[d["kind"]].from_dict(d)
+    except KeyError as err:
+        raise ValidationError(f"spec has no {err.args[0]!r} key")
 
 
 def spec_from_json(text: str):
-    return spec_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"spec is not JSON: {err}")
+    return spec_from_dict(d)
 
 
 def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:

@@ -5,7 +5,6 @@ Most cases drive main() in-process for speed; a couple go through
 survive a real interpreter boundary.
 """
 
-import csv
 import json
 import math
 import subprocess
@@ -81,18 +80,6 @@ def test_ece_full_k_fixed_bins(tmp_path, gen, capsys):
     assert payload["ece"] == pytest.approx(ece_full_k(data, 2), abs=1e-12)
 
 
-def test_ece_csv_output(tmp_path, gen):
-    p, _ = dump_file(tmp_path, gen)
-    out = tmp_path / "ece.csv"
-    assert main(["ece", "--dump", str(p), "--format", "csv", "--out", str(out)]) == 0
-    with open(out, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["key", "value"]
-    table = dict(rows[1:])
-    assert float(table["ece"]) >= 0.0
-    assert table["estimator"] == "top_label"
-
-
 def test_synthesize_writes_deterministic_dump(tmp_path):
     sp = spec_file(tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -116,9 +103,32 @@ def test_synthesize_logit_mode_round_trips(tmp_path):
 
 def test_synthesize_without_out_is_a_usage_error(tmp_path, capsys):
     sp = spec_file(tmp_path)
-    assert main(["synthesize", "--spec", str(sp)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--spec", str(sp)])
+    assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
+
+_GOOD_SPEC = SPEC.to_dict()
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([_GOOD_SPEC]),
+    json.dumps({k: v for k, v in _GOOD_SPEC.items() if k != "law"}),
+    json.dumps(_GOOD_SPEC | {"seed": 7}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "sine", "params": [0.05]}}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": []}}),
+], ids=["not-json", "array", "no-law", "scalar-seed", "sine-one-param", "power-no-param"])
+def test_malformed_spec_exits_two(tmp_path, capsys, text):
+    sp = tmp_path / "spec.json"
+    sp.write_text(text)
+    out = tmp_path / "d.csv"
+    assert main(["synthesize", "--spec", str(sp), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_synthesize_format_follows_suffix(tmp_path, capsys):
@@ -164,8 +174,7 @@ def test_bounds_auto_lambda_not_worse_than_fixed(capsys):
 @pytest.mark.parametrize("kind", list(BoundKind), ids=lambda kind: kind.value)
 def test_bounds_accepts_the_kind_it_emits(kind, capsys):
     flags = ["--n", "500", "--bins", "8", "--epsilon", "0.1", "--classes", "3"]
-    first = "ce_k" if kind is BoundKind.CeKBias else kind.value
-    assert main(["bounds", "--kind", first, *flags]) == 0
+    assert main(["bounds", "--kind", kind.value, *flags]) == 0
     emitted = json.loads(capsys.readouterr().out)
     assert emitted["bound_kind"] == kind.value
     assert main(["bounds", "--kind", emitted["bound_kind"], *flags]) == 0
@@ -192,18 +201,16 @@ def test_bounds_overflow_exits_two(capsys):
     assert out.out == ""
     assert "error:" in out.err and "overflows" in out.err
 
-def test_bounds_csv_output(tmp_path):
-    out = tmp_path / "cert.csv"
+def test_bounds_out_file_is_json(tmp_path):
+    out = tmp_path / "cert.json"
     rc = main(
         ["bounds", "--kind", "bias_recal", "--n", "1", "--bins", "1",
-         "--epsilon", repr(math.exp(-1)), "--lam", "1",
-         "--format", "csv", "--out", str(out)]
+         "--epsilon", repr(math.exp(-1)), "--lam", "1", "--out", str(out)]
     )
     assert rc == 0
-    with open(out, newline="") as handle:
-        table = dict(list(csv.reader(handle))[1:])
-    assert table["bound_kind"] == "bias_recal"
-    assert float(table["value"]) == pytest.approx(4.693147180559945, abs=1e-12)
+    payload = json.loads(out.read_text())
+    assert payload["bound_kind"] == "bias_recal"
+    assert payload["value"] == pytest.approx(4.693147180559945, abs=1e-12)
 
 
 def test_recalibrate_temperature(tmp_path, gen, capsys):
@@ -268,9 +275,12 @@ def test_experiment_compare_on_dump(tmp_path, gen):
 def test_experiment_needs_exactly_one_source(tmp_path, gen, capsys):
     p, _ = dump_file(tmp_path, gen)
     sp = spec_file(tmp_path)
-    assert main(["experiment", "klgap"]) == 2
-    assert main(["experiment", "klgap", "--spec", str(sp), "--dump", str(p)]) == 2
-    capsys.readouterr()
+    for argv in (["experiment", "klgap"],
+                 ["experiment", "klgap", "--spec", str(sp), "--dump", str(p)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_csv_report_to_stdout_matches_out(tmp_path, capsys):
@@ -302,14 +312,36 @@ def test_explicit_zero_is_rejected(tmp_path, gen, capsys, argv):
 
 def test_klgap_bad_alpha_grid_exits_two(tmp_path, capsys):
     sp = spec_file(tmp_path)
-    assert main(["experiment", "klgap", "--spec", str(sp), "--alpha-grid", "0.1,x"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "klgap", "--spec", str(sp), "--alpha-grid", "0.1,x"])
+    assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "bad alpha grid" in out.err
+    assert "argument --alpha-grid: bad list '0.1,x'" in out.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "convergence", "--n-grid", "100,abc,1000,5000"], "--n-grid"),
+    (["bounds", "--kind", "total_bias_test", "--n", "10", "--bins", "2", "--epsilon", "0.05",
+      "--lam", "abc"], "--lam"),
+    (["experiment", "klgap", "--alpha-grid", "0.1,x"], "--alpha-grid"),
+    (["bounds", "--kind", "ce_k", "--n", "500", "--bins", "8", "--epsilon", "0.1",
+      "--classes", "3"], "--kind"),
+], ids=["convergence-n-grid", "bounds-lam", "klgap-alpha-grid", "bounds-kind-alias"])
+def test_malformed_flag_values_exit_two(tmp_path, capsys, argv, flag):
+    if argv[0] == "experiment":
+        argv = argv + ["--spec", str(spec_file(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}:" in out.err
 
 
 # Flags the input file already decides (the dump's suffix and header, the spec's
-# seed), and a prefix of a flag, which is no longer read as the flag.
+# seed), a prefix of a flag, which is no longer read as the flag, and the --format
+# of the commands whose one output is JSON.
 @pytest.mark.parametrize("command, flag", [
     ("ece", ["--full"]),
     ("ece", ["--dump-format", "csv"]),
@@ -320,12 +352,18 @@ def test_klgap_bad_alpha_grid_exits_two(tmp_path, capsys):
     ("convergence", ["--seed", "1"]),
     ("klgap", ["--reseed"]),
     ("compare", ["--reseed"]),
+    ("ece", ["--format", "json"]),
+    ("bounds", ["--format", "json"]),
+    ("recalibrate", ["--format", "json"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_removed_flags_exit_two(tmp_path, gen, capsys, command, flag):
     p, _ = dump_file(tmp_path, gen)
     sp = str(spec_file(tmp_path))
     argv = {
         "ece": ["ece", "--dump", str(p)],
+        "bounds": ["bounds", "--kind", "total_bias_test", "--n", "10", "--bins", "2",
+                   "--epsilon", "0.05"],
+        "recalibrate": ["recalibrate", "--dump", str(p)],
         "synthesize": ["synthesize", "--spec", sp, "--out", str(tmp_path / "out.csv")],
         "convergence": ["experiment", "convergence", "--spec", sp, "--n-grid", "50,100,400,2000"],
         "klgap": ["experiment", "klgap", "--spec", sp, "--alpha-grid", "0,1",
@@ -411,7 +449,7 @@ def test_cell_failure_exits_three(tmp_path, gen, capsys, monkeypatch):
 
 def test_module_entry_point(tmp_path):
     rc = subprocess.run(
-        [sys.executable, "-m", "calbound", "bounds", "--kind", "ce_k",
+        [sys.executable, "-m", "calbound", "bounds", "--kind", "ce_k_bias",
          "--n", "1000", "--bins", "10", "--epsilon", "0.05",
          "--lipschitz", "1.0", "--classes", "3", "--lam", "auto"],
         capture_output=True, text=True,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,7 @@ def test_pbr_config_validation_and_round_trip():
 def test_objective_is_deterministic_given_rng(gen):
     data = random_prediction_set(gen, 60, 3)
     cfg = PbrConfig(family="temperature", alpha=0.25)
-    post = GaussianPosterior.at(np.array([0.3]), sigma=0.8)
+    post = GaussianPosterior(np.array([0.3]), np.array([math.log(0.8)]))
     prior = GaussianPosterior.standard(1)
     v1 = pbr_objective(post, prior, data, cfg, Rng(5))
     v2 = pbr_objective(post, prior, data, cfg, Rng(5))
