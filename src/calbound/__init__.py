@@ -26,7 +26,6 @@ from .core import (
 from .ece import (
     ece_full_k,
     ece_gap,
-    ece_partial_k,
     ece_top_label,
     ece_top_label_reformulated,
     optimal_bins_1d,
@@ -80,7 +79,6 @@ __all__ = [
     "brier_score",
     "ece_full_k",
     "ece_gap",
-    "ece_partial_k",
     "ece_top_label",
     "ece_top_label_reformulated",
     "evaluate_bound",

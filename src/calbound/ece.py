@@ -2,11 +2,11 @@
 
 All estimators share one binning convention: B uniform-width bins on [0, 1]
 where bin i covers ((i-1)/B, i/B], indexed from 1, and an exact zero joins
-bin 1. Empty bins contribute nothing. The top-label, full-K and partial-K
-estimators are one reduction, :func:`_cell_ece`, over one of two cell
-numberings: the dense bin index in 1-D, and in K-D the keys of occupied
-hypercube cells (each coordinate binned by the same rule) numbered by
-``np.unique``, since (B')^K cells cannot be materialized densely.
+bin 1. Empty bins contribute nothing. The top-label and full-K estimators
+are one reduction, :func:`_cell_ece`, over one of two cell numberings: the
+dense bin index in 1-D, and in K-D the keys of occupied hypercube cells (each
+coordinate binned by the same rule) numbered by ``np.unique``, since (B')^K
+cells cannot be materialized densely.
 """
 
 from __future__ import annotations
@@ -86,43 +86,18 @@ def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
     return float(np.sum(np.abs(residual_sums)) / data.n)
 
 
-def _sparse_cell_ece(vectors: np.ndarray, targets: np.ndarray, bins_per_dim: int) -> float:
-    """Cell estimator over the occupied hypercube cells of (n, d) vectors in [0, 1]."""
-    n, d = vectors.shape
+def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
+    """L1 calibration error of the full probability vector over occupied hypercube cells."""
+    n, d = data.probs.shape
     b = _check_bins(bins_per_dim)
     if b**d > MAX_TOTAL_CELLS:
         raise ValidationError(
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"
         )
-    idx = assign_bins_1d(vectors.ravel(), b).reshape(n, d) - 1
+    idx = assign_bins_1d(data.probs.ravel(), b).reshape(n, d) - 1
     keys = idx @ b ** np.arange(d, dtype=np.int64)
     _, cells = np.unique(keys, return_inverse=True)
-    return _cell_ece(cells, vectors, targets)
-
-
-def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
-    """L1 calibration error of the full probability vector over hypercube cells."""
-    return _sparse_cell_ece(data.probs, data.one_hot_labels(), bins_per_dim)
-
-
-def ece_partial_k(data: PredictionSet, subset, bins_per_dim: int) -> float:
-    """L1 cell estimator restricted to a subset of class coordinates.
-
-    The restricted one-hot keeps a 1 only when the label lands inside the
-    subset, so this is not the top-label estimator even for singleton subsets.
-    """
-    subset = list(subset)
-    if not subset:
-        raise ValidationError("class subset must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise ValidationError("class subset contains duplicates")
-    for c in subset:
-        if not isinstance(c, (int, np.integer)) or not 0 <= c < data.num_classes:
-            raise ValidationError(f"class {c!r} outside [0, {data.num_classes})")
-    cols = np.asarray(subset, dtype=np.int64)
-    return _sparse_cell_ece(
-        data.probs[:, cols], data.one_hot_labels()[:, cols], bins_per_dim
-    )
+    return _cell_ece(cells, data.probs, data.one_hot_labels())
 
 
 def _integer_root(n: int, power: int) -> int:

@@ -25,6 +25,10 @@ rows, with the data's log-probabilities transposed once to (K, n). K is small
 long one, so every softmax and per-row sum over K runs with the n rows as the
 contiguous inner loop. The affine family is then a batched matmul, W @ z^T.
 Public functions still take and return (n, K) probability rows.
+
+A family is one ``_FAMILIES`` row: parameter count, identity vector, scores in
+that layout and their chain rule back to the parameters. Nothing else names a
+family, so a new one (a Gaussian process, say) adds a row and no branch.
 """
 
 from __future__ import annotations
@@ -32,14 +36,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bounds import kl_gaussian_diag
 from .core import PredictionSet, Rng, ValidationError, log_probs, softmax
-
-FAMILIES = ("temperature", "vector_scale", "affine")
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -47,25 +49,58 @@ _TOL = 1e-8
 _PATIENCE = 50
 
 
+class _Family(NamedTuple):
+    """scores takes (J, d) draws, (K, n) log-probabilities and K to (J, K, n); grad chains
+    dObjective/dscores, (J, K, n), back to (J, d), given zt and the scores; t reads t off v."""
+
+    dim: Callable
+    identity: Callable
+    scores: Callable
+    grad: Callable
+    t: Optional[Callable] = None
+
+
+def _with_offsets(g_weights: np.ndarray, g_scores: np.ndarray) -> np.ndarray:
+    return np.concatenate([g_weights, g_scores.sum(axis=2)], axis=1)
+
+
+_FAMILIES = {
+    "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -scores
+        dim=lambda k: 1,
+        identity=lambda k: np.zeros(1),
+        scores=lambda vs, zt, k: zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None],
+        grad=lambda g, zt, scores: -(g * scores).sum(axis=(1, 2))[:, None],
+        t=lambda v: math.exp(v[0]),
+    ),
+    "vector_scale": _Family(
+        dim=lambda k: 2 * k,
+        identity=lambda k: np.concatenate([np.ones(k), np.zeros(k)]),
+        scores=lambda vs, zt, k: zt[None, :, :] * vs[:, :k, None] + vs[:, k:, None],
+        grad=lambda g, zt, scores: _with_offsets((g * zt[None, :, :]).sum(axis=2), g),
+    ),
+    "affine": _Family(
+        dim=lambda k: k * k + k,
+        identity=lambda k: np.concatenate([np.eye(k).ravel(), np.zeros(k)]),
+        scores=lambda vs, zt, k: vs[:, : k * k].reshape(-1, k, k) @ zt + vs[:, k * k :, None],
+        grad=lambda g, zt, scores: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
+    ),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str) -> _Family:
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}")
+    return _FAMILIES[family]
+
+
 def param_dim(family: str, num_classes: int) -> int:
-    if family == "temperature":
-        return 1
-    if family == "vector_scale":
-        return 2 * num_classes
-    if family == "affine":
-        return num_classes * num_classes + num_classes
-    raise ValidationError(f"unknown family {family!r}")
+    return _family(family).dim(num_classes)
 
 
 def identity_params(family: str, num_classes: int) -> np.ndarray:
     """Parameter vector of the identity map in each family."""
-    if family == "temperature":
-        return np.zeros(1)
-    if family == "vector_scale":
-        return np.concatenate([np.ones(num_classes), np.zeros(num_classes)])
-    if family == "affine":
-        return np.concatenate([np.eye(num_classes).ravel(), np.zeros(num_classes)])
-    raise ValidationError(f"unknown family {family!r}")
+    return _family(family).identity(num_classes)
 
 
 @dataclass(frozen=True)
@@ -81,12 +116,11 @@ class RecalMap:
     params: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
+        family = _family(self.family)
         if self.num_classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
         params = np.asarray(self.params, dtype=float)
-        want = param_dim(self.family, self.num_classes)
+        want = family.dim(self.num_classes)
         if params.shape != (want,):
             raise ValidationError(
                 f"{self.family} over {self.num_classes} classes needs {want} "
@@ -124,9 +158,9 @@ class RecalMap:
 
     @property
     def t(self) -> float:
-        if self.family != "temperature":
+        if _FAMILIES[self.family].t is None:
             raise ValidationError(f"{self.family} map has no temperature")
-        return math.exp(self.params[0])
+        return _FAMILIES[self.family].t(self.params)
 
     def to_dict(self) -> dict:
         d = {
@@ -134,28 +168,13 @@ class RecalMap:
             "num_classes": self.num_classes,
             "params": self.params.tolist(),
         }
-        if self.family == "temperature":
+        if _FAMILIES[self.family].t is not None:
             d["t"] = self.t
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecalMap":
         return cls(d["family"], int(d["num_classes"]), np.asarray(d["params"]))
-
-
-def _scores(family: str, num_classes: int, vs: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """Transformed log-probabilities for a batch of parameter vectors.
-
-    vs is (J, d), zt is the class-major (K, n); returns (J, K, n).
-    """
-    k = num_classes
-    if family == "temperature":
-        return zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None]
-    if family == "vector_scale":
-        w, b = vs[:, :k], vs[:, k:]
-        return zt[None, :, :] * w[:, :, None] + b[:, :, None]
-    mats = vs[:, : k * k].reshape(-1, k, k)
-    return mats @ zt + vs[:, k * k :, None]
 
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
@@ -168,7 +187,7 @@ def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
             f"map expects {recal_map.num_classes} classes, got {probs.shape[1]}"
         )
     zt = np.ascontiguousarray(log_probs(probs).T)
-    scores = _scores(recal_map.family, recal_map.num_classes, recal_map.params[None, :], zt)
+    scores = _FAMILIES[recal_map.family].scores(recal_map.params[None], zt, recal_map.num_classes)
     return np.ascontiguousarray(softmax(scores[0], axis=0).T)
 
 
@@ -254,8 +273,7 @@ class PbrConfig:
     prior: Optional[GaussianPosterior] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
+        _family(self.family)  # rejects an unknown family
         if self.alpha < 0:
             raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
         if self.mc_samples < 1 or self.j_final < 1:
@@ -307,20 +325,6 @@ def _class_major(data: PredictionSet) -> _ClassMajor:
     return _ClassMajor(zt, et, data.labels * data.n + np.arange(data.n))
 
 
-def _grad_scores_to_params(
-    family: str, g_scores: np.ndarray, zt: np.ndarray, scores: np.ndarray
-) -> np.ndarray:
-    """Chain dObjective/dscores, (J, K, n), back to the parameter vectors, shape (J, d)."""
-    if family == "temperature":
-        # scores = z * exp(-w), so dscores/dw = -scores.
-        return -(g_scores * scores).sum(axis=(1, 2))[:, None]
-    if family == "vector_scale":
-        gw = (g_scores * zt[None, :, :]).sum(axis=2)
-    else:
-        gw = (g_scores @ zt.T).reshape(g_scores.shape[0], -1)
-    return np.concatenate([gw, g_scores.sum(axis=2)], axis=1)
-
-
 def _objective_and_gradient(
     posterior: GaussianPosterior,
     prior: GaussianPosterior,
@@ -332,7 +336,7 @@ def _objective_and_gradient(
     sigma = posterior.sigma
     vs = posterior.mu[None, :] + sigma[None, :] * xi
     k, n = fit.zt.shape
-    scores = _scores(cfg.family, k, vs, fit.zt)
+    scores = _FAMILIES[cfg.family].scores(vs, fit.zt, k)
     p = softmax(scores, axis=1)
 
     resid = p - fit.et[None, :, :]
@@ -346,7 +350,7 @@ def _objective_and_gradient(
         g_scores += resid
     g_scores /= n
 
-    g_vs = _grad_scores_to_params(cfg.family, g_scores, fit.zt, scores)
+    g_vs = _FAMILIES[cfg.family].grad(g_scores, fit.zt, scores)
     g_mu = g_vs.mean(axis=0)
     g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
 

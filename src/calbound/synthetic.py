@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,22 +31,66 @@ _MAX_PANELS = 2**21
 # do not collide with internal draws.
 _STREAM_ORACLE = 0xACE
 
-# Parameter count of each miscalibration map kind, binary and K-class.
-_MAP_PARAMS_1D = {"identity": 0, "shift": 1, "sine": 2, "power": 1}
-_MAP_PARAMS_K = {"identity": 0, "temperature": 1, "mixture": 1}
-
 
 class QuadratureError(RuntimeError):
     """Composite Simpson refinement failed to converge."""
 
 
-def _check_map(kind: str, params: tuple, param_counts: dict) -> None:
-    if kind not in param_counts:
+class _MapKind(NamedTuple):
+    """Parameter count, the map of (x, params), and for a binary map its Lipschitz constant."""
+
+    num_params: int
+    apply: Callable
+    lipschitz: Optional[Callable] = None
+
+
+def _tempered(f: np.ndarray, params: tuple) -> np.ndarray:
+    # Exponent 1/T, renormalized: the prediction f is sharper than the truth when T > 1.
+    powered = np.maximum(f, 1e-300) ** (1.0 / params[0])
+    return powered / powered.sum(axis=-1, keepdims=True)
+
+
+_MAPS_1D = {
+    "identity": _MapKind(0, lambda c, p: c, lambda p: 1.0),
+    "shift": _MapKind(1, lambda c, p: c + p[0], lambda p: 1.0),
+    "sine": _MapKind(2, lambda c, p: c + p[0] * np.sin(p[1] * math.pi * c),
+                     lambda p: 1.0 + abs(p[0]) * abs(p[1]) * math.pi),
+    "power": _MapKind(1, lambda c, p: c ** p[0], lambda p: p[0]),
+}
+_MAPS_K = {
+    "identity": _MapKind(0, lambda f, p: f),
+    "temperature": _MapKind(1, _tempered),
+    "mixture": _MapKind(1, lambda f, p: (1.0 - p[0]) * f + p[0] / f.shape[-1]),
+}
+
+
+def _check_numbers(values, what: str) -> None:
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in values):  # NaN and huge ints fail too
+        raise ValidationError(f"{what} must be finite numbers, got {values!r}")
+
+
+def _check_map(kind: str, params: tuple, kinds: dict) -> None:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValidationError(f"unknown map kind {kind!r}")
-    if len(params) != param_counts[kind]:
+    if len(params) != kinds[kind].num_params:
         raise ValidationError(
-            f"{kind} map needs params of length {param_counts[kind]}, got {len(params)}"
+            f"{kind} map needs params of length {kinds[kind].num_params}, got {len(params)}"
         )
+    _check_numbers(params, f"{kind} map params")
+
+
+def _spec_part(d: dict, key: str, types, what: str):
+    if not isinstance(d[key], types):
+        raise ValidationError(f"spec {key!r} must be {what}, got {d[key]!r}")
+    return d[key]
+
+
+def _spec_count(d: dict, key: str) -> int:
+    """A spec count: a JSON integer, or a float with no fraction, such as 1e4."""
+    if not (type(d[key]) is int or type(d[key]) is float and d[key].is_integer()):
+        raise ValidationError(f"spec {key!r} must be a whole number, got {d[key]!r}")
+    return int(d[key])
 
 
 def _seed_rng(seed) -> Rng:
@@ -68,6 +114,7 @@ class ConfidenceLaw:
     def __post_init__(self):
         if self.kind not in ("uniform", "beta"):
             raise ValidationError(f"unknown confidence law {self.kind!r}")
+        _check_numbers((self.lo, self.hi, self.a, self.b), "confidence law bounds and shapes")
         if not 0.5 <= self.lo < self.hi <= 1.0:
             raise ValidationError(
                 f"support [{self.lo}, {self.hi}] must sit inside [0.5, 1]"
@@ -112,7 +159,7 @@ class MiscalibrationMap1D:
     params: tuple = ()
 
     def __post_init__(self):
-        _check_map(self.kind, self.params, _MAP_PARAMS_1D)
+        _check_map(self.kind, self.params, _MAPS_1D)
         if self.kind == "power" and self.params[0] < 1.0:
             # Exponents below 1 have unbounded slope at 0, so no finite
             # constant could be declared for the whole unit interval.
@@ -136,25 +183,10 @@ class MiscalibrationMap1D:
 
     @property
     def lipschitz_constant(self) -> float:
-        if self.kind == "identity" or self.kind == "shift":
-            return 1.0
-        if self.kind == "sine":
-            amp, freq = self.params
-            return 1.0 + abs(amp) * abs(freq) * math.pi
-        return self.params[0]
+        return _MAPS_1D[self.kind].lipschitz(self.params)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        if self.kind == "identity":
-            out = c
-        elif self.kind == "shift":
-            out = c + self.params[0]
-        elif self.kind == "sine":
-            amp, freq = self.params
-            out = c + amp * np.sin(freq * math.pi * c)
-        else:
-            out = c ** self.params[0]
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(_MAPS_1D[self.kind].apply(np.asarray(c, dtype=float), self.params), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,11 +219,10 @@ class BinarySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinarySpec":
-        law = ConfidenceLaw(
-            d["law"]["kind"], d["law"]["lo"], d["law"]["hi"], d["law"]["a"], d["law"]["b"]
-        )
-        m = MiscalibrationMap1D(d["map"]["kind"], tuple(d["map"]["params"]))
-        return cls(law, m, int(d["n"]), _seed_rng(d["seed"]))
+        law, m = _spec_part(d, "law", dict, "an object"), _spec_part(d, "map", dict, "an object")
+        law = ConfidenceLaw(law["kind"], law["lo"], law["hi"], law["a"], law["b"])
+        m = MiscalibrationMap1D(m["kind"], tuple(_spec_part(m, "params", (list, tuple), "a list")))
+        return cls(law, m, _spec_count(d, "n"), _seed_rng(d["seed"]))
 
 
 def gen_binary(spec: BinarySpec) -> PredictionSet:
@@ -249,7 +280,7 @@ class MiscalibrationMapK:
     params: tuple = ()
 
     def __post_init__(self):
-        _check_map(self.kind, self.params, _MAP_PARAMS_K)
+        _check_map(self.kind, self.params, _MAPS_K)
         if self.kind == "temperature" and self.params[0] <= 0:
             raise ValidationError("temperature must be positive")
         if self.kind == "mixture" and not 0.0 <= self.params[0] <= 1.0:
@@ -268,17 +299,7 @@ class MiscalibrationMapK:
         return cls("mixture", (float(weight),))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if self.kind == "identity":
-            return f
-        if self.kind == "temperature":
-            # Exponent 1/T of the probabilities, renormalized: the prediction
-            # f is sharper than the truth when T > 1.
-            powered = np.maximum(f, 1e-300) ** (1.0 / self.params[0])
-            return powered / powered.sum(axis=-1, keepdims=True)
-        w = self.params[0]
-        k = f.shape[-1]
-        return (1.0 - w) * f + w / k
+        return _MAPS_K[self.kind].apply(np.asarray(f, dtype=float), self.params)
 
 
 @dataclass(frozen=True)
@@ -296,6 +317,7 @@ class MulticlassSpec:
             raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
         if len(self.concentration) != self.num_classes:
             raise ValidationError("concentration length must equal the class count")
+        _check_numbers(self.concentration, "concentration entries")
         if any(a <= 0 for a in self.concentration):
             raise ValidationError("concentration entries must be positive")
         if self.n < 1:
@@ -313,12 +335,12 @@ class MulticlassSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MulticlassSpec":
-        m = MiscalibrationMapK(d["map"]["kind"], tuple(d["map"]["params"]))
+        m = _spec_part(d, "map", dict, "an object")
         return cls(
-            int(d["num_classes"]),
-            tuple(d["concentration"]),
-            m,
-            int(d["n"]),
+            _spec_count(d, "num_classes"),
+            tuple(_spec_part(d, "concentration", (list, tuple), "a list")),
+            MiscalibrationMapK(m["kind"], tuple(_spec_part(m, "params", (list, tuple), "a list"))),
+            _spec_count(d, "n"),
             _seed_rng(d["seed"]),
         )
 

@@ -19,6 +19,8 @@ from calbound import (
     BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
+    MiscalibrationMapK,
+    MulticlassSpec,
     PbrConfig,
     Rng,
     ece_full_k,
@@ -110,6 +112,7 @@ def test_synthesize_without_out_is_a_usage_error(tmp_path, capsys):
 
 
 _GOOD_SPEC = SPEC.to_dict()
+_GOOD_K_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(), 50, Rng(1)).to_dict()
 
 
 @pytest.mark.parametrize("text", [
@@ -119,7 +122,21 @@ _GOOD_SPEC = SPEC.to_dict()
     json.dumps(_GOOD_SPEC | {"seed": 7}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "sine", "params": [0.05]}}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": []}}),
-], ids=["not-json", "array", "no-law", "scalar-seed", "sine-one-param", "power-no-param"])
+    json.dumps(_GOOD_SPEC | {"law": 5}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "shift", "params": 5}}),
+    json.dumps(_GOOD_SPEC | {"n": "abc"}),
+    json.dumps(_GOOD_SPEC | {"n": 2.5}),
+    json.dumps(_GOOD_SPEC | {"law": _GOOD_SPEC["law"] | {"lo": "x"}}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": ["2"]}}),
+    json.dumps(_GOOD_K_SPEC | {"concentration": [1, 1, "x"]}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "sine", "params": ["0.05", 2.0]}}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "shift", "params": [math.nan]}}),
+    json.dumps(_GOOD_K_SPEC | {"concentration": [1, 1, math.inf]}),
+    json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": [10**400]}}),
+], ids=["not-json", "array", "no-law", "scalar-seed", "sine-one-param", "power-no-param",
+        "scalar-law", "scalar-params", "string-n", "fractional-n", "string-lo",
+        "string-exponent", "string-concentration", "string-amplitude", "nan-offset",
+        "inf-concentration", "huge-exponent"])
 def test_malformed_spec_exits_two(tmp_path, capsys, text):
     sp = tmp_path / "spec.json"
     sp.write_text(text)

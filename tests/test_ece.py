@@ -8,7 +8,6 @@ from calbound.ece import (
     assign_bins_1d,
     ece_full_k,
     ece_gap,
-    ece_partial_k,
     ece_top_label,
     ece_top_label_reformulated,
     optimal_bins_1d,
@@ -136,9 +135,6 @@ def test_k_estimators_invariant_under_class_permutation(seed, bins, k, on_lattic
     moved = np.argsort(perm)  # old class c is new class moved[c]
     permuted = PredictionSet.from_probs(ps.probs[:, perm], moved[ps.labels])
     assert abs(ece_full_k(permuted, bins) - ece_full_k(ps, bins)) < 1e-12
-    subset = gen.choice(k, int(gen.integers(1, k + 1)), replace=False)
-    expect = ece_partial_k(ps, subset.tolist(), bins)
-    assert abs(ece_partial_k(permuted, moved[subset].tolist(), bins) - expect) < 1e-12
 
 
 def test_full_k_hand_example():
@@ -168,36 +164,6 @@ def test_full_k_rejects_huge_cell_space(gen):
     ps = random_prediction_set(gen, 10, 5)
     with pytest.raises(ValidationError):
         ece_full_k(ps, 2000)  # 2000^5 > 2^48
-
-
-def test_partial_k_full_subset_degenerates(gen):
-    ps = random_prediction_set(gen, 200, 3)
-    for b in (1, 3):
-        assert ece_partial_k(ps, [0, 1, 2], b) == pytest.approx(
-            ece_full_k(ps, b), abs=1e-12
-        )
-
-
-def test_partial_k_three_class_hand_example():
-    probs = np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
-    ps = PredictionSet.from_probs(probs, [0, 1, 2])
-    f = probs[:, :2]
-    e = np.array([[1, 0], [0, 1], [0, 0]], dtype=float)
-    expect = np.abs((e - f).mean(axis=0)).sum()
-    assert ece_partial_k(ps, [0, 1], 1) == pytest.approx(expect, abs=1e-12)
-
-
-def test_partial_k_differs_from_top_label():
-    # fixed-class restriction is not the argmax view once the argmax varies
-    ps = PredictionSet.from_probs([[0.8, 0.2], [0.3, 0.7]], [0, 1])
-    assert ece_partial_k(ps, [0], 1) != pytest.approx(ece_top_label(ps, 1), abs=1e-6)
-
-
-def test_partial_k_rejects_bad_subsets(gen):
-    ps = random_prediction_set(gen, 20, 3)
-    for subset in ([], [0, 0], [3], [-1]):
-        with pytest.raises(ValidationError):
-            ece_partial_k(ps, subset, 2)
 
 
 def test_optimal_bins_integer_exact():

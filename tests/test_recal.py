@@ -83,8 +83,15 @@ def test_param_dims_per_family():
     assert param_dim("temperature", 5) == 1
     assert param_dim("vector_scale", 5) == 10
     assert param_dim("affine", 5) == 30
-    with pytest.raises(ValidationError):
-        param_dim("spline", 3)
+    for reject in (
+        lambda: param_dim("spline", 3),
+        lambda: identity_params("spline", 3),
+        lambda: RecalMap("spline", 3, np.zeros(1)),
+        lambda: RecalMap.from_dict({"family": "spline", "num_classes": 3, "params": [0.0]}),
+        lambda: PbrConfig(family="spline"),
+    ):
+        with pytest.raises(ValidationError, match="unknown family 'spline'"):
+            reject()
 
 
 def test_identity_params_are_fixed_points(gen):

@@ -66,6 +66,17 @@ def test_map_1d_declared_lipschitz_constants():
         MiscalibrationMap1D.power(0.5)
 
 
+def test_unknown_and_non_numeric_maps_are_rejected():
+    for reject in (
+        lambda: MiscalibrationMap1D("spline"),
+        lambda: MiscalibrationMapK("spline"),
+        lambda: MiscalibrationMap1D("sine", ("0.05", 2.0)),
+        lambda: MiscalibrationMapK("mixture", (True,)),
+    ):
+        with pytest.raises(ValidationError):
+            reject()
+
+
 def test_map_1d_lipschitz_bounds_finite_differences(gen):
     for m in (
         MiscalibrationMap1D.sine(0.25, 3.0),
@@ -195,6 +206,8 @@ def test_multiclass_spec_json_round_trip():
     spec = MulticlassSpec(3, (0.5, 1.5, 1.0), MiscalibrationMapK.mixture(0.3), 42, Rng(2, 7))
     clone = spec_from_json(json.dumps(spec.to_dict()))
     assert clone == spec
+    # counts written as whole floats, such as 4.2e1, still read as integers
+    assert spec_from_json(json.dumps(spec.to_dict() | {"num_classes": 3.0, "n": 42.0})) == spec
 
 
 def test_true_ce_k_identity_is_zero():
