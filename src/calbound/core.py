@@ -50,11 +50,13 @@ class Rng:
     master_seed: int
     stream_id: int = 0
 
+    @property
+    def key(self) -> np.ndarray:
+        """The Philox key of this stream; its draws start at counter 0."""
+        return np.array([self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key))
 
     def stream(self, index: int) -> "Rng":
         """Derive an independent child stream for a cell index."""

@@ -29,6 +29,14 @@ Public functions still take and return (n, K) probability rows.
 A family is one ``_FAMILIES`` row: parameter count, identity vector, scores in
 that layout and their chain rule back to the parameters. Nothing else names a
 family, so a new one (a Gaussian process, say) adds a row and no branch.
+
+A training step does only its arithmetic. What a fit holds fixed (that layout,
+the prior's mean and variance, the family row, J, K and n) is built once, and
+the loop carries bare mu and log_sigma arrays. One Philox generator serves the
+whole fit: re-keyed before step i to child stream i of the noise root at counter
+0, it draws bit for bit what that stream's own generator would, at a tenth of
+the cost of building one, whose constructor also reads OS entropy for a seed
+sequence that the key then overrides.
 """
 
 from __future__ import annotations
@@ -307,60 +315,74 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
                 f"prior dimension {cfg.prior.dim} does not match {cfg.family} "
                 f"over {num_classes} classes ({want})"
             )
+        cfg.prior.kl_to(cfg.prior)  # rejects a variance that underflows to 0; steps do not check
         return cfg.prior
     return GaussianPosterior.at(identity_params(cfg.family, num_classes))
 
 
-class _ClassMajor(NamedTuple):
-    """Per-fit constants of a prediction set in the class-major layout."""
+class _Fit(NamedTuple):
+    """Per-fit constants: the data in the class-major layout, the prior and the family row."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
     et: np.ndarray  # one-hot labels, (K, n)
     label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
+    prior_mu: np.ndarray
+    prior_var: np.ndarray
+    family: _Family
+    j: int  # draws per step
+    k: int
+    n: int
 
 
-def _class_major(data: PredictionSet) -> _ClassMajor:
+def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
     et = np.ascontiguousarray(data.one_hot_labels().T)
-    return _ClassMajor(zt, et, data.labels * data.n + np.arange(data.n))
+    return _Fit(zt, et, data.labels * data.n + np.arange(data.n), prior.mu, prior.sigma**2,
+                _FAMILIES[cfg.family], cfg.mc_samples, data.num_classes, data.n)
 
 
-def _objective_and_gradient(
-    posterior: GaussianPosterior,
-    prior: GaussianPosterior,
-    fit: _ClassMajor,
-    cfg: PbrConfig,
-    xi: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective with its exact gradient over (mu, log_sigma) for fixed draws."""
-    sigma = posterior.sigma
-    vs = posterior.mu[None, :] + sigma[None, :] * xi
-    k, n = fit.zt.shape
-    scores = _FAMILIES[cfg.family].scores(vs, fit.zt, k)
+def _step(
+    mu: np.ndarray, log_sigma: np.ndarray, fit: _Fit, cfg: PbrConfig, xi: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, its KL, sigma and the exact gradient over (mu, log_sigma) for fixed draws.
+
+    A mean is np.add.reduce(x) / count, which is what ndarray.mean computes, and the
+    KL is kl_gaussian_diag's expression; neither pays for a wrapper or a check.
+    """
+    sigma = np.exp(log_sigma)
+    vs = mu[None, :] + sigma[None, :] * xi
+    scores = fit.family.scores(vs, fit.zt, fit.k)
     p = softmax(scores, axis=1)
 
     resid = p - fit.et[None, :, :]
-    value = (resid**2).sum(axis=1).mean(axis=1).mean()
+    value = np.add.reduce(np.add.reduce((resid**2).sum(axis=1), axis=1) / fit.n) / fit.j
     inner = (p * resid).sum(axis=1, keepdims=True)
     g_scores = 2.0 * p
     g_scores *= resid - inner
     if cfg.objective == "brier_plus_loss":
         picked = p.reshape(p.shape[0], -1)[:, fit.label_at]
-        value -= log_probs(picked).mean(axis=1).mean()
+        value -= np.add.reduce(np.add.reduce(log_probs(picked), axis=1) / fit.n) / fit.j
         g_scores += resid
-    g_scores /= n
+    g_scores /= fit.n
 
-    g_vs = _FAMILIES[cfg.family].grad(g_scores, fit.zt, scores)
-    g_mu = g_vs.mean(axis=0)
-    g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
+    g_vs = fit.family.grad(g_scores, fit.zt, scores)
+    g_mu = np.add.reduce(g_vs) / fit.j
+    g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
 
-    kl = posterior.kl_to(prior)
-    value = float(value + cfg.alpha * kl / n)
+    var, var_p = sigma**2, fit.prior_var
+    terms = var / var_p + (fit.prior_mu - mu) ** 2 / var_p - 1.0 + np.log(var_p / var)
+    kl = float(0.5 * terms.sum())
+    value = float(value + cfg.alpha * kl / fit.n)
 
-    var_p = prior.sigma**2
-    g_mu = g_mu + cfg.alpha / n * (posterior.mu - prior.mu) / var_p
-    g_log_sigma = g_log_sigma + cfg.alpha / n * (sigma**2 / var_p - 1.0)
-    return value, g_mu, g_log_sigma
+    g_mu = g_mu + cfg.alpha / fit.n * (mu - fit.prior_mu) / var_p
+    g_log_sigma = g_log_sigma + cfg.alpha / fit.n * (var / var_p - 1.0)
+    return value, kl, sigma, g_mu, g_log_sigma
+
+
+def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
+    posterior.kl_to(prior)  # kl_gaussian_diag checks shapes and variances
+    xi = _draws(rng, cfg.mc_samples, posterior.dim)
+    return _step(posterior.mu, posterior.log_sigma, _fit_constants(data, prior, cfg), cfg, xi)
 
 
 def pbr_objective(
@@ -371,8 +393,7 @@ def pbr_objective(
     rng: Rng,
 ) -> float:
     """Monte Carlo objective; the same rng value always yields the same draws."""
-    xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _objective_and_gradient(posterior, prior, _class_major(data), cfg, xi)[0]
+    return _checked_step(posterior, prior, data, cfg, rng)[0]
 
 
 def pbr_gradient(
@@ -383,11 +404,7 @@ def pbr_gradient(
     rng: Rng,
 ) -> np.ndarray:
     """Exact gradient of :func:`pbr_objective` as concat(d/dmu, d/dlog_sigma)."""
-    xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    _, g_mu, g_log_sigma = _objective_and_gradient(
-        posterior, prior, _class_major(data), cfg, xi
-    )
-    return np.concatenate([g_mu, g_log_sigma])
+    return np.concatenate(_checked_step(posterior, prior, data, cfg, rng)[3:])
 
 
 @dataclass(frozen=True)
@@ -397,6 +414,7 @@ class PbrResult:
     stop_reason is "patience" when the best objective stopped improving and
     "max_iters" when the step budget ran out; best_step is the 0-based step
     whose objective last improved the best value by more than the tolerance.
+    The read-only traces hold each step's objective, KL and mean posterior sigma.
     """
 
     posterior: GaussianPosterior
@@ -407,6 +425,9 @@ class PbrResult:
     stop_reason: str
     best_step: int
     cfg: PbrConfig
+    trace_objective: np.ndarray = field(repr=False)
+    trace_kl: np.ndarray = field(repr=False)
+    trace_mean_sigma: np.ndarray = field(repr=False)
 
     @property
     def kl(self) -> float:
@@ -428,26 +449,29 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     lowest value seen (at best_step) is partly noise and is not returned.
     """
     prior = _default_prior(cfg, data.num_classes)
-    fit = _class_major(data)
-    mu = prior.mu.copy()
-    log_sigma = prior.log_sigma.copy()
+    fit = _fit_constants(data, prior, cfg)
+    mu, log_sigma = prior.mu, prior.log_sigma
     noise_root = Rng(cfg.seed).stream(0)
-    final_rng = Rng(cfg.seed).stream(1)
+    draws = np.random.Generator(np.random.Philox(key=noise_root.key))
+    state = draws.bit_generator.state  # counter 0, an empty buffer; each step sets the key
 
     best = math.inf
     best_step = 0
     value = math.inf
     steps = 0
     stop_reason = "max_iters"
+    trace = []
     for i in range(cfg.max_iters):
-        posterior = GaussianPosterior(mu, log_sigma)
-        xi = _draws(noise_root.stream(i), cfg.mc_samples, posterior.dim)
-        value, g_mu, g_log_sigma = _objective_and_gradient(posterior, prior, fit, cfg, xi)
+        state["state"]["key"] = noise_root.stream(i).key
+        draws.bit_generator.state = state  # draws as noise_root.stream(i).generator()
+        xi = draws.standard_normal((fit.j, mu.size))
+        value, kl, sigma, g_mu, g_log_sigma = _step(mu, log_sigma, fit, cfg, xi)
         if not math.isfinite(value):
             raise RuntimeError(
                 f"objective became non-finite at step {i} (family={cfg.family}, "
                 f"alpha={cfg.alpha}, step_size={cfg.step_size})"
             )
+        trace.append((value, kl, np.add.reduce(sigma) / sigma.size))
         steps = i + 1
         if value < best - _TOL:
             best = value
@@ -460,9 +484,12 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
         log_sigma = log_sigma - lr * g_log_sigma
 
     posterior = GaussianPosterior(mu, log_sigma)
-    final_v = posterior.sample(final_rng, cfg.j_final).mean(axis=0)
+    final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
-    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step, cfg)
+    traces = np.array(trace, dtype=float).T.copy()
+    traces.setflags(write=False)
+    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step, cfg,
+                     *traces)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

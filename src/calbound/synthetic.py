@@ -87,10 +87,11 @@ def _spec_part(d: dict, key: str, types, what: str):
 
 
 def _spec_count(d: dict, key: str) -> int:
-    """A spec count: a JSON integer, or a float with no fraction, such as 1e4."""
-    if not (type(d[key]) is int or type(d[key]) is float and d[key].is_integer()):
-        raise ValidationError(f"spec {key!r} must be a whole number, got {d[key]!r}")
-    return int(d[key])
+    """A spec count: a JSON integer, or a float with no fraction such as 1e4, that fits int64."""
+    v = d[key]
+    if not (type(v) is int or type(v) is float and v.is_integer()) or abs(v) >= 2**63:
+        raise ValidationError(f"spec {key!r} must be a whole number below 2**63, got {v!r}")
+    return int(v)
 
 
 def _seed_rng(seed) -> Rng:

@@ -133,10 +133,11 @@ _GOOD_K_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "shift", "params": [math.nan]}}),
     json.dumps(_GOOD_K_SPEC | {"concentration": [1, 1, math.inf]}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": [10**400]}}),
+    json.dumps(_GOOD_SPEC | {"n": 10**400}),
 ], ids=["not-json", "array", "no-law", "scalar-seed", "sine-one-param", "power-no-param",
         "scalar-law", "scalar-params", "string-n", "fractional-n", "string-lo",
         "string-exponent", "string-concentration", "string-amplitude", "nan-offset",
-        "inf-concentration", "huge-exponent"])
+        "inf-concentration", "huge-exponent", "huge-n"])
 def test_malformed_spec_exits_two(tmp_path, capsys, text):
     sp = tmp_path / "spec.json"
     sp.write_text(text)

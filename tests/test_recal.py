@@ -20,7 +20,10 @@ from calbound import (
     train_pbr,
 )
 from calbound.core import log_probs, softmax
-from calbound.recal import _PATIENCE, FAMILIES, identity_params, param_dim
+import calbound.recal as recal
+from calbound.recal import (
+    _FAMILIES, _PATIENCE, _TOL, FAMILIES, _draws, identity_params, param_dim,
+)
 from tests.conftest import random_prediction_set
 
 
@@ -287,6 +290,143 @@ def test_loss_gradient_where_the_probability_floor_is_active():
     _assert_gradient_matches_finite_differences(data, "affine", "brier_plus_loss", post)
 
 
+def _reference_step(posterior, prior, zt, et, label_at, cfg, xi):
+    """The training step before its per-fit constants were hoisted: a posterior
+    object per step, kl_to and ndarray.mean."""
+    sigma = posterior.sigma
+    vs = posterior.mu[None, :] + sigma[None, :] * xi
+    k, n = zt.shape
+    scores = _FAMILIES[cfg.family].scores(vs, zt, k)
+    p = softmax(scores, axis=1)
+
+    resid = p - et[None, :, :]
+    value = (resid**2).sum(axis=1).mean(axis=1).mean()
+    inner = (p * resid).sum(axis=1, keepdims=True)
+    g_scores = 2.0 * p
+    g_scores *= resid - inner
+    if cfg.objective == "brier_plus_loss":
+        picked = p.reshape(p.shape[0], -1)[:, label_at]
+        value -= log_probs(picked).mean(axis=1).mean()
+        g_scores += resid
+    g_scores /= n
+
+    g_vs = _FAMILIES[cfg.family].grad(g_scores, zt, scores)
+    g_mu = g_vs.mean(axis=0)
+    g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
+
+    kl = posterior.kl_to(prior)
+    value = float(value + cfg.alpha * kl / n)
+
+    var_p = prior.sigma**2
+    g_mu = g_mu + cfg.alpha / n * (posterior.mu - prior.mu) / var_p
+    g_log_sigma = g_log_sigma + cfg.alpha / n * (sigma**2 / var_p - 1.0)
+    return value, kl, g_mu, g_log_sigma
+
+
+def _reference_train_pbr(data, cfg):
+    """The training loop before its per-fit constants were hoisted: a fresh
+    generator per step from noise_root.stream(i); returns the posterior, the map
+    parameters, the last objective, steps, best_step, stop_reason and, per step,
+    the objective and KL."""
+    prior = cfg.prior or GaussianPosterior.at(identity_params(cfg.family, data.num_classes))
+    zt = np.ascontiguousarray(log_probs(data.probs).T)
+    et = np.ascontiguousarray(data.one_hot_labels().T)
+    label_at = data.labels * data.n + np.arange(data.n)
+    mu = prior.mu.copy()
+    log_sigma = prior.log_sigma.copy()
+    noise_root = Rng(cfg.seed).stream(0)
+
+    best, best_step, value, steps, stop_reason = math.inf, 0, math.inf, 0, "max_iters"
+    values, kls = [], []
+    for i in range(cfg.max_iters):
+        posterior = GaussianPosterior(mu, log_sigma)
+        xi = _draws(noise_root.stream(i), cfg.mc_samples, posterior.dim)
+        value, kl, g_mu, g_log_sigma = _reference_step(posterior, prior, zt, et, label_at, cfg, xi)
+        values.append(value)
+        kls.append(kl)
+        steps = i + 1
+        if value < best - _TOL:
+            best = value
+            best_step = i
+        elif i - best_step >= _PATIENCE:
+            stop_reason = "patience"
+            break
+        lr = cfg.step_size * cfg.step_decay**i
+        mu = mu - lr * g_mu
+        log_sigma = log_sigma - lr * g_log_sigma
+
+    posterior = GaussianPosterior(mu, log_sigma)
+    final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
+    return posterior, final_v, value, steps, best_step, stop_reason, values, kls
+
+
+def _assert_fit_matches_reference(data, cfg):
+    res = train_pbr(data, cfg)
+    posterior, params, value, steps, best_step, stop_reason, values, kls = (
+        _reference_train_pbr(data, cfg)
+    )
+    assert np.array_equal(res.posterior.mu, posterior.mu)
+    assert np.array_equal(res.posterior.log_sigma, posterior.log_sigma)
+    assert np.array_equal(res.map.params, params)
+    assert res.final_objective == value
+    assert (res.steps, res.best_step, res.stop_reason) == (steps, best_step, stop_reason)
+    assert np.array_equal(res.trace_objective, values)
+    assert np.array_equal(res.trace_kl, kls)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_pbr_matches_the_per_step_reference_bit_for_bit(gen, family, objective, alpha, k):
+    # max_iters 150 lets some fits stop by patience and caps the others; 3 draws a
+    # step make every mean over the draws a division that rounds
+    data = random_prediction_set(gen, 60, k)
+    cfg = PbrConfig(family=family, alpha=alpha, objective=objective, mc_samples=3, seed=3,
+                    max_iters=150)
+    _assert_fit_matches_reference(data, cfg)
+
+
+def test_train_pbr_matches_the_per_step_reference_under_a_narrow_prior(gen):
+    # criterion 9's config: affine over 10 classes, prior sigma 0.1
+    data = random_prediction_set(gen, 100, 10)
+    prior = GaussianPosterior(identity_params("affine", 10), np.full(110, math.log(0.1)))
+    cfg = PbrConfig(family="affine", step_size=0.1, step_decay=0.999, max_iters=120, prior=prior)
+    _assert_fit_matches_reference(data, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_train_pbr_draws_each_step_from_its_own_child_stream(gen, monkeypatch, seed):
+    # a stand-in step that always improves, so the fit runs all 300 steps
+    draws = []
+
+    def record(mu, log_sigma, fit, cfg, xi):
+        draws.append(xi.copy())
+        return -float(len(draws)), 0.0, np.exp(log_sigma), np.zeros_like(mu), np.zeros_like(mu)
+
+    monkeypatch.setattr(recal, "_step", record)
+    data = random_prediction_set(gen, 20, 3)
+    res = train_pbr(data, PbrConfig(family="vector_scale", mc_samples=4, seed=seed))
+    assert res.steps == len(draws) == 300
+    for i in (0, 1, 299):
+        expect = Rng(seed).stream(0).stream(i).generator().standard_normal((4, 6))
+        assert np.array_equal(draws[i], expect)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_pbr_trace_follows_the_fit(gen, family):
+    data = random_prediction_set(gen, 80, 3)
+    res = train_pbr(data, PbrConfig(family=family, alpha=0.5, seed=2))
+    for trace in (res.trace_objective, res.trace_kl, res.trace_mean_sigma):
+        assert trace.shape == (res.steps,)
+        assert trace.dtype == float
+        assert not trace.flags.writeable
+    assert res.trace_objective[-1] == res.final_objective
+    assert res.trace_kl[0] == 0.0  # the fit starts at its prior
+    assert res.trace_mean_sigma[0] == 1.0
+    assert res.trace_objective[res.best_step] - 1e-8 <= res.trace_objective.min()
+
+
 def test_train_pbr_improves_objective_and_is_deterministic(gen):
     # sharpened reports on calibrated labels: the identity map is clearly
     # suboptimal, so the fit must beat it by more than Monte Carlo noise
@@ -327,6 +467,14 @@ def test_train_pbr_rejects_a_prior_of_the_wrong_dimension(gen, family, dim):
     data = random_prediction_set(gen, 40, 3)
     cfg = PbrConfig(family=family, prior=GaussianPosterior.standard(dim), max_iters=5)
     with pytest.raises(ValidationError, match="prior dimension"):
+        train_pbr(data, cfg)
+
+
+def test_train_pbr_rejects_a_prior_whose_variance_underflows(gen):
+    # exp(-400) ** 2 underflows to 0
+    data = random_prediction_set(gen, 40, 3)
+    cfg = PbrConfig(prior=GaussianPosterior(np.zeros(1), np.full(1, -400.0)), max_iters=5)
+    with pytest.raises(ValidationError, match="variances must be positive"):
         train_pbr(data, cfg)
 
 
