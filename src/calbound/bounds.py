@@ -214,8 +214,14 @@ def kl_gaussian_diag(
     mu_p, var_p = np.asarray(mu_p, float), np.asarray(var_p, float)
     if not (mu_q.shape == var_q.shape == mu_p.shape == var_p.shape):
         raise ValidationError("mean and variance arrays must share one shape")
-    if (var_q <= 0).any() or (var_p <= 0).any():
-        raise ValidationError("variances must be positive")
+    # An inclusion, since NaN fails every comparison and so would pass (var <= 0).any().
+    if not ((0 < var_q) & (var_q < math.inf) & (0 < var_p) & (var_p < math.inf)).all():
+        raise ValidationError("variances must be positive and finite")
+    return _kl_gaussian_diag(mu_q, var_q, mu_p, var_p)
+
+
+def _kl_gaussian_diag(mu_q, var_q, mu_p, var_p) -> float:
+    """kl_gaussian_diag without its checks, for callers that hold checked float arrays."""
     terms = var_q / var_p + (mu_p - mu_q) ** 2 / var_p - 1.0 + np.log(var_p / var_q)
     return float(0.5 * terms.sum())
 

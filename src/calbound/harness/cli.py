@@ -18,7 +18,6 @@ from ..ece import ece_full_k, ece_top_label, optimal_bins_1d, optimal_bins_per_d
 from ..recal import FAMILIES, PbrConfig
 from ..synthetic import spec_from_json
 from .experiments import (
-    ALPHA_GRID,
     METHODS,
     ExperimentCellError,
     _generate,
@@ -61,8 +60,13 @@ def _lam(text: str):
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+def _given(args, *names) -> dict:
+    """The named flags the command line gave; each one omitted takes the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _add_seed(parser: argparse.ArgumentParser, default=None) -> None:
+    parser.add_argument("--seed", type=int, default=default, help="master seed")
 
 
 def _add_source(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +74,7 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec")
     source.add_argument("--dump")
-    parser.add_argument("--family", choices=FAMILIES, default="temperature")
+    parser.add_argument("--family", choices=FAMILIES)
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -89,17 +93,18 @@ def _load_spec(path: str):
 
 def _cmd_ece(args) -> int:
     dump = load_dump(args.dump)
+    data = dump.data
     if args.full_k:
-        bins = optimal_bins_per_dim(dump.n, dump.num_classes) if args.bins is None else args.bins
-        value = ece_full_k(dump.data, bins)
+        bins = optimal_bins_per_dim(data.n, data.num_classes) if args.bins is None else args.bins
+        value = ece_full_k(data, bins)
         estimator = "full_k"
     else:
-        bins = optimal_bins_1d(dump.n) if args.bins is None else args.bins
-        value = ece_top_label(dump.data, bins)
+        bins = optimal_bins_1d(data.n) if args.bins is None else args.bins
+        value = ece_top_label(data, bins)
         estimator = "top_label"
     _emit(
         {"ece": value, "estimator": estimator, "bins": bins,
-         "n": dump.n, "num_classes": dump.num_classes, "source": dump.source},
+         "n": data.n, "num_classes": data.num_classes, "source": dump.source},
         args.out,
     )
     return 0
@@ -109,7 +114,7 @@ def _cmd_synthesize(args) -> int:
     fmt = _resolve_format(Path(args.out))
     spec = _load_spec(args.spec)
     data = _generate(spec, spec.n if args.n is None else args.n, spec.rng)
-    write_dump(data, args.out, fmt=fmt, mode=args.mode)
+    write_dump(data, args.out, fmt=fmt, **_given(args, "mode"))
     print(f"wrote {data.n} rows x {data.num_classes} classes to {args.out}")
     return 0
 
@@ -119,13 +124,11 @@ def _cmd_bounds(args) -> int:
         n=args.n,
         num_bins=args.bins,
         epsilon=args.epsilon,
-        lipschitz=args.lipschitz,
-        lam=args.lam,
-        kl=args.kl,
         num_classes=args.classes,
         assume_density=args.assume_density,
+        **_given(args, "lipschitz", "lam", "kl"),
     )
-    cert = evaluate_bound(BoundKind(args.kind), inputs, empirical_term=args.empirical)
+    cert = evaluate_bound(BoundKind(args.kind), inputs, **_given(args, "empirical_term"))
     _emit(cert.to_dict(), args.out)
     return 0
 
@@ -133,9 +136,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_recalibrate(args) -> int:
     """One compare-cell fit on the whole dump, with --alpha as a one-entry grid."""
     dump = load_dump(args.dump)
-    fitted, result = fit_method(args.method, dump.data, PbrConfig(family=args.family),
-                                [args.alpha], args.seed)
-    payload: dict = {"source": dump.source, "n": dump.n, "num_classes": dump.num_classes,
+    cfg = PbrConfig(**_given(args, "family", "alpha"))
+    fitted, result = fit_method(args.method, dump.data, cfg, [cfg.alpha], args.seed)
+    payload: dict = {"source": dump.source, "n": dump.data.n, "num_classes": dump.data.num_classes,
                      "method": args.method, "map": fitted.to_dict()}
     if result is not None:
         payload["posterior"] = result.posterior.to_dict()
@@ -154,19 +157,17 @@ def _cmd_experiment(args) -> int:
             _load_spec(args.spec),
             args.n_grid,
             args.seeds,
-            bin_rule="optimal" if args.bins is None else args.bins,
-            workers=args.workers,
+            **_given(args, "bin_rule", "workers"),
         )
     else:
         source = _load_spec(args.spec) if args.spec else load_dump(args.dump)
-        cfg = PbrConfig(family=args.family)
+        cfg = PbrConfig(**_given(args, "family"))
         if args.which == "klgap":
-            report = kl_gap_experiment(source, alpha_grid=args.alpha_grid,
-                                       replicates=args.replicates, n_re=args.n_re, cfg=cfg,
-                                       seed=args.seed)
+            report = kl_gap_experiment(
+                source, cfg=cfg, **_given(args, "alpha_grid", "replicates", "n_re", "seed"))
         else:
-            report = compare_methods(source, methods=args.methods, folds=args.folds,
-                                     n_re=args.n_re, n_te=args.n_te, cfg=cfg, seed=args.seed)
+            report = compare_methods(
+                source, cfg=cfg, **_given(args, "methods", "folds", "n_re", "n_te", "seed"))
     _write(report.cells_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
     return 0
 
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="generate a dump from a spec JSON")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, help="override the spec sample count")
-    p.add_argument("--mode", choices=MODES, default="probs")
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", required=True,
                    help="dump path; .csv, .jsonl, .ndjson or .npz picks the format")
     p.set_defaults(fn=_cmd_synthesize)
@@ -208,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--lipschitz", type=float, default=0.0)
-    p.add_argument("--lam", type=_lam, default="auto", help="'auto' or a positive number")
-    p.add_argument("--kl", type=float, default=0.0)
+    p.add_argument("--lipschitz", type=float)
+    p.add_argument("--lam", type=_lam, help="'auto' or a positive number")
+    p.add_argument("--kl", type=float)
     p.add_argument("--classes", type=int)
     p.add_argument("--assume-density", action="store_true")
-    p.add_argument("--empirical", type=float, default=0.0,
+    p.add_argument("--empirical", type=float, dest="empirical_term", metavar="EMPIRICAL",
                    help="empirical loss-plus-Brier term for the joint bound")
     _add_out(p)
     p.set_defaults(fn=_cmd_bounds)
@@ -221,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recalibrate", help="fit a recalibration map to a dump")
     p.add_argument("--dump", required=True)
     p.add_argument("--method", choices=METHODS, default="temperature")
-    p.add_argument("--family", choices=FAMILIES, default="temperature")
-    p.add_argument("--alpha", type=float, default=0.25)
-    _add_seed(p)
+    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--alpha", type=float)
+    _add_seed(p, default=0)
     _add_out(p)
     p.set_defaults(fn=_cmd_recalibrate)
 
@@ -235,26 +236,26 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-grid", type=_comma_list(int), required=True,
                    help="comma-separated sample sizes")
     c.add_argument("--seeds", type=int, default=20)
-    c.add_argument("--bins", type=int, help="fixed bin count (default: optimal rule)")
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--bins", type=int, dest="bin_rule", metavar="BINS",
+                   help="fixed bin count (default: optimal rule)")
+    c.add_argument("--workers", type=int)
     _add_report_output(c)
     c.set_defaults(fn=_cmd_experiment)
 
     k = which.add_parser("klgap", help="posterior KL against the train/test ECE gap")
     _add_source(k)
-    k.add_argument("--alpha-grid", type=_comma_list(float), default=ALPHA_GRID,
-                   help="comma-separated alpha values")
-    k.add_argument("--replicates", type=int, default=10)
-    k.add_argument("--n-re", type=int, default=1000)
+    k.add_argument("--alpha-grid", type=_comma_list(float), help="comma-separated alpha values")
+    k.add_argument("--replicates", type=int)
+    k.add_argument("--n-re", type=int)
     _add_seed(k)
     _add_report_output(k)
     k.set_defaults(fn=_cmd_experiment)
 
     m = which.add_parser("compare", help="score recalibration methods on held-out data")
     _add_source(m)
-    m.add_argument("--methods", type=_comma_list(str), default="uncalibrated,temperature,pbr",
+    m.add_argument("--methods", type=_comma_list(str),
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    m.add_argument("--folds", type=int, default=5)
+    m.add_argument("--folds", type=int)
     m.add_argument("--n-re", type=int)
     m.add_argument("--n-te", type=int)
     _add_seed(m)

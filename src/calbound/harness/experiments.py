@@ -194,21 +194,21 @@ def _split_source(
 
 
 def _fit_at_alpha(
-    data_re: PredictionSet, cfg: PbrConfig, alpha: float, seed: int, split: int, ia: int
+    data_re: PredictionSet, cfg: PbrConfig, seed: int, split: int, ia: int
 ) -> PbrResult:
-    """The PBR fit at alpha = alpha_grid[ia] on klgap replicate or compare fold `split`."""
+    """The fit of cfg, set to alpha_grid[ia], on klgap replicate or compare fold `split`."""
     seed = seed + 100003 * split + 7919 * ia  # one noise stream per fit of an experiment
-    return train_pbr(data_re, replace(cfg, alpha=float(alpha), seed=seed))
+    return train_pbr(data_re, replace(cfg, seed=seed))
 
 
 def _fit_pbr_with_alpha_selection(
-    data_re: PredictionSet, cfg: PbrConfig, alpha_grid: Sequence[float], seed: int, split: int
+    data_re: PredictionSet, cfgs: Sequence[PbrConfig], seed: int, split: int
 ) -> PbrResult:
     """Sweep the KL weight, keep the first fit whose map best calibrates the fit set."""
     bins_re = optimal_bins_1d(data_re.n)
     best = best_score = None
-    for ia, alpha in enumerate(alpha_grid):
-        result = _fit_at_alpha(data_re, cfg, alpha, seed, split, ia)
+    for ia, cfg in enumerate(cfgs):
+        result = _fit_at_alpha(data_re, cfg, seed, split, ia)
         score = ece_top_label(recalibrate_set(result.map, data_re), bins_re)
         if best is None or score < best_score:
             best, best_score = result, score
@@ -229,8 +229,8 @@ def fit_method(
         return temperature_scaling_fit(data_re), None
     if method not in PBR_OBJECTIVES:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
-    cfg = replace(cfg, objective=PBR_OBJECTIVES[method])
-    result = _fit_pbr_with_alpha_selection(data_re, cfg, alpha_grid, seed, split)
+    cfgs = [replace(cfg, alpha=float(a), objective=PBR_OBJECTIVES[method]) for a in alpha_grid]
+    result = _fit_pbr_with_alpha_selection(data_re, cfgs, seed, split)
     return result.map, result
 
 
@@ -255,10 +255,11 @@ def kl_gap_experiment(
     if replicates < 1:
         raise ValidationError("need at least 1 replicate")
     cfg = cfg or PbrConfig()
+    cfgs = [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha up front
     bins = optimal_bins_1d(n_re)
 
-    def fit(data_re, data_te, r: int, ia: int, alpha: float) -> dict:
-        result = _fit_at_alpha(data_re, cfg, alpha, seed, r, ia)
+    def fit(data_re, data_te, r: int, ia: int) -> dict:
+        result = _fit_at_alpha(data_re, cfgs[ia], seed, r, ia)
         re_cal = recalibrate_set(result.map, data_re)
         te_cal = recalibrate_set(result.map, data_te)
         return {"kl": result.kl, "gap": ece_gap(te_cal, re_cal, bins)}
@@ -266,9 +267,9 @@ def kl_gap_experiment(
     def grid():
         for r in range(replicates):
             data_re, data_te = _split_source(source, n_re, n_re, r, seed)
-            for ia, alpha in enumerate(alpha_grid):
-                yield ({"replicate": r, "alpha": float(alpha)},
-                       partial(fit, data_re, data_te, r, ia, float(alpha)))
+            for ia, alpha_cfg in enumerate(cfgs):
+                yield ({"replicate": r, "alpha": alpha_cfg.alpha},
+                       partial(fit, data_re, data_te, r, ia))
 
     cells = _run_cells(grid())
     per_replicate = []
@@ -339,6 +340,7 @@ def compare_methods(
     if not methods:
         raise ValidationError("need at least one method")
     cfg = cfg or PbrConfig()
+    [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha before any cell
 
     if isinstance(source, (BinarySpec, MulticlassSpec)):
         n_re = 1000 if n_re is None else n_re

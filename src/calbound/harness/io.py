@@ -40,8 +40,6 @@ class PredictionDump:
     source: str
     format: str
     mode: str
-    n: int
-    num_classes: int
     data: PredictionSet = field(repr=False)
 
 
@@ -262,15 +260,8 @@ def load_dump(path) -> PredictionDump:
         raise ValidationError(f"{path}: not {err.encoding} text ({err.reason})")
     # rows without entries have no maximum; from_probs reports the missing classes
     probs = softmax(values) if mode == "logits" and values.shape[1] else values
-    data = PredictionSet.from_probs(probs, labels)
-    return PredictionDump(
-        source=str(path),
-        format=fmt,
-        mode=mode,
-        n=data.n,
-        num_classes=data.num_classes,
-        data=data,
-    )
+    return PredictionDump(source=str(path), format=fmt, mode=mode,
+                          data=PredictionSet.from_probs(probs, labels))
 
 
 def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs") -> None:

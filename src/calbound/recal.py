@@ -26,9 +26,9 @@ long one, so every softmax and per-row sum over K runs with the n rows as the
 contiguous inner loop. The affine family is then a batched matmul, W @ z^T.
 Public functions still take and return (n, K) probability rows.
 
-A family is one ``_FAMILIES`` row: parameter count, identity vector, scores in
-that layout and their chain rule back to the parameters. Nothing else names a
-family, so a new one (a Gaussian process, say) adds a row and no branch.
+A family is one ``_FAMILIES`` row: identity vector, whose size is the parameter
+count, scores in that layout and their chain rule back to the parameters. Nothing
+else names a family, so a new one (a Gaussian process, say) adds a row and no branch.
 
 A training step does only its arithmetic. What a fit holds fixed (that layout,
 the prior's mean and variance, the family row, J, K and n) is built once, and
@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import kl_gaussian_diag
+from .bounds import _kl_gaussian_diag, kl_gaussian_diag
 from .core import PredictionSet, Rng, ValidationError, log_probs, softmax
 
 # Stopping rule: quit when the best objective has not improved by more than
@@ -61,7 +61,6 @@ class _Family(NamedTuple):
     """scores takes (J, d) draws, (K, n) log-probabilities and K to (J, K, n); grad chains
     dObjective/dscores, (J, K, n), back to (J, d), given zt and the scores; t reads t off v."""
 
-    dim: Callable
     identity: Callable
     scores: Callable
     grad: Callable
@@ -74,20 +73,17 @@ def _with_offsets(g_weights: np.ndarray, g_scores: np.ndarray) -> np.ndarray:
 
 _FAMILIES = {
     "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -scores
-        dim=lambda k: 1,
         identity=lambda k: np.zeros(1),
         scores=lambda vs, zt, k: zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None],
         grad=lambda g, zt, scores: -(g * scores).sum(axis=(1, 2))[:, None],
         t=lambda v: math.exp(v[0]),
     ),
     "vector_scale": _Family(
-        dim=lambda k: 2 * k,
         identity=lambda k: np.concatenate([np.ones(k), np.zeros(k)]),
         scores=lambda vs, zt, k: zt[None, :, :] * vs[:, :k, None] + vs[:, k:, None],
         grad=lambda g, zt, scores: _with_offsets((g * zt[None, :, :]).sum(axis=2), g),
     ),
     "affine": _Family(
-        dim=lambda k: k * k + k,
         identity=lambda k: np.concatenate([np.eye(k).ravel(), np.zeros(k)]),
         scores=lambda vs, zt, k: vs[:, : k * k].reshape(-1, k, k) @ zt + vs[:, k * k :, None],
         grad=lambda g, zt, scores: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
@@ -103,7 +99,7 @@ def _family(family: str) -> _Family:
 
 
 def param_dim(family: str, num_classes: int) -> int:
-    return _family(family).dim(num_classes)
+    return identity_params(family, num_classes).size
 
 
 def identity_params(family: str, num_classes: int) -> np.ndarray:
@@ -128,7 +124,7 @@ class RecalMap:
         if self.num_classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
         params = np.asarray(self.params, dtype=float)
-        want = family.dim(self.num_classes)
+        want = family.identity(self.num_classes).size
         if params.shape != (want,):
             raise ValidationError(
                 f"{self.family} over {self.num_classes} classes needs {want} "
@@ -282,12 +278,13 @@ class PbrConfig:
 
     def __post_init__(self):
         _family(self.family)  # rejects an unknown family
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        # The chained comparisons also reject NaN and infinity.
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.mc_samples < 1 or self.j_final < 1:
             raise ValidationError("sample counts must be >= 1")
-        if self.step_size <= 0:
-            raise ValidationError(f"step size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValidationError(f"step size must be finite and positive, got {self.step_size}")
         if not 0 < self.step_decay <= 1:
             raise ValidationError(f"step decay must lie in (0, 1], got {self.step_decay}")
         if self.max_iters < 1:
@@ -315,7 +312,7 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
                 f"prior dimension {cfg.prior.dim} does not match {cfg.family} "
                 f"over {num_classes} classes ({want})"
             )
-        cfg.prior.kl_to(cfg.prior)  # rejects a variance that underflows to 0; steps do not check
+        cfg.prior.kl_to(cfg.prior)  # rejects a NaN, infinite or underflowed variance; steps do not
         return cfg.prior
     return GaussianPosterior.at(identity_params(cfg.family, num_classes))
 
@@ -347,7 +344,7 @@ def _step(
     """Objective, its KL, sigma and the exact gradient over (mu, log_sigma) for fixed draws.
 
     A mean is np.add.reduce(x) / count, which is what ndarray.mean computes, and the
-    KL is kl_gaussian_diag's expression; neither pays for a wrapper or a check.
+    KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
     """
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
@@ -370,8 +367,7 @@ def _step(
     g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
 
     var, var_p = sigma**2, fit.prior_var
-    terms = var / var_p + (fit.prior_mu - mu) ** 2 / var_p - 1.0 + np.log(var_p / var)
-    kl = float(0.5 * terms.sum())
+    kl = _kl_gaussian_diag(mu, var, fit.prior_mu, var_p)
     value = float(value + cfg.alpha * kl / fit.n)
 
     g_mu = g_mu + cfg.alpha / fit.n * (mu - fit.prior_mu) / var_p

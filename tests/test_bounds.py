@@ -224,6 +224,14 @@ def test_kl_gaussian_diag_is_additive_over_dimensions(gen):
     assert total == pytest.approx(parts, abs=1e-12)
 
 
+@pytest.mark.parametrize("var_q, var_p", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -1.0),
+], ids=["nan-q", "nan-p", "inf-q", "inf-p", "zero-q", "negative-p"])
+def test_kl_gaussian_diag_rejects_variances_that_are_not_positive_and_finite(var_q, var_p):
+    with pytest.raises(ValidationError, match="variances must be positive"):
+        kl_gaussian_diag(0.0, var_q, 0.0, var_p)
+
+
 def test_mc_validate_only_accepts_single_split_bias_kinds():
     spec = BinarySpec(
         ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.1, 2.0), 200, Rng(3)

@@ -16,6 +16,7 @@ import pytest
 
 from calbound import (
     BinarySpec,
+    BoundInputs,
     BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
@@ -25,11 +26,19 @@ from calbound import (
     Rng,
     ece_full_k,
     ece_top_label,
+    evaluate_bound,
+    gen_binary,
     optimal_bins_1d,
+    temperature_scaling_fit,
     train_pbr,
 )
+from calbound.harness import cli
 from calbound.harness.cli import main
-from calbound.harness.experiments import ExperimentCellError
+from calbound.harness.experiments import (
+    ExperimentCellError,
+    compare_methods,
+    convergence_experiment,
+)
 from calbound.harness.io import load_dump, write_dump
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
@@ -89,7 +98,7 @@ def test_synthesize_writes_deterministic_dump(tmp_path):
     assert main(["synthesize", "--spec", str(sp), "--n", "50", "--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
     dump = load_dump(a)
-    assert (dump.n, dump.num_classes) == (50, 2)
+    assert (dump.data.n, dump.data.num_classes) == (50, 2)
 
 
 def test_synthesize_logit_mode_round_trips(tmp_path):
@@ -257,6 +266,21 @@ def test_recalibrate_pbr_prints_a_direct_fit(tmp_path, gen, capsys, method, obje
     assert payload["final_objective"] == result.final_objective
     assert payload["steps"] == result.steps
     assert payload["config"] == cfg.to_dict()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recalibrate", "--method", "pbr", "--alpha", "nan"],
+    ["recalibrate", "--method", "pbr", "--alpha", "inf"],
+    ["experiment", "klgap", "--alpha-grid=-1,1", "--replicates", "1", "--n-re", "40"],
+    ["experiment", "klgap", "--alpha-grid=1,inf", "--replicates", "1", "--n-re", "40"],
+    ["experiment", "klgap", "--alpha-grid=nan,1", "--replicates", "1", "--n-re", "40"],
+], ids=["recalibrate-nan", "recalibrate-inf", "klgap-negative", "klgap-inf", "klgap-nan"])
+def test_bad_alpha_exits_two(tmp_path, gen, capsys, argv):
+    p, _ = dump_file(tmp_path, gen)
+    assert main(argv + ["--dump", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: alpha must be finite")
 
 
 def test_missing_dump_exits_two(capsys):
@@ -482,3 +506,73 @@ def test_module_entry_point(tmp_path):
     )
     assert bad.returncode == 2
     assert "error:" in bad.stderr
+
+
+# Each optional flag that feeds a library parameter is passed only when given, so
+# a command without it prints what the library call without that argument returns.
+_BOUND_FLAGS = ["--n", "500", "--bins", "8", "--epsilon", "0.1", "--classes", "3"]
+
+
+@pytest.mark.parametrize("kind", list(BoundKind), ids=lambda kind: kind.value)
+def test_bounds_omitted_flags_take_the_library_defaults(kind, capsys):
+    inputs = {"n": 500, "num_bins": 8, "epsilon": 0.1, "num_classes": 3}
+    assert main(["bounds", "--kind", kind.value, *_BOUND_FLAGS]) == 0
+    expected = evaluate_bound(kind, BoundInputs(**inputs)).to_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+    kl = 0.0 if kind is BoundKind.TotalBiasTest else 0.3
+    empirical = 0.2 if kind is BoundKind.JointAccTce else 0.0
+    given = ["--lipschitz", "0.5", "--lam", "7", "--kl", str(kl), "--empirical", str(empirical)]
+    assert main(["bounds", "--kind", kind.value, *_BOUND_FLAGS, *given]) == 0
+    expected = evaluate_bound(kind, BoundInputs(**inputs, lipschitz=0.5, lam=7.0, kl=kl),
+                              empirical_term=empirical).to_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
+def test_recalibrate_omitted_flags_take_the_library_defaults(tmp_path, gen, capsys):
+    p, _ = dump_file(tmp_path, gen, n=120)
+    data = load_dump(p).data
+    assert main(["recalibrate", "--dump", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["map"] == temperature_scaling_fit(data).to_dict()
+
+    assert main(["recalibrate", "--dump", str(p), "--method", "pbr"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result = train_pbr(data, PbrConfig())  # seed 0, the first fit of the one-alpha grid
+    assert payload["config"] == PbrConfig().to_dict()
+    assert payload["map"] == result.map.to_dict()
+    assert payload["posterior"] == result.posterior.to_dict()
+
+
+def test_synthesize_omitted_flags_take_the_library_defaults(tmp_path):
+    out, expected = tmp_path / "cli.csv", tmp_path / "library.csv"
+    assert main(["synthesize", "--spec", str(spec_file(tmp_path)), "--out", str(out)]) == 0
+    write_dump(gen_binary(SPEC), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_convergence_and_compare_omitted_flags_take_the_library_defaults(tmp_path, capsys):
+    sp = str(spec_file(tmp_path))
+    grid = [50, 100, 400, 2000]
+    assert main(["experiment", "convergence", "--spec", sp, "--n-grid", "50,100,400,2000"]) == 0
+    assert capsys.readouterr().out == convergence_experiment(SPEC, grid, 20).to_json() + "\n"
+
+    assert main(["experiment", "compare", "--spec", sp]) == 0
+    assert capsys.readouterr().out == compare_methods(SPEC, cfg=PbrConfig()).to_json() + "\n"
+
+
+def test_klgap_omitted_flags_take_the_library_defaults(tmp_path, capsys, monkeypatch):
+    # The default grid fits 80 maps, so the report is checked against the call the CLI
+    # made, after checking that the call passed no optional argument but the config.
+    real = cli.kl_gap_experiment
+    calls = []
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        calls.append((args, kwargs, report))
+        return report
+
+    monkeypatch.setattr(cli, "kl_gap_experiment", spy)
+    assert main(["experiment", "klgap", "--spec", str(spec_file(tmp_path))]) == 0
+    [(args, kwargs, report)] = calls
+    assert args == (SPEC,) and kwargs == {"cfg": PbrConfig()}
+    assert capsys.readouterr().out == report.to_json() + "\n"

@@ -56,7 +56,7 @@ def test_csv_probs_round_trip(tmp_path, gen):
     write_dump(data, p)
     loaded = load_dump(p)
     assert loaded.mode == "probs" and loaded.format == "csv"
-    assert loaded.n == 25 and loaded.num_classes == 3
+    assert loaded.data.n == 25 and loaded.data.num_classes == 3
     assert np.allclose(loaded.data.probs, data.probs, atol=1e-15)
     assert np.array_equal(loaded.data.labels, data.labels)
 
@@ -163,7 +163,7 @@ def test_csv_field_past_the_csv_module_limit(tmp_path):
     wide = "0.5" + "0" * 200_000
     p = tmp_path / "wide.csv"
     p.write_text(f"p0,p1,label\n{wide},0.5,0\n0.5,0.5,1\n")
-    assert load_dump(p).n == 2
+    assert load_dump(p).data.n == 2
     p.write_text(f"p0,p1,label\n{wide},0.5,0\n0.5,nan,1\n")
     with pytest.raises(ValidationError, match="row 1: field larger than field limit"):
         load_dump(p)
@@ -625,6 +625,19 @@ def test_compare_methods_rejects_explicit_zero_split(gen):
 def test_compare_methods_rejects_unknown_method():
     with pytest.raises(ValidationError):
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))
+
+
+@pytest.mark.parametrize("grid", [(-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)],
+                         ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("experiment", ["klgap", "compare"])
+def test_bad_alpha_grid_fails_before_any_cell(monkeypatch, experiment, grid):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("calbound.harness.experiments._split_source", no_cells)
+    run = {"klgap": kl_gap_experiment, "compare": compare_methods}[experiment]
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        run(MULTI_SPEC, alpha_grid=grid)
 
 
 def test_experiment_cell_error_carries_cell():

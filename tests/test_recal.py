@@ -211,6 +211,13 @@ def test_pbr_config_validation_and_round_trip():
         PbrConfig(mc_samples=0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "step_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_pbr_config_rejects_alpha_and_step_size_out_of_range(field, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        PbrConfig(**{field: value})
+
+
 def test_objective_is_deterministic_given_rng(gen):
     data = random_prediction_set(gen, 60, 3)
     cfg = PbrConfig(family="temperature", alpha=0.25)
@@ -474,6 +481,14 @@ def test_train_pbr_rejects_a_prior_whose_variance_underflows(gen):
     # exp(-400) ** 2 underflows to 0
     data = random_prediction_set(gen, 40, 3)
     cfg = PbrConfig(prior=GaussianPosterior(np.zeros(1), np.full(1, -400.0)), max_iters=5)
+    with pytest.raises(ValidationError, match="variances must be positive"):
+        train_pbr(data, cfg)
+
+
+@pytest.mark.parametrize("log_sigma", [math.nan, math.inf], ids=["nan", "inf"])
+def test_train_pbr_rejects_a_prior_whose_variance_is_not_finite(gen, log_sigma):
+    data = random_prediction_set(gen, 40, 3)
+    cfg = PbrConfig(prior=GaussianPosterior(np.zeros(1), np.full(1, log_sigma)), max_iters=5)
     with pytest.raises(ValidationError, match="variances must be positive"):
         train_pbr(data, cfg)
 
