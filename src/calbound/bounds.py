@@ -25,17 +25,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import ValidationError
-from .ece import _check_bins, ece_top_label
-from .synthetic import BinarySpec, gen_binary, true_tce
+from .ece import _check_bins, _ece_top_label_sets
+from .synthetic import BinarySpec, _gen_binary_sets, true_tce
 
 LAMBDA_MIN = 1e-6
 LAMBDA_MAX = 1e12
+
+# mc_validate_bound draws and scores its trials in chunks of at most this many
+# rows (one trial when a trial is larger): about 4 MB of arrays at a time.
+COVERAGE_CHUNK_ROWS = 50_000
 
 
 class BoundKind(enum.Enum):
@@ -217,6 +221,8 @@ def kl_gaussian_diag(
     # An inclusion, since NaN fails every comparison and so would pass (var <= 0).any().
     if not ((0 < var_q) & (var_q < math.inf) & (0 < var_p) & (var_p < math.inf)).all():
         raise ValidationError("variances must be positive and finite")
+    if not (np.isfinite(mu_q).all() and np.isfinite(mu_p).all()):
+        raise ValidationError("means must be finite")
     return _kl_gaussian_diag(mu_q, var_q, mu_p, var_p)
 
 
@@ -259,8 +265,11 @@ def mc_validate_bound(
     certificate = evaluate_bound(kind, inputs).value
     oracle = true_tce(spec)
     deviations = np.empty(trials)
-    for t in range(trials):
-        data = gen_binary(replace(spec, rng=spec.rng.stream(t)))
-        deviations[t] = abs(oracle - ece_top_label(data, num_bins))
+    gens = spec.rng.stream_generators(range(trials))  # trial t draws from stream t
+    chunk = max(1, COVERAGE_CHUNK_ROWS // spec.n)
+    for start in range(0, trials, chunk):
+        sets = min(chunk, trials - start)
+        data = _gen_binary_sets(spec, gens, sets)
+        deviations[start:start + sets] = np.abs(oracle - _ece_top_label_sets(data, num_bins, sets))
     coverage = float(np.mean(deviations <= certificate))
     return CoverageResult(coverage, certificate, deviations)

@@ -4,9 +4,10 @@ All estimators share one binning convention: B uniform-width bins on [0, 1]
 where bin i covers ((i-1)/B, i/B], indexed from 1, and an exact zero joins
 bin 1. Empty bins contribute nothing. The top-label and full-K estimators
 are one reduction, :func:`_cell_ece`, over one of two cell numberings: the
-dense bin index in 1-D, and in K-D the keys of occupied hypercube cells (each
-coordinate binned by the same rule) numbered by ``np.unique``, since (B')^K
-cells cannot be materialized densely.
+bin index in 1-D, and in K-D the key of each hypercube cell (each coordinate
+binned by the same rule). The reduction keeps occupied cells only, so keys
+serve as they are while the (B')^K cells number no more than the rows; past
+that, ``np.unique`` numbers the occupied keys densely in the same order.
 """
 
 from __future__ import annotations
@@ -34,19 +35,27 @@ def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         bad = values[~((values >= 0.0) & (values <= 1.0))][0]
         raise ValidationError(f"value {bad} outside [0, 1]")
-    uppers = np.arange(1, b + 1) / b
-    # side='left' puts p exactly at an upper boundary into the bin it closes.
-    idx = np.searchsorted(uppers, values, side="left") + 1
-    return np.minimum(idx, b).astype(np.int64)
+    # Bin i closes at the float i / B, as np.arange(1, B + 1) / B gives it. ceil(p * B)
+    # rounds once, so it is at most one bin off; each fix-up compares p with that exact
+    # edge, and p exactly at an edge stays in the bin the edge closes.
+    idx = np.ceil(values * b, out=np.empty_like(values))  # an array even for 0-d input
+    idx -= values <= (idx - 1) / b
+    idx += values > idx / b
+    np.maximum(idx, 1, out=idx)  # only p = 0 has ceil 0
+    return idx.astype(np.int64)
 
 
-def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray) -> float:
-    """Occupancy-weighted L1 gap between each cell's mean vector and mean target.
+def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray,
+              sets: int = 1, span: int = 0) -> np.ndarray:
+    """Occupancy-weighted L1 gap between each cell's mean vector and mean target, per set.
 
-    cells numbers the cell of each row; vectors and targets are (n, d).
+    The rows are ``sets`` equal consecutive blocks, one prediction set each,
+    and the cells of block t lie in [t * span, (t + 1) * span). cells numbers
+    the cell of each row; vectors and targets are (rows, d). Each set's value
+    is np.sum over its occupied cells in cell order, as for the set alone.
     """
     counts = np.bincount(cells).astype(float)
-    occupied = counts > 0
+    occupied = np.flatnonzero(counts)
     counts = counts[occupied]
     # (cells, d) rows: from d = 8 on, a (d, cells) layout sums over d in another order.
     sum_vec, sum_tgt = [
@@ -54,7 +63,9 @@ def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray) -> fl
         for cols in (vectors, targets)
     ]
     gaps = np.abs(sum_vec / counts[:, None] - sum_tgt / counts[:, None]).sum(axis=1)
-    return float(np.sum(counts / len(cells) * gaps))
+    terms = counts / (len(cells) // sets) * gaps
+    firsts = np.searchsorted(occupied, np.arange(1, sets) * span)
+    return np.array([np.sum(t) for t in np.split(terms, firsts)])
 
 
 def _top_label_bins(data: PredictionSet, num_bins: int):
@@ -64,14 +75,20 @@ def _top_label_bins(data: PredictionSet, num_bins: int):
     return assign_bins_1d(conf, b) - 1, conf, hits, b
 
 
+def _ece_top_label_sets(data: PredictionSet, num_bins: int, sets: int) -> np.ndarray:
+    """Top-label ECE of each of ``sets`` equal consecutive blocks of rows."""
+    bins, conf, hits, b = _top_label_bins(data, num_bins)
+    bins += np.repeat(np.arange(sets) * b, data.n // sets)  # block t's bins from t * B
+    return _cell_ece(bins, conf[:, None], hits[:, None], sets, b)
+
+
 def ece_top_label(data: PredictionSet, num_bins: int) -> float:
     """Expected calibration error of the top label.
 
     Bins the top-class confidences, then averages |mean confidence - mean hit
     rate| over bins weighted by occupancy.
     """
-    bins, conf, hits, _ = _top_label_bins(data, num_bins)
-    return _cell_ece(bins, conf[:, None], hits[:, None])
+    return float(_ece_top_label_sets(data, num_bins, 1)[0])
 
 
 def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
@@ -95,9 +112,10 @@ def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"
         )
     idx = assign_bins_1d(data.probs.ravel(), b).reshape(n, d) - 1
-    keys = idx @ b ** np.arange(d, dtype=np.int64)
-    _, cells = np.unique(keys, return_inverse=True)
-    return _cell_ece(cells, data.probs, data.one_hot_labels())
+    cells = idx @ b ** np.arange(d, dtype=np.int64)
+    if b**d > n:  # bincount over every key would outgrow the data
+        cells = np.unique(cells, return_inverse=True)[1]
+    return float(_cell_ece(cells, data.probs, data.one_hot_labels())[0])
 
 
 def _integer_root(n: int, power: int) -> int:

@@ -32,11 +32,9 @@ else names a family, so a new one (a Gaussian process, say) adds a row and no br
 
 A training step does only its arithmetic. What a fit holds fixed (that layout,
 the prior's mean and variance, the family row, J, K and n) is built once, and
-the loop carries bare mu and log_sigma arrays. One Philox generator serves the
-whole fit: re-keyed before step i to child stream i of the noise root at counter
-0, it draws bit for bit what that stream's own generator would, at a tenth of
-the cost of building one, whose constructor also reads OS entropy for a seed
-sequence that the key then overrides.
+the loop carries bare mu and log_sigma arrays. Step i draws from child stream i
+of the noise root through :meth:`Rng.stream_generators`, one Philox re-keyed per
+step.
 """
 
 from __future__ import annotations
@@ -312,7 +310,7 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
                 f"prior dimension {cfg.prior.dim} does not match {cfg.family} "
                 f"over {num_classes} classes ({want})"
             )
-        cfg.prior.kl_to(cfg.prior)  # rejects a NaN, infinite or underflowed variance; steps do not
+        cfg.prior.kl_to(cfg.prior)  # rejects a non-finite mean or variance; steps do not
         return cfg.prior
     return GaussianPosterior.at(identity_params(cfg.family, num_classes))
 
@@ -376,7 +374,7 @@ def _step(
 
 
 def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
-    posterior.kl_to(prior)  # kl_gaussian_diag checks shapes and variances
+    posterior.kl_to(prior)  # kl_gaussian_diag checks shapes, means and variances
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
     return _step(posterior.mu, posterior.log_sigma, _fit_constants(data, prior, cfg), cfg, xi)
 
@@ -447,9 +445,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     prior = _default_prior(cfg, data.num_classes)
     fit = _fit_constants(data, prior, cfg)
     mu, log_sigma = prior.mu, prior.log_sigma
-    noise_root = Rng(cfg.seed).stream(0)
-    draws = np.random.Generator(np.random.Philox(key=noise_root.key))
-    state = draws.bit_generator.state  # counter 0, an empty buffer; each step sets the key
+    noise = Rng(cfg.seed).stream(0).stream_generators(range(cfg.max_iters))
 
     best = math.inf
     best_step = 0
@@ -457,9 +453,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     steps = 0
     stop_reason = "max_iters"
     trace = []
-    for i in range(cfg.max_iters):
-        state["state"]["key"] = noise_root.stream(i).key
-        draws.bit_generator.state = state  # draws as noise_root.stream(i).generator()
+    for i, draws in enumerate(noise):
         xi = draws.standard_normal((fit.j, mu.size))
         value, kl, sigma, g_mu, g_log_sigma = _step(mu, log_sigma, fit, cfg, xi)
         if not math.isfinite(value):

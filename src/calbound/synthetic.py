@@ -232,13 +232,21 @@ def gen_binary(spec: BinarySpec) -> PredictionSet:
     Confidences are drawn first and label uniforms second, so the stream
     layout is part of the contract and reruns are bit-identical.
     """
-    gen = spec.rng.generator()
-    conf = spec.law.sample(gen, spec.n)
-    hit_prob = spec.map(conf)
-    u = gen.uniform(0.0, 1.0, spec.n)
-    labels = np.where(u < hit_prob, 0, 1)
-    probs = np.column_stack([conf, 1.0 - conf])
-    return PredictionSet(probs, labels)
+    return _gen_binary_sets(spec, [spec.rng.generator()], 1)
+
+
+def _gen_binary_sets(spec: BinarySpec, gens, sets: int) -> PredictionSet:
+    """``sets`` draws of gen_binary(spec), the t-th from the t-th generator, stacked in order.
+
+    gens may be a longer iterator; only ``sets`` generators are taken from it.
+    """
+    conf, u = np.empty((sets, spec.n)), np.empty((sets, spec.n))
+    for c, v, gen in zip(conf, u, gens):  # zip stops on conf before taking a spare generator
+        c[:] = spec.law.sample(gen, spec.n)
+        v[:] = gen.uniform(0.0, 1.0, spec.n)
+    conf, u = conf.ravel(), u.ravel()
+    labels = np.where(u < spec.map(conf), 0, 1)
+    return PredictionSet(np.column_stack([conf, 1.0 - conf]), labels)
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -372,8 +380,12 @@ def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
     probs = gen.dirichlet(spec.concentration, spec.n)
     truth = spec.map(probs)
     u = gen.uniform(0.0, 1.0, spec.n)
-    cdf = np.cumsum(truth, axis=1)
-    labels = (u[:, None] > cdf).sum(axis=1)
+    # Class-major running sums: each is one add of two contiguous rows, and they are
+    # the sums np.cumsum(truth, axis=1) makes. A copy, since truth may be probs.
+    cdf = truth.T.copy()
+    for k in range(1, spec.num_classes):
+        cdf[k] += cdf[k - 1]
+    labels = (u > cdf).sum(axis=0)
     labels = np.minimum(labels, spec.num_classes - 1)
     # numpy's rows can sum to 1 +- 5 eps at K=100 (14 eps at K=1000); divided by
     # their sum once, they sum to within 2 eps, which from_probs keeps as given.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from calbound import (
     BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
+    PredictionSet,
     Rng,
     ValidationError,
     evaluate_bound,
@@ -18,7 +20,10 @@ from calbound import (
     kl_gaussian_diag,
     mc_validate_bound,
     optimize_lambda,
+    true_tce,
 )
+import calbound.bounds as bounds
+from tests.conftest import reference_bins, reference_cell_ece
 
 THM1 = BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0)
 
@@ -232,6 +237,14 @@ def test_kl_gaussian_diag_rejects_variances_that_are_not_positive_and_finite(var
         kl_gaussian_diag(0.0, var_q, 0.0, var_p)
 
 
+@pytest.mark.parametrize("mu_q, mu_p", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf),
+], ids=["nan-q", "nan-p", "inf-q", "minus-inf-p", "inf-both"])
+def test_kl_gaussian_diag_rejects_means_that_are_not_finite(mu_q, mu_p):
+    with pytest.raises(ValidationError, match="means must be finite"):
+        kl_gaussian_diag(np.array([0.5, mu_q]), np.ones(2), np.array([0.5, mu_p]), np.ones(2))
+
+
 def test_mc_validate_only_accepts_single_split_bias_kinds():
     spec = BinarySpec(
         ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.1, 2.0), 200, Rng(3)
@@ -243,3 +256,48 @@ def test_mc_validate_only_accepts_single_split_bias_kinds():
     assert 0.0 <= res.coverage <= 1.0
     again = mc_validate_bound(BoundKind.TotalBiasTest, spec, 5, 0.05, trials=8)
     assert np.array_equal(res.deviations, again.deviations)
+
+
+def _per_trial_coverage(kind, spec, num_bins, epsilon, trials):
+    """mc_validate_bound with one generator, one set and one ECE per trial.
+
+    Returns the coverage, the certificate, the deviations and each trial's
+    count of occupied bins.
+    """
+    oracle = true_tce(spec)
+    deviations, occupied = [], []
+    for t in range(trials):
+        gen = spec.rng.stream(t).generator()
+        conf = spec.law.sample(gen, spec.n)
+        labels = np.where(gen.uniform(0.0, 1.0, spec.n) < spec.map(conf), 0, 1)
+        top, hits = PredictionSet(np.column_stack([conf, 1.0 - conf]), labels).top_label()
+        bins = reference_bins(top, num_bins)
+        deviations.append(abs(oracle - reference_cell_ece(bins, top[:, None], hits[:, None])))
+        occupied.append(len(np.unique(bins)))
+    certificate = evaluate_bound(kind, BoundInputs(
+        n=spec.n, num_bins=num_bins, epsilon=epsilon, lipschitz=spec.map.lipschitz_constant)).value
+    deviations = np.array(deviations)
+    return float(np.mean(deviations <= certificate)), certificate, deviations, np.array(occupied)
+
+
+SINE = BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.1, 2.0), 1000, Rng(9))
+BETA = BinarySpec(ConfidenceLaw.beta(2.0, 3.0), MiscalibrationMap1D.power(2.0), 300, Rng(9, 4))
+
+
+@pytest.mark.parametrize("spec, num_bins, trials, chunk_rows, occupied", [
+    (SINE, 5, 120, None, "<8"),  # chunks of 50 trials: 50, 50, 20
+    (SINE, 40, 120, None, ">8"),
+    (BETA, 30, 10, 1000, ">8"),  # chunks of 3 trials: 3, 3, 3, 1
+    (BETA, 3, 10, 1000, "<8"),
+    (replace(SINE, n=1500), 40, 3, 1000, ">8"),  # a trial is larger than a chunk
+], ids=["few-bins", "many-bins", "beta-many-bins", "beta-few-bins", "trial-over-chunk"])
+def test_mc_validate_bound_matches_the_per_trial_loop(
+        monkeypatch, spec, num_bins, trials, chunk_rows, occupied):
+    if chunk_rows is not None:
+        monkeypatch.setattr(bounds, "COVERAGE_CHUNK_ROWS", chunk_rows)
+    kind = BoundKind.TotalBiasTest
+    coverage, certificate, deviations, cells = _per_trial_coverage(kind, spec, num_bins, 0.05, trials)
+    assert (cells.max() < 8) if occupied == "<8" else (cells.min() > 8)
+    res = mc_validate_bound(kind, spec, num_bins, 0.05, trials)
+    assert np.array_equal(res.deviations, deviations)
+    assert res.coverage == coverage and res.certificate == certificate

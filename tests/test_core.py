@@ -58,6 +58,22 @@ def test_rng_nested_streams_do_not_collide():
             seen.add(key)
 
 
+def test_stream_generators_draw_what_each_child_stream_draws():
+    root = Rng(11, 5)
+    draws = (
+        lambda g: g.integers(0, 2**31, 3, dtype=np.int32),  # 32-bit draws, half a word left over
+        lambda g: g.standard_normal(4),
+        lambda g: g.uniform(size=5),
+    )
+    for i, gen in enumerate(root.stream_generators(range(3000))):
+        if i in (0, 1, 2999):
+            own = root.stream(i).generator()
+            for draw in draws:
+                assert np.array_equal(draw(gen), draw(own)), i
+        else:
+            gen.integers(0, 10, 1, dtype=np.int32)
+
+
 def test_validate_reports_row_indices():
     probs = np.array([[0.5, 0.5], [0.6, 0.3], [0.4, 0.6]])
     labels = np.array([0, 1, 2])

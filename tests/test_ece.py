@@ -13,7 +13,8 @@ from calbound.ece import (
     optimal_bins_1d,
     optimal_bins_per_dim,
 )
-from tests.conftest import random_prediction_set
+from calbound import MiscalibrationMapK, MulticlassSpec, Rng, gen_multiclass
+from tests.conftest import random_prediction_set, reference_bins, reference_cell_ece
 
 
 def binary_set(confidences, hits):
@@ -54,6 +55,39 @@ def test_vector_bins_exact_on_and_next_to_every_edge(b):
     assert assign_bins_1d(np.nextafter(edges, 0.0), b).tolist() == i.tolist()
     assert assign_bins_1d(np.nextafter(edges[:-1], 1.0), b).tolist() == (i[:-1] + 1).tolist()
     assert assign_bins_1d(np.array([0.0, 5e-324]), b).tolist() == [1, 1]
+
+
+def test_bins_match_the_edge_search_on_and_next_to_every_edge():
+    for b in [*range(1, 65), 1000, 10**6]:
+        edges = np.arange(b + 1) / b
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        assert np.array_equal(assign_bins_1d(values, b), reference_bins(values, b)), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), st.integers(1, 10**6))
+def test_bins_match_the_edge_search_on_any_float(values, b):
+    values = np.array(values)
+    assert np.array_equal(assign_bins_1d(values, b), reference_bins(values, b))
+
+
+def _unique_ece_full_k(data: PredictionSet, b: int) -> float:
+    """ece_full_k with every key numbered by np.unique."""
+    n, d = data.probs.shape
+    idx = reference_bins(data.probs.ravel(), b).reshape(n, d) - 1
+    return reference_cell_ece(idx @ b ** np.arange(d), data.probs, data.one_hot_labels())
+
+
+@pytest.mark.parametrize("n, k, b", [
+    (125, 3, 5), (4000, 3, 15), (1000, 4, 5), (100, 2, 10),  # b**k <= n: keys kept as they are
+    (124, 3, 5), (200, 3, 6), (1000, 4, 6), (100, 10, 2),  # b**k > n: np.unique numbers them
+])
+def test_ece_full_k_matches_unique_numbering_on_both_sides_of_dense_keys(n, k, b):
+    spec = MulticlassSpec(k, (0.7,) * k, MiscalibrationMapK.mixture(0.3), n, Rng(k, b))
+    data = gen_multiclass(spec)
+    assert ece_full_k(data, b) == _unique_ece_full_k(data, b)
+    edgy = lattice_set(np.random.default_rng(n + b), 2 * b, k)  # entries on bin edges
+    assert ece_full_k(edgy, b) == _unique_ece_full_k(edgy, b)
 
 
 def lattice_set(gen, total: int, k: int) -> PredictionSet:

@@ -479,9 +479,10 @@ def test_convergence_multiclass_uses_k_oracle():
 
 
 def test_convergence_threaded_matches_serial():
-    serial = convergence_experiment(BIN_SPEC, GRID, seeds=20, workers=1)
-    threaded = convergence_experiment(BIN_SPEC, GRID, seeds=20, workers=4)
-    assert serial.to_dict() == threaded.to_dict()
+    for spec in (BIN_SPEC, MULTI_SPEC):
+        serial = convergence_experiment(spec, GRID, seeds=20, workers=1, oracle_samples=1000)
+        threaded = convergence_experiment(spec, GRID, seeds=20, workers=4, oracle_samples=1000)
+        assert serial.to_dict() == threaded.to_dict()
 
 
 def test_convergence_validates_grid():

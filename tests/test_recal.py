@@ -493,6 +493,14 @@ def test_train_pbr_rejects_a_prior_whose_variance_is_not_finite(gen, log_sigma):
         train_pbr(data, cfg)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
+def test_train_pbr_rejects_a_prior_whose_mean_is_not_finite(gen, mu):
+    data = random_prediction_set(gen, 40, 3)
+    cfg = PbrConfig(prior=GaussianPosterior(np.full(1, mu), np.zeros(1)), max_iters=5)
+    with pytest.raises(ValidationError, match="means must be finite"):
+        train_pbr(data, cfg)
+
+
 def test_train_pbr_zero_alpha_ignores_prior(gen):
     data = random_prediction_set(gen, 80, 2)
     cfg0 = PbrConfig(alpha=0.0, seed=1, max_iters=60)

@@ -185,6 +185,27 @@ def test_gen_multiclass_layout_and_determinism():
     assert a.labels.min() >= 0 and a.labels.max() < 4
 
 
+def _row_major_draw(spec: MulticlassSpec):
+    """gen_multiclass with its labels drawn from row-major cumulative sums."""
+    gen = spec.rng.generator()
+    probs = gen.dirichlet(spec.concentration, spec.n)
+    truth = spec.map(probs)
+    u = gen.uniform(0.0, 1.0, spec.n)
+    labels = (u[:, None] > np.cumsum(truth, axis=1)).sum(axis=1)
+    return probs / probs.sum(axis=1, keepdims=True), np.minimum(labels, spec.num_classes - 1)
+
+
+@pytest.mark.parametrize("kind", sorted(synthetic._MAPS_K))
+@pytest.mark.parametrize("k", [2, 3, 10, 100])
+def test_gen_multiclass_matches_the_row_major_label_draw(k, kind):
+    m = MiscalibrationMapK(kind, (0.6,) * synthetic._MAPS_K[kind].num_params)
+    for n in (1, 3000):  # one row: the transposed rows are a view of truth, which may be probs
+        spec = MulticlassSpec(k, (0.4,) * k, m, n, Rng(k, n))
+        data = gen_multiclass(spec)
+        probs, labels = _row_major_draw(spec)
+        assert np.array_equal(data.probs, probs) and np.array_equal(data.labels, labels)
+
+
 def test_gen_multiclass_label_frequencies_track_the_map():
     spec = MulticlassSpec(3, (2.0, 1.0, 1.0), MiscalibrationMapK.mixture(0.4), 150_000, Rng(8))
     data = gen_multiclass(spec)
