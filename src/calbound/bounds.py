@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ValidationError
-from .ece import _check_bins, _ece_top_label_sets
+from .core import ValidationError, _count, _real
+from .ece import _ece_top_label_sets
 from .synthetic import BinarySpec, _gen_binary_sets, true_tce
 
 LAMBDA_MIN = 1e-6
@@ -75,25 +75,17 @@ class BoundInputs:
     assume_density: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.n}")
-        _check_bins(self.num_bins)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        # The chained comparisons also reject NaN and infinity.
-        if not 0.0 <= self.lipschitz < math.inf:
-            raise ValidationError(
-                f"Lipschitz constant must be finite and >= 0, got {self.lipschitz}"
-            )
-        if isinstance(self.lam, str):
-            if self.lam != "auto":
-                raise ValidationError(f"lam must be positive or 'auto', got {self.lam!r}")
-        elif not 0.0 < self.lam < math.inf:
-            raise ValidationError(f"lam must be finite and positive, got {self.lam}")
-        if not 0.0 <= self.kl < math.inf:
-            raise ValidationError(f"kl must be finite and >= 0, got {self.kl}")
-        if self.num_classes is not None and self.num_classes < 2:
-            raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
+        _count(self.n, "sample count")
+        _count(self.num_bins, "bin count")
+        _real(self.epsilon, "epsilon", "> 0", "< 1")
+        _real(self.lipschitz, "Lipschitz constant", ">= 0")
+        if not (isinstance(self.lam, str) and self.lam == "auto"):
+            _real(self.lam, "lam", "> 0")
+        _real(self.kl, "kl", ">= 0")
+        if self.num_classes is not None:
+            _count(self.num_classes, "class count", 2)
+        if not isinstance(self.assume_density, bool):
+            raise ValidationError(f"assume_density must be a bool, got {self.assume_density!r}")
 
 
 @dataclass(frozen=True)
@@ -185,12 +177,11 @@ def evaluate_bound(
     score, added to the value; every other kind takes none. Finite inputs
     whose certificate overflows to infinity raise ValidationError.
     """
+    _real(empirical_term, "empirical term", ">= 0")
     if kind is BoundKind.TotalBiasTest and inputs.kl != 0.0:
         raise ValidationError("TotalBiasTest certifies a fixed predictor; kl must be 0")
     if kind is not BoundKind.JointAccTce and empirical_term != 0.0:
         raise ValidationError(f"{kind.value} takes no empirical term")
-    if not 0.0 <= empirical_term < math.inf:
-        raise ValidationError(f"empirical term must be finite and >= 0, got {empirical_term}")
     binning, a, c = _terms(kind, inputs)
     lam = _best_lambda(a, c) if inputs.lam == "auto" else float(inputs.lam)
     statistical = a / lam + c * lam
@@ -254,8 +245,7 @@ def mc_validate_bound(
         raise ValidationError(
             f"{kind.value} does not bound a 1-D binned bias; cannot validate here"
         )
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _count(trials, "trial count")
     inputs = BoundInputs(
         n=spec.n,
         num_bins=num_bins,

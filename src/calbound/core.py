@@ -1,4 +1,5 @@
-"""Shared value types (prediction sets, seeded RNG streams) and the floored log and softmax.
+"""Shared value types (prediction sets, seeded RNG streams), the floored log and softmax,
+and the two number rules every boundary checks: a count and a finite real.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). Sets
@@ -8,6 +9,9 @@ labels)`` directly.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -26,9 +30,37 @@ PROB_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 
+# The comparisons a rule of _real may state, as in "> 0".
+_RULES = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
 
 class ValidationError(ValueError):
     """Raised when inputs violate a documented precondition."""
+
+
+def _count(value, what: str, minimum: int = 1) -> int:
+    """value as an int: an int or numpy integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, *rules: str) -> float:
+    """value as a float: a real, not a bool, that is finite and meets each rule, such as "> 0".
+
+    NaN, the infinities and integers past the float range are refused, and the
+    message states the rules as given: "alpha must be finite and >= 0, got nan".
+    """
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not (math.isfinite(x)
+            and all(_RULES[op](x, float(bound)) for op, bound in map(str.split, rules))):
+        raise ValidationError(f"{what} must be {' and '.join(('finite',) + rules)}, got {value!r}")
+    return x
 
 
 def _splitmix64(x: int) -> int:

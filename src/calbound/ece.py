@@ -14,22 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PredictionSet, ValidationError
+from .core import PredictionSet, ValidationError, _count
 
 # Refuse sparse K-D binning when the nominal cell count exceeds 2**48; the
 # cell key must stay an exact int64.
 MAX_TOTAL_CELLS = 2**48
 
 
-def _check_bins(num_bins: int) -> int:
-    if not isinstance(num_bins, (int, np.integer)) or num_bins < 1:
-        raise ValidationError(f"bin count must be a positive integer, got {num_bins!r}")
-    return int(num_bins)
-
-
 def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Bin indices in 1..B for values in [0, 1]; right-closed bins, 0 -> bin 1."""
-    b = _check_bins(num_bins)
+    b = _count(num_bins, "bin count")
     values = np.asarray(values, dtype=float)
     # min and max propagate NaN, so NaN fails this check too.
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -70,7 +64,7 @@ def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray,
 
 def _top_label_bins(data: PredictionSet, num_bins: int):
     """0-based top-label bins, confidences and hits, and the bin count."""
-    b = _check_bins(num_bins)
+    b = _count(num_bins, "bin count")
     conf, hits = data.top_label()
     return assign_bins_1d(conf, b) - 1, conf, hits, b
 
@@ -106,7 +100,7 @@ def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
 def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
     """L1 calibration error of the full probability vector over occupied hypercube cells."""
     n, d = data.probs.shape
-    b = _check_bins(bins_per_dim)
+    b = _count(bins_per_dim, "bin count")
     if b**d > MAX_TOTAL_CELLS:
         raise ValidationError(
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"
@@ -119,9 +113,7 @@ def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
 
 
 def _integer_root(n: int, power: int) -> int:
-    """Largest b >= 1 with b**power <= n, exact in integer arithmetic."""
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
+    """Largest b >= 1 with b**power <= n, for a count n >= 1, exact in integer arithmetic."""
     lo, hi = 1, max(2, int(round(n ** (1.0 / power))) + 2)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -134,14 +126,12 @@ def _integer_root(n: int, power: int) -> int:
 
 def optimal_bins_1d(n: int) -> int:
     """Bin count floor(n^(1/3)) balancing binning bias against noise."""
-    return _integer_root(int(n), 3)
+    return _integer_root(_count(n, "sample count"), 3)
 
 
 def optimal_bins_per_dim(n: int, num_classes: int) -> int:
     """Per-dimension count floor(n^(1/(K+2))) for the K-dimensional estimator."""
-    if num_classes < 2:
-        raise ValidationError(f"need at least 2 classes, got {num_classes}")
-    return _integer_root(int(n), int(num_classes) + 2)
+    return _integer_root(_count(n, "sample count"), _count(num_classes, "class count", 2) + 2)
 
 
 def ece_gap(a: PredictionSet, b: PredictionSet, num_bins: int) -> float:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import PredictionSet, Rng, ValidationError
+from ..core import PredictionSet, Rng, ValidationError, _count
 from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
@@ -112,21 +112,17 @@ def convergence_experiment(
     multiclass specs use the Monte Carlo oracle and the full L1 estimator
     with bin_rule counting bins per dimension.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_count(n, "n_grid entry") for n in n_grid]
     if len(n_grid) < 4:
         raise ValidationError("n_grid needs at least 4 points")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValidationError("n_grid must be strictly ascending")
     if n_grid[-1] < _MIN_SPAN * n_grid[0]:
         raise ValidationError("n_grid must span at least 1.5 decades")
-    if seeds < 20:
-        raise ValidationError("need at least 20 seeds per n")
-    if bin_rule != "optimal" and (not isinstance(bin_rule, (int, np.integer)) or bin_rule < 1):
-        raise ValidationError(
-            f"bin rule must be 'optimal' or a positive integer, got {bin_rule!r}"
-        )
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    _count(seeds, "seeds per n", 20)
+    if bin_rule != "optimal":
+        _count(bin_rule, "bin rule")
+    _count(workers, "workers")
 
     binary = isinstance(spec, BinarySpec)
     if binary:
@@ -229,6 +225,8 @@ def fit_method(
         return temperature_scaling_fit(data_re), None
     if method not in PBR_OBJECTIVES:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
+    if len(alpha_grid) < 1:
+        raise ValidationError("alpha grid needs at least 1 value")
     cfgs = [replace(cfg, alpha=float(a), objective=PBR_OBJECTIVES[method]) for a in alpha_grid]
     result = _fit_pbr_with_alpha_selection(data_re, cfgs, seed, split)
     return result.map, result
@@ -252,8 +250,8 @@ def kl_gap_experiment(
     source, source_config = _as_source(source)
     if len(alpha_grid) < 2:
         raise ValidationError("alpha grid needs at least 2 values")
-    if replicates < 1:
-        raise ValidationError("need at least 1 replicate")
+    _count(replicates, "replicates")
+    _count(n_re, "n_re")
     cfg = cfg or PbrConfig()
     cfgs = [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha up front
     bins = optimal_bins_1d(n_re)
@@ -332,13 +330,14 @@ def compare_methods(
     recorded cfg is the one passed in, not the one any cell fitted with.
     """
     source, source_config = _as_source(source)
-    if folds < 2:
-        raise ValidationError("need at least 2 folds")
+    _count(folds, "folds", 2)
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; choose from {METHODS}")
     if not methods:
         raise ValidationError("need at least one method")
+    if len(alpha_grid) < 1:
+        raise ValidationError("alpha grid needs at least 1 value")
     cfg = cfg or PbrConfig()
     [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha before any cell
 
@@ -348,8 +347,8 @@ def compare_methods(
     else:
         n_re = min(1000, max(2, source.n // 5)) if n_re is None else n_re
         n_te = source.n - n_re if n_te is None else n_te
-    if n_re < 2 or n_te < 2:
-        raise ValidationError(f"split n_re={n_re}, n_te={n_te} is too small")
+    _count(n_re, "n_re", 2)
+    _count(n_te, "n_te", 2)
     bins_te = optimal_bins_1d(n_te)
 
     def score(data_re, data_te, fold: int, method: str) -> dict:

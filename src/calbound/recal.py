@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import PredictionSet, Rng, ValidationError, log_probs, softmax
+from .core import PredictionSet, Rng, ValidationError, _count, _real, log_probs, softmax
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -119,8 +119,7 @@ class RecalMap:
 
     def __post_init__(self):
         family = _family(self.family)
-        if self.num_classes < 2:
-            raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
+        _count(self.num_classes, "class count", 2)
         params = np.asarray(self.params, dtype=float)
         want = family.identity(self.num_classes).size
         if params.shape != (want,):
@@ -128,15 +127,16 @@ class RecalMap:
                 f"{self.family} over {self.num_classes} classes needs {want} "
                 f"parameters, got shape {params.shape}"
             )
+        if not np.isfinite(params).all():
+            raise ValidationError(f"{self.family} map params must be finite")
         params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
 
     @classmethod
     def temperature(cls, t: float, num_classes: int = 2) -> "RecalMap":
-        if t <= 0:
-            raise ValidationError(f"temperature must be positive, got {t}")
-        return cls("temperature", num_classes, np.array([math.log(t)]))
+        log_t = math.log(_real(t, "temperature", "> 0"))
+        return cls("temperature", num_classes, np.array([log_t]))
 
     @classmethod
     def vector_scale(cls, weights, offsets) -> "RecalMap":
@@ -276,17 +276,12 @@ class PbrConfig:
 
     def __post_init__(self):
         _family(self.family)  # rejects an unknown family
-        # The chained comparisons also reject NaN and infinity.
-        if not 0 <= self.alpha < math.inf:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.mc_samples < 1 or self.j_final < 1:
-            raise ValidationError("sample counts must be >= 1")
-        if not 0 < self.step_size < math.inf:
-            raise ValidationError(f"step size must be finite and positive, got {self.step_size}")
-        if not 0 < self.step_decay <= 1:
-            raise ValidationError(f"step decay must lie in (0, 1], got {self.step_decay}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        _real(self.alpha, "alpha", ">= 0")
+        _count(self.mc_samples, "mc_samples")
+        _count(self.j_final, "j_final")
+        _real(self.step_size, "step size", "> 0")
+        _real(self.step_decay, "step decay", "> 0", "<= 1")
+        _count(self.max_iters, "max_iters")
         if self.objective not in ("brier", "brier_plus_loss"):
             raise ValidationError(f"unknown objective {self.objective!r}")
 

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import PredictionSet, Rng, ValidationError
+from .core import PredictionSet, Rng, ValidationError, _count, _real
 
 # Oracle quadrature stops when doubling the panel count moves the estimate
 # by less than this.
@@ -37,11 +35,13 @@ class QuadratureError(RuntimeError):
 
 
 class _MapKind(NamedTuple):
-    """Parameter count, the map of (x, params), and for a binary map its Lipschitz constant."""
+    """Parameter count, the map of (x, params), for a binary map its Lipschitz constant,
+    and the rules of :func:`core._real` that each parameter meets."""
 
     num_params: int
     apply: Callable
     lipschitz: Optional[Callable] = None
+    rules: tuple = ()
 
 
 def _tempered(f: np.ndarray, params: tuple) -> np.ndarray:
@@ -55,19 +55,16 @@ _MAPS_1D = {
     "shift": _MapKind(1, lambda c, p: c + p[0], lambda p: 1.0),
     "sine": _MapKind(2, lambda c, p: c + p[0] * np.sin(p[1] * math.pi * c),
                      lambda p: 1.0 + abs(p[0]) * abs(p[1]) * math.pi),
-    "power": _MapKind(1, lambda c, p: c ** p[0], lambda p: p[0]),
+    # Exponents below 1 have unbounded slope at 0, so no finite constant
+    # could be declared for the whole unit interval.
+    "power": _MapKind(1, lambda c, p: c ** p[0], lambda p: p[0], (">= 1",)),
 }
 _MAPS_K = {
     "identity": _MapKind(0, lambda f, p: f),
-    "temperature": _MapKind(1, _tempered),
-    "mixture": _MapKind(1, lambda f, p: (1.0 - p[0]) * f + p[0] / f.shape[-1]),
+    "temperature": _MapKind(1, _tempered, rules=("> 0",)),
+    "mixture": _MapKind(1, lambda f, p: (1.0 - p[0]) * f + p[0] / f.shape[-1],
+                        rules=(">= 0", "<= 1")),
 }
-
-
-def _check_numbers(values, what: str) -> None:
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and abs(v) <= sys.float_info.max for v in values):  # NaN and huge ints fail too
-        raise ValidationError(f"{what} must be finite numbers, got {values!r}")
 
 
 def _check_map(kind: str, params: tuple, kinds: dict) -> None:
@@ -77,7 +74,8 @@ def _check_map(kind: str, params: tuple, kinds: dict) -> None:
         raise ValidationError(
             f"{kind} map needs params of length {kinds[kind].num_params}, got {len(params)}"
         )
-    _check_numbers(params, f"{kind} map params")
+    for p in params:
+        _real(p, f"{kind} map param", *kinds[kind].rules)
 
 
 def _spec_part(d: dict, key: str, types, what: str):
@@ -115,13 +113,11 @@ class ConfidenceLaw:
     def __post_init__(self):
         if self.kind not in ("uniform", "beta"):
             raise ValidationError(f"unknown confidence law {self.kind!r}")
-        _check_numbers((self.lo, self.hi, self.a, self.b), "confidence law bounds and shapes")
-        if not 0.5 <= self.lo < self.hi <= 1.0:
-            raise ValidationError(
-                f"support [{self.lo}, {self.hi}] must sit inside [0.5, 1]"
-            )
-        if self.kind == "beta" and (self.a <= 0 or self.b <= 0):
-            raise ValidationError("beta shape parameters must be positive")
+        shape = ("> 0",) if self.kind == "beta" else ()
+        for name, rules in (("lo", (">= 0.5",)), ("hi", ("<= 1",)), ("a", shape), ("b", shape)):
+            _real(getattr(self, name), f"confidence law {name}", *rules)
+        if self.lo >= self.hi:
+            raise ValidationError(f"support [{self.lo}, {self.hi}] is empty")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "ConfidenceLaw":
@@ -161,10 +157,6 @@ class MiscalibrationMap1D:
 
     def __post_init__(self):
         _check_map(self.kind, self.params, _MAPS_1D)
-        if self.kind == "power" and self.params[0] < 1.0:
-            # Exponents below 1 have unbounded slope at 0, so no finite
-            # constant could be declared for the whole unit interval.
-            raise ValidationError("power map requires exponent >= 1")
 
     @classmethod
     def identity(cls) -> "MiscalibrationMap1D":
@@ -200,8 +192,7 @@ class BinarySpec:
     rng: Rng
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.n}")
+        _count(self.n, "sample count")
 
     def to_dict(self) -> dict:
         return {
@@ -258,9 +249,14 @@ def true_tce(spec: BinarySpec) -> float:
 
     Panels are doubled until successive estimates agree within
     QUADRATURE_TOL; the integrand has kinks at clip boundaries, so refinement
-    rather than a fixed panel count is required.
+    rather than a fixed panel count is required. A beta shape below 1 makes
+    the density infinite at that end of the support, where Simpson evaluates
+    it, so such a law is refused here, though it can still be sampled.
     """
-    lo, hi = spec.law.lo, spec.law.hi
+    law = spec.law
+    if law.kind == "beta" and min(law.a, law.b) < 1:
+        raise ValidationError(f"true_tce needs beta shapes >= 1, got a={law.a}, b={law.b}")
+    lo, hi = law.lo, law.hi
 
     def integrand(c):
         return np.abs(spec.map(c) - c) * spec.law.pdf(c)
@@ -290,10 +286,6 @@ class MiscalibrationMapK:
 
     def __post_init__(self):
         _check_map(self.kind, self.params, _MAPS_K)
-        if self.kind == "temperature" and self.params[0] <= 0:
-            raise ValidationError("temperature must be positive")
-        if self.kind == "mixture" and not 0.0 <= self.params[0] <= 1.0:
-            raise ValidationError("mixture weight must lie in [0, 1]")
 
     @classmethod
     def identity(cls) -> "MiscalibrationMapK":
@@ -322,15 +314,12 @@ class MulticlassSpec:
     rng: Rng
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValidationError(f"need at least 2 classes, got {self.num_classes}")
+        _count(self.num_classes, "class count", 2)
         if len(self.concentration) != self.num_classes:
             raise ValidationError("concentration length must equal the class count")
-        _check_numbers(self.concentration, "concentration entries")
-        if any(a <= 0 for a in self.concentration):
-            raise ValidationError("concentration entries must be positive")
-        if self.n < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.n}")
+        for a in self.concentration:
+            _real(a, "concentration entry", "> 0")
+        _count(self.n, "sample count")
 
     def to_dict(self) -> dict:
         return {
@@ -401,8 +390,7 @@ def true_ce_k(
     Uses a dedicated child stream of the spec seed, so the oracle never
     perturbs the draws of gen_multiclass.
     """
-    if oracle_samples < 2:
-        raise ValidationError("oracle needs at least 2 samples")
+    _count(oracle_samples, "oracle sample count", 2)
     gen = spec.rng.stream(_STREAM_ORACLE).generator()
     total = 0.0
     total_sq = 0.0

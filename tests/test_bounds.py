@@ -169,6 +169,19 @@ def test_non_finite_inputs_rejected():
             )
 
 
+@pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
+def test_assume_density_must_be_a_bool(flag):
+    # A truthy non-bool would switch on the sharper constant: "no" would halve GenRecal here.
+    with pytest.raises(ValidationError, match="assume_density must be a bool"):
+        BoundInputs(n=100, num_bins=4, epsilon=0.05, assume_density=flag)
+
+
+def test_mc_validate_bound_refuses_a_law_without_an_oracle():
+    spec = BinarySpec(ConfidenceLaw.beta(0.5, 0.5), MiscalibrationMap1D.power(2.0), 100, Rng(1))
+    with pytest.raises(ValidationError, match="beta shapes"):
+        mc_validate_bound(BoundKind.TotalBiasTest, spec, 4, 0.05, 10)
+
+
 def test_overflowing_certificate_rejected():
     inputs = BoundInputs(n=10, num_bins=2, epsilon=0.05, kl=1e308)
     with pytest.raises(ValidationError, match="joint_acc_tce certificate overflows"):

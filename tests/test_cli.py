@@ -158,6 +158,17 @@ def test_malformed_spec_exits_two(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_beta_law_below_shape_one_synthesizes_but_has_no_convergence_oracle(tmp_path, capsys):
+    sp = tmp_path / "spec.json"
+    law = {"kind": "beta", "lo": 0.5, "hi": 1.0, "a": 0.5, "b": 0.5}
+    sp.write_text(json.dumps(_GOOD_SPEC | {"law": law}))
+    assert main(["synthesize", "--spec", str(sp), "--out", str(tmp_path / "d.csv")]) == 0
+    capsys.readouterr()
+    argv = ["experiment", "convergence", "--spec", str(sp), "--n-grid", "50,100,400,2000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: true_tce needs beta shapes >= 1, got a=0.5, b=0.5\n"
+
+
 def test_synthesize_format_follows_suffix(tmp_path, capsys):
     sp = spec_file(tmp_path)
     loaded = []

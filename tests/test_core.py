@@ -1,21 +1,37 @@
+import math
+
 import numpy as np
 import pytest
 
 from calbound import (
     BinarySpec,
+    BoundInputs,
+    BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
     MiscalibrationMapK,
     MulticlassSpec,
+    PbrConfig,
     PredictionSet,
     RecalMap,
     Rng,
     ValidationError,
+    ece_full_k,
+    ece_top_label,
+    ece_top_label_reformulated,
+    evaluate_bound,
     gen_binary,
     gen_multiclass,
+    mc_validate_bound,
+    optimal_bins_1d,
+    optimal_bins_per_dim,
     recalibrate_set,
+    true_ce_k,
     validate_prediction_set,
 )
+from calbound.core import _count, _real
+from calbound.ece import assign_bins_1d
+from calbound.harness import compare_methods, convergence_experiment, kl_gap_experiment
 
 
 def _multiclass():
@@ -151,3 +167,99 @@ def test_top_views_and_subset(gen):
     sub = ps.subset(np.array([2, 0]))
     assert sub.n == 2
     assert np.allclose(sub.probs[0], [0.5, 0.5])
+
+
+_TWO_ROWS = PredictionSet.from_probs([[0.7, 0.3], [0.4, 0.6]], [0, 1])
+_BINARY = BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.05, 2.0),
+                     50, Rng(1))
+_MULTI = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(), 50, Rng(1))
+_GRID = [100, 300, 1000, 3200]
+
+
+def _inputs(**changes):
+    return BoundInputs(**{"n": 10, "num_bins": 2, "epsilon": 0.05, **changes})
+
+
+# Each public boundary that takes a count, fed the bad value v.
+COUNTS = {
+    "BoundInputs.n": lambda v: _inputs(n=v),
+    "BoundInputs.num_bins": lambda v: _inputs(num_bins=v),
+    "BoundInputs.num_classes": lambda v: _inputs(num_classes=v),
+    "mc_validate_bound.trials": lambda v: mc_validate_bound(
+        BoundKind.TotalBiasTest, _BINARY, 4, 0.05, v),
+    "assign_bins_1d": lambda v: assign_bins_1d(np.array([0.5]), v),
+    "ece_top_label": lambda v: ece_top_label(_TWO_ROWS, v),
+    "ece_top_label_reformulated": lambda v: ece_top_label_reformulated(_TWO_ROWS, v),
+    "ece_full_k": lambda v: ece_full_k(_TWO_ROWS, v),
+    "optimal_bins_1d": optimal_bins_1d,
+    "optimal_bins_per_dim.n": lambda v: optimal_bins_per_dim(v, 3),
+    "optimal_bins_per_dim.num_classes": lambda v: optimal_bins_per_dim(100, v),
+    "RecalMap.num_classes": lambda v: RecalMap("temperature", v, [0.0]),
+    "PbrConfig.mc_samples": lambda v: PbrConfig(mc_samples=v),
+    "PbrConfig.j_final": lambda v: PbrConfig(j_final=v),
+    "PbrConfig.max_iters": lambda v: PbrConfig(max_iters=v),
+    "BinarySpec.n": lambda v: BinarySpec(_BINARY.law, _BINARY.map, v, Rng(1)),
+    "MulticlassSpec.num_classes": lambda v: MulticlassSpec(
+        v, (1.0, 1.0, 1.0), _MULTI.map, 50, Rng(1)),
+    "MulticlassSpec.n": lambda v: MulticlassSpec(3, (1.0, 1.0, 1.0), _MULTI.map, v, Rng(1)),
+    "true_ce_k.oracle_samples": lambda v: true_ce_k(_MULTI, v),
+    "convergence.n_grid": lambda v: convergence_experiment(_BINARY, [v, *_GRID[1:]], 20),
+    "convergence.seeds": lambda v: convergence_experiment(_BINARY, _GRID, v),
+    "convergence.bin_rule": lambda v: convergence_experiment(_BINARY, _GRID, 20, bin_rule=v),
+    "convergence.workers": lambda v: convergence_experiment(_BINARY, _GRID, 20, workers=v),
+    "klgap.replicates": lambda v: kl_gap_experiment(
+        _MULTI, alpha_grid=(0.0, 1.0), replicates=v, n_re=50),
+    "klgap.n_re": lambda v: kl_gap_experiment(_MULTI, alpha_grid=(0.0, 1.0), n_re=v),
+    "compare.folds": lambda v: compare_methods(_MULTI, ("uncalibrated",), folds=v),
+    "compare.n_re": lambda v: compare_methods(_MULTI, ("uncalibrated",), n_re=v, n_te=50),
+    "compare.n_te": lambda v: compare_methods(_MULTI, ("uncalibrated",), n_re=50, n_te=v),
+}
+
+# Each public boundary that takes a finite real, fed the bad value v.
+REALS = {
+    "BoundInputs.epsilon": lambda v: _inputs(epsilon=v),
+    "BoundInputs.lipschitz": lambda v: _inputs(lipschitz=v),
+    "BoundInputs.lam": lambda v: _inputs(lam=v),
+    "BoundInputs.kl": lambda v: _inputs(kl=v),
+    "evaluate_bound.empirical_term": lambda v: evaluate_bound(BoundKind.JointAccTce, _inputs(), v),
+    "RecalMap.temperature": RecalMap.temperature,
+    "PbrConfig.alpha": lambda v: PbrConfig(alpha=v),
+    "PbrConfig.step_size": lambda v: PbrConfig(step_size=v),
+    "PbrConfig.step_decay": lambda v: PbrConfig(step_decay=v),
+    "ConfidenceLaw.lo": lambda v: ConfidenceLaw("beta", v, 1.0, 2.0, 2.0),
+    "ConfidenceLaw.hi": lambda v: ConfidenceLaw("beta", 0.5, v, 2.0, 2.0),
+    "ConfidenceLaw.a": lambda v: ConfidenceLaw("beta", 0.5, 1.0, v, 2.0),
+    "ConfidenceLaw.b": lambda v: ConfidenceLaw("beta", 0.5, 1.0, 2.0, v),
+    "MiscalibrationMap1D.params": lambda v: MiscalibrationMap1D("shift", (v,)),
+    "MiscalibrationMapK.params": lambda v: MiscalibrationMapK("mixture", (v,)),
+    "MulticlassSpec.concentration": lambda v: MulticlassSpec(
+        3, (1.0, 1.0, v), _MULTI.map, 50, Rng(1)),
+}
+
+_BAD = {"bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("boundary, value", [
+    *[pytest.param(COUNTS[b], v, id=f"{b}-{name}")
+      for b in COUNTS for name, v in {**_BAD, "fraction": 20.5, "string": "3"}.items()],
+    *[pytest.param(REALS[b], v, id=f"{b}-{name}")
+      for b in REALS for name, v in {**_BAD, "string": "0.5"}.items()],
+])
+def test_every_number_boundary_refuses_a_bad_value(boundary, value):
+    with pytest.raises(ValidationError):
+        boundary(value)
+
+
+def test_number_rules_state_the_rule_they_check():
+    assert _count(np.int64(3), "n") == 3 and type(_count(np.int64(3), "n")) is int
+    assert _real(np.float32(0.5), "x", "> 0", "< 1") == 0.5
+    with pytest.raises(ValidationError, match=r"^alpha must be finite and >= 0, got nan$"):
+        _real(math.nan, "alpha", ">= 0")
+    with pytest.raises(ValidationError, match=r"^x must be finite and > 0 and <= 1, got 1.5$"):
+        _real(1.5, "x", "> 0", "<= 1")
+    with pytest.raises(ValidationError, match=r"^x must be finite, got 1000"):
+        _real(10**400, "x")  # past the float range
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 2, got 1$"):
+        _count(1, "n", 2)
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
+        _count(np.True_, "n")

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,7 @@ from calbound.harness import (
     write_dump,
 )
 from calbound.harness import io as dio
-from calbound.harness.experiments import _split_source
+from calbound.harness.experiments import PBR_OBJECTIVES, _split_source, fit_method
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
 
@@ -619,7 +620,7 @@ def test_compare_methods_rejects_explicit_zero_split(gen):
     dump = random_prediction_set(gen, 200, 3)
     for source in (MULTI_SPEC, dump):
         for split in ({"n_re": 0}, {"n_te": 0}):
-            with pytest.raises(ValidationError, match="too small"):
+            with pytest.raises(ValidationError, match="must be an integer >= 2, got 0"):
                 compare_methods(source, methods=("uncalibrated",), folds=2, **split)
 
 
@@ -628,17 +629,29 @@ def test_compare_methods_rejects_unknown_method():
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))
 
 
-@pytest.mark.parametrize("grid", [(-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)],
-                         ids=["negative", "inf", "nan"])
-@pytest.mark.parametrize("experiment", ["klgap", "compare"])
-def test_bad_alpha_grid_fails_before_any_cell(monkeypatch, experiment, grid):
+@pytest.mark.parametrize("grid, match", [
+    pytest.param((-1.0, 1.0), "alpha must be finite", id="negative"),
+    pytest.param((1.0, math.inf), "alpha must be finite", id="inf"),
+    pytest.param((math.nan, 1.0), "alpha must be finite", id="nan"),
+    pytest.param((), "alpha grid needs at least", id="empty"),
+])
+@pytest.mark.parametrize("experiment", ["klgap", "compare", "compare-no-pbr"])
+def test_bad_alpha_grid_fails_before_any_cell(monkeypatch, experiment, grid, match):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr("calbound.harness.experiments._split_source", no_cells)
-    run = {"klgap": kl_gap_experiment, "compare": compare_methods}[experiment]
-    with pytest.raises(ValidationError, match="alpha must be finite"):
-        run(MULTI_SPEC, alpha_grid=grid)
+    run = {"klgap": kl_gap_experiment, "compare": compare_methods,
+           "compare-no-pbr": partial(compare_methods, methods=("uncalibrated", "temperature"))}
+    with pytest.raises(ValidationError, match=match):
+        run[experiment](MULTI_SPEC, alpha_grid=grid)
+
+
+@pytest.mark.parametrize("method", sorted(PBR_OBJECTIVES))
+def test_fit_method_refuses_an_empty_alpha_grid(gen, method):
+    data = random_prediction_set(gen, 50, 3)
+    with pytest.raises(ValidationError, match="alpha grid needs at least 1 value"):
+        fit_method(method, data, PbrConfig(), [], 0)
 
 
 def test_experiment_cell_error_carries_cell():

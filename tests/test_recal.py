@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -162,6 +163,15 @@ def test_recalibrate_set_rejects_a_map_that_makes_nan_rows(gen):
     data = random_prediction_set(gen, 5, 2)
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match="NaN"):
         recalibrate_set(RecalMap("temperature", 2, [-800.0]), data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recal_map_refuses_non_finite_params(bad):
+    with pytest.raises(ValidationError, match="affine map params must be finite"):
+        RecalMap("affine", 2, [bad] * 6)
+    saved = json.loads(json.dumps(RecalMap.temperature(2.0).to_dict() | {"params": [bad]}))
+    with pytest.raises(ValidationError, match="temperature map params must be finite"):
+        RecalMap.from_dict(saved)
 
 
 def test_brier_and_cross_entropy_hand_values():

@@ -138,6 +138,16 @@ def test_true_tce_unreachable_tolerance_raises(monkeypatch):
         true_tce(spec)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 2.0), (2.0, 0.9)])
+def test_true_tce_refuses_beta_shapes_below_one_that_gen_binary_samples(a, b):
+    # Below 1 a shape makes the density infinite at that end of the support.
+    spec = BinarySpec(ConfidenceLaw.beta(a, b), MiscalibrationMap1D.sine(0.05, 2.0), 200, Rng(5))
+    with pytest.raises(ValidationError, match=f"beta shapes >= 1, got a={a}, b={b}"):
+        true_tce(spec)
+    conf = gen_binary(spec).probs[:, 0]
+    assert conf.min() >= 0.5 and conf.max() <= 1.0
+
+
 def test_binary_spec_json_round_trip():
     spec = BinarySpec(
         ConfidenceLaw.beta(2.0, 3.0, 0.6, 0.9), MiscalibrationMap1D.sine(0.1, 2.0), 777, Rng(9, 4)
