@@ -39,9 +39,10 @@ class ValidationError(ValueError):
 
 
 def _count(value, what: str, minimum: int = 1) -> int:
-    """value as an int: an int or numpy integer, not a bool, of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    """value as an int: an int or numpy integer, not a bool, of at least minimum and below 2**63."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not minimum <= value < 2**63):
+        raise ValidationError(f"{what} must be an integer >= {minimum} and < 2**63, got {value!r}")
     return int(value)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import PredictionSet, Rng, ValidationError, _count
+from ..core import PredictionSet, Rng, ValidationError, _count, _real
 from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
@@ -189,6 +189,13 @@ def _split_source(
     return source.subset(order[:n_re]), source.subset(order[n_re : n_re + n_te])
 
 
+def _alpha_grid(alpha_grid: Sequence[float], minimum: int) -> list[float]:
+    """The grid's KL weights as floats, each finite and >= 0; at least minimum of them."""
+    if len(alpha_grid) < minimum:
+        raise ValidationError(f"alpha grid needs at least {minimum} value{'s' * (minimum > 1)}")
+    return [_real(a, "alpha", ">= 0") for a in alpha_grid]
+
+
 def _fit_at_alpha(
     data_re: PredictionSet, cfg: PbrConfig, seed: int, split: int, ia: int
 ) -> PbrResult:
@@ -225,9 +232,8 @@ def fit_method(
         return temperature_scaling_fit(data_re), None
     if method not in PBR_OBJECTIVES:
         raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
-    if len(alpha_grid) < 1:
-        raise ValidationError("alpha grid needs at least 1 value")
-    cfgs = [replace(cfg, alpha=float(a), objective=PBR_OBJECTIVES[method]) for a in alpha_grid]
+    cfgs = [replace(cfg, alpha=a, objective=PBR_OBJECTIVES[method])
+            for a in _alpha_grid(alpha_grid, 1)]
     result = _fit_pbr_with_alpha_selection(data_re, cfgs, seed, split)
     return result.map, result
 
@@ -248,12 +254,11 @@ def kl_gap_experiment(
     recorded cfg is the one passed in, not the one any cell fitted with.
     """
     source, source_config = _as_source(source)
-    if len(alpha_grid) < 2:
-        raise ValidationError("alpha grid needs at least 2 values")
+    alpha_grid = _alpha_grid(alpha_grid, 2)
     _count(replicates, "replicates")
     _count(n_re, "n_re")
     cfg = cfg or PbrConfig()
-    cfgs = [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha up front
+    cfgs = [replace(cfg, alpha=a) for a in alpha_grid]
     bins = optimal_bins_1d(n_re)
 
     def fit(data_re, data_te, r: int, ia: int) -> dict:
@@ -290,7 +295,7 @@ def kl_gap_experiment(
     }
     config = {
         "source": source_config,
-        "alpha_grid": [float(a) for a in alpha_grid],
+        "alpha_grid": alpha_grid,
         "replicates": replicates,
         "n_re": n_re,
         "cfg": cfg.to_dict(),
@@ -336,10 +341,8 @@ def compare_methods(
             raise ValidationError(f"unknown method {m!r}; choose from {METHODS}")
     if not methods:
         raise ValidationError("need at least one method")
-    if len(alpha_grid) < 1:
-        raise ValidationError("alpha grid needs at least 1 value")
+    alpha_grid = _alpha_grid(alpha_grid, 1)  # checked whatever the methods, before any cell
     cfg = cfg or PbrConfig()
-    [replace(cfg, alpha=float(a)) for a in alpha_grid]  # rejects a bad alpha before any cell
 
     if isinstance(source, (BinarySpec, MulticlassSpec)):
         n_re = 1000 if n_re is None else n_re
@@ -381,7 +384,7 @@ def compare_methods(
         "n_re": n_re,
         "n_te": n_te,
         "cfg": cfg.to_dict(),
-        "alpha_grid": [float(a) for a in alpha_grid],
+        "alpha_grid": alpha_grid,
         "seed": seed,
     }
     return make_report("compare", config, cells, summary)

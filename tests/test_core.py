@@ -241,7 +241,8 @@ _BAD = {"bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 @pytest.mark.parametrize("boundary, value", [
     *[pytest.param(COUNTS[b], v, id=f"{b}-{name}")
-      for b in COUNTS for name, v in {**_BAD, "fraction": 20.5, "string": "3"}.items()],
+      for b in COUNTS
+      for name, v in {**_BAD, "fraction": 20.5, "string": "3", "2**63": 2**63}.items()],
     *[pytest.param(REALS[b], v, id=f"{b}-{name}")
       for b in REALS for name, v in {**_BAD, "string": "0.5"}.items()],
 ])
@@ -259,7 +260,13 @@ def test_number_rules_state_the_rule_they_check():
         _real(1.5, "x", "> 0", "<= 1")
     with pytest.raises(ValidationError, match=r"^x must be finite, got 1000"):
         _real(10**400, "x")  # past the float range
-    with pytest.raises(ValidationError, match=r"^n must be an integer >= 2, got 1$"):
+    assert _count(2**63 - 1, "n") == 2**63 - 1
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 2 and < 2\*\*63, got 1$"):
         _count(1, "n", 2)
-    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1 and < 2\*\*63, got "):
         _count(np.True_, "n")
+    with pytest.raises(ValidationError,
+                       match=r"^n must be an integer >= 1 and < 2\*\*63, got 9223372036854775808$"):
+        _count(2**63, "n")
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1 and < 2\*\*63, got "):
+        _count(np.uint64(2**63), "n")

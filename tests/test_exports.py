@@ -22,13 +22,21 @@ def test_all_resolves_unique_and_sorted(module):
     assert names == sorted(names)
 
 
+_KLGAP = ("from calbound import MiscalibrationMapK, MulticlassSpec, Rng; "
+          "from calbound.harness import kl_gap_experiment; "
+          "spec = MulticlassSpec(3, (1.0,) * 3, MiscalibrationMapK.identity(), 50, Rng(1)); "
+          "kl_gap_experiment(spec, alpha_grid=(0.0, 1.0), replicates=2, n_re=40)")
+
+
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only a few functions use it.
+    # scipy.stats takes about a second and 70 MB to import; only the beta law's density uses it,
+    # so neither importing the package nor a KL-gap sweep loads it.
     # The fresh interpreter finds src/ through the PYTHONPATH conftest.py sets.
-    code = "import sys, calbound, calbound.harness.cli; print('scipy.stats' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    for work in ("import calbound, calbound.harness.cli", _KLGAP):
+        code = f"import sys; {work}; print('scipy.stats' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False", work
 
 
 def test_benchmark_tracer_names_resolve():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -398,6 +400,65 @@ def test_degenerate_correlations_are_nan():
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def _correlation_inputs(count: int):
+    """Seeded pairs: random, heavily tied, two points, constant, near constant, ±inf and NaN."""
+    gen = np.random.default_rng(16)
+    for i in range(count):
+        n = int(gen.integers(2, 40))
+        x, y = gen.normal(size=(2, n))
+        kind = i % 7
+        if kind == 1:
+            x, y = gen.integers(0, 3, size=(2, n)).astype(float)
+        elif kind == 2:
+            x, y = gen.normal(size=(2, 2))
+        elif kind == 3:
+            (x, y)[i % 2][:] = gen.normal()
+        elif kind == 4:  # |x - mean| far below |mean|
+            x = 1e6 + 1e-9 * x
+        elif kind == 5:
+            x[gen.integers(n)] = gen.choice([-math.inf, math.inf])
+            y[gen.integers(n)] = gen.choice([-math.inf, math.inf, 0.0])
+        elif kind == 6:
+            (x, y)[i % 2][gen.integers(n)] = math.nan
+        yield x, y
+
+
+@pytest.mark.parametrize("ours, theirs", [(pearson, "pearsonr"), (kendall_tau, "kendalltau")])
+def test_correlations_match_scipy_bit_for_bit(ours, theirs):
+    sps = pytest.importorskip("scipy.stats")
+    mismatches = []
+    for x, y in _correlation_inputs(2000):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # scipy warns on constant and infinite input
+            want = float(getattr(sps, theirs)(x, y).statistic)
+        got = ours(x, y)
+        if not (got == want or math.isnan(got) and math.isnan(want)):
+            mismatches.append((x.tolist(), y.tolist(), got, want))
+    assert mismatches == []
+
+
+def test_kendall_tau_orders_infinities_and_needs_no_pair_array():
+    assert kendall_tau([-math.inf, 0.0, math.inf], [1.0, 2.0, 3.0]) == 1.0
+    tied = kendall_tau([math.inf, math.inf, 0.0], [1.0, 2.0, 3.0])
+    assert tied == pytest.approx(-math.sqrt(2 / 3))
+    x = np.random.default_rng(0).normal(size=(2, 3000))
+    tracemalloc.start()
+    try:
+        kendall_tau(*x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000**2  # an n x n array of pairs would take 9 MB even as bytes
+
+
+def test_klgap_report_is_pinned():
+    # The digest of this report as scipy's pearsonr and kendalltau computed its summary:
+    # a change to the fits or to either statistic moves it.
+    rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5, 1.0), replicates=2, n_re=60)
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "5ed611a97d88f499edb0f5257744b9ccda9ea688e8bd502d2108e049c0952a2a"
+
+
 def test_loglog_slope_recovers_exact_power_law():
     ns = np.array([100, 1000, 10_000, 100_000])
     vals = 3.0 * ns ** (-1.0 / 3.0)
@@ -620,7 +681,8 @@ def test_compare_methods_rejects_explicit_zero_split(gen):
     dump = random_prediction_set(gen, 200, 3)
     for source in (MULTI_SPEC, dump):
         for split in ({"n_re": 0}, {"n_te": 0}):
-            with pytest.raises(ValidationError, match="must be an integer >= 2, got 0"):
+            with pytest.raises(ValidationError,
+                               match=r"must be an integer >= 2 and < 2\*\*63, got 0"):
                 compare_methods(source, methods=("uncalibrated",), folds=2, **split)
 
 
@@ -633,6 +695,8 @@ def test_compare_methods_rejects_unknown_method():
     pytest.param((-1.0, 1.0), "alpha must be finite", id="negative"),
     pytest.param((1.0, math.inf), "alpha must be finite", id="inf"),
     pytest.param((math.nan, 1.0), "alpha must be finite", id="nan"),
+    pytest.param(("0.5", 1.0), "alpha must be finite", id="string"),
+    pytest.param((True, 1.0), "alpha must be finite", id="bool"),
     pytest.param((), "alpha grid needs at least", id="empty"),
 ])
 @pytest.mark.parametrize("experiment", ["klgap", "compare", "compare-no-pbr"])
@@ -652,6 +716,31 @@ def test_fit_method_refuses_an_empty_alpha_grid(gen, method):
     data = random_prediction_set(gen, 50, 3)
     with pytest.raises(ValidationError, match="alpha grid needs at least 1 value"):
         fit_method(method, data, PbrConfig(), [], 0)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, math.nan, -1.0],
+                         ids=["string", "bool", "nan", "negative"])
+@pytest.mark.parametrize("method", sorted(PBR_OBJECTIVES))
+def test_fit_method_refuses_a_bad_alpha_before_any_fit(monkeypatch, gen, method, bad):
+    def no_fits(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr("calbound.harness.experiments.train_pbr", no_fits)
+    data = random_prediction_set(gen, 50, 3)
+    with pytest.raises(ValidationError, match="alpha must be finite and >= 0"):
+        fit_method(method, data, PbrConfig(max_iters=5), [0.5, bad], 0)
+
+
+def test_numpy_alpha_grid_entries_give_the_same_reports():
+    klgap = partial(kl_gap_experiment, MULTI_SPEC, replicates=1, n_re=60)
+    plain, numpy = klgap(alpha_grid=(0.0, 0.5)), klgap(alpha_grid=np.array([0.0, 0.5]))
+    assert numpy.to_json() == plain.to_json()
+    compare = partial(compare_methods, MULTI_SPEC, methods=("pbr",), folds=2, n_re=60, n_te=100,
+                      cfg=PbrConfig(max_iters=20))
+    plain = compare(alpha_grid=(0.25, 1.0))
+    numpy = compare(alpha_grid=(np.float32(0.25), np.int64(1)))
+    assert numpy.to_json() == plain.to_json()
+    assert [type(a) for a in numpy.config["alpha_grid"]] == [float, float]
 
 
 def test_experiment_cell_error_carries_cell():
