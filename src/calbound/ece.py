@@ -39,23 +39,27 @@ def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _cell_ece(cells: np.ndarray, vectors: np.ndarray, targets: np.ndarray,
+def _cell_ece(cells: np.ndarray, vectors: np.ndarray, labels: np.ndarray,
               sets: int = 1, span: int = 0) -> np.ndarray:
     """Occupancy-weighted L1 gap between each cell's mean vector and mean target, per set.
 
     The rows are ``sets`` equal consecutive blocks, one prediction set each,
     and the cells of block t lie in [t * span, (t + 1) * span). cells numbers
-    the cell of each row; vectors and targets are (rows, d). Each set's value
-    is np.sum over its occupied cells in cell order, as for the set alone.
+    the cell of each row and vectors is (rows, d). labels[i] in 0..d names
+    row i's target: unit vector labels[i] of length d, or zeros when it is d.
+    Each set's value is np.sum over its occupied cells in cell order, as for
+    the set alone.
     """
-    counts = np.bincount(cells).astype(float)
+    d = vectors.shape[1]
+    # Exact integer counts of each (cell, label) pair; a row of them sums to the cell's count.
+    joint = np.bincount(cells * (d + 1) + labels, minlength=(cells.max() + 1) * (d + 1))
+    joint = joint.reshape(-1, d + 1)
+    counts = joint.sum(axis=1)
     occupied = np.flatnonzero(counts)
-    counts = counts[occupied]
+    counts = counts[occupied].astype(float)
+    sum_tgt = joint[occupied, :d]
     # (cells, d) rows: from d = 8 on, a (d, cells) layout sums over d in another order.
-    sum_vec, sum_tgt = [
-        np.column_stack([np.bincount(cells, weights=col)[occupied] for col in cols.T])
-        for cols in (vectors, targets)
-    ]
+    sum_vec = np.column_stack([np.bincount(cells, weights=col)[occupied] for col in vectors.T])
     gaps = np.abs(sum_vec / counts[:, None] - sum_tgt / counts[:, None]).sum(axis=1)
     terms = counts / (len(cells) // sets) * gaps
     firsts = np.searchsorted(occupied, np.arange(1, sets) * span)
@@ -73,7 +77,7 @@ def _ece_top_label_sets(data: PredictionSet, num_bins: int, sets: int) -> np.nda
     """Top-label ECE of each of ``sets`` equal consecutive blocks of rows."""
     bins, conf, hits, b = _top_label_bins(data, num_bins)
     bins += np.repeat(np.arange(sets) * b, data.n // sets)  # block t's bins from t * B
-    return _cell_ece(bins, conf[:, None], hits[:, None], sets, b)
+    return _cell_ece(bins, conf[:, None], hits == 0, sets, b)  # a hit targets 1, a miss 0
 
 
 def ece_top_label(data: PredictionSet, num_bins: int) -> float:
@@ -109,7 +113,7 @@ def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
     cells = idx @ b ** np.arange(d, dtype=np.int64)
     if b**d > n:  # bincount over every key would outgrow the data
         cells = np.unique(cells, return_inverse=True)[1]
-    return float(_cell_ece(cells, data.probs, data.one_hot_labels())[0])
+    return float(_cell_ece(cells, data.probs, data.labels)[0])
 
 
 def _integer_root(n: int, power: int) -> int:

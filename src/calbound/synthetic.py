@@ -29,6 +29,14 @@ _MAX_PANELS = 2**21
 # do not collide with internal draws.
 _STREAM_ORACLE = 0xACE
 
+# gen_multiclass and true_ce_k work on blocks of BLOCK_CELLS // K rows (at least
+# one), so each (rows, K) array they make takes about 256 KB whatever n and K are.
+BLOCK_CELLS = 2**15
+
+# true_ce_k sums its values in groups of this many rows; the group fixes the
+# oracle's bits, the block size does not.
+_ORACLE_GROUP = 200_000
+
 
 class QuadratureError(RuntimeError):
     """Composite Simpson refinement failed to converge."""
@@ -363,19 +371,30 @@ def spec_from_json(text: str):
     return spec_from_dict(d)
 
 
+def _block_rows(num_classes: int) -> int:
+    return max(1, BLOCK_CELLS // num_classes)
+
+
 def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
-    """Draw predictions f ~ Dirichlet and labels from m(f)."""
+    """Draw predictions f ~ Dirichlet and labels from m(f).
+
+    All of f is drawn first and all label uniforms second, so the stream
+    layout is part of the contract and reruns are bit-identical.
+    """
     gen = spec.rng.generator()
     probs = gen.dirichlet(spec.concentration, spec.n)
-    truth = spec.map(probs)
     u = gen.uniform(0.0, 1.0, spec.n)
-    # Class-major running sums: each is one add of two contiguous rows, and they are
-    # the sums np.cumsum(truth, axis=1) makes. A copy, since truth may be probs.
-    cdf = truth.T.copy()
-    for k in range(1, spec.num_classes):
-        cdf[k] += cdf[k - 1]
-    labels = (u > cdf).sum(axis=0)
-    labels = np.minimum(labels, spec.num_classes - 1)
+    labels = np.empty(spec.n, dtype=np.int64)
+    rows = _block_rows(spec.num_classes)
+    for start in range(0, spec.n, rows):
+        block = slice(start, start + rows)
+        # Class-major running sums: each is one add of two contiguous rows, and they are
+        # the sums np.cumsum(m(f), axis=1) makes. A copy, since m(f) may be f itself.
+        cdf = spec.map(probs[block]).T.copy()
+        for k in range(1, spec.num_classes):
+            cdf[k] += cdf[k - 1]
+        labels[block] = (u[block] > cdf).sum(axis=0)
+    np.minimum(labels, spec.num_classes - 1, out=labels)
     # numpy's rows can sum to 1 +- 5 eps at K=100 (14 eps at K=1000); divided by
     # their sum once, they sum to within 2 eps, which from_probs keeps as given.
     probs /= probs.sum(axis=1, keepdims=True)
@@ -392,16 +411,20 @@ def true_ce_k(
     """
     _count(oracle_samples, "oracle sample count", 2)
     gen = spec.rng.stream(_STREAM_ORACLE).generator()
+    rows = _block_rows(spec.num_classes)
+    vals = np.empty(min(oracle_samples, _ORACLE_GROUP))
     total = 0.0
     total_sq = 0.0
-    remaining = oracle_samples
-    while remaining > 0:
-        chunk = min(remaining, 200_000)
-        f = gen.dirichlet(spec.concentration, chunk)
-        vals = np.abs(spec.map(f) - f).sum(axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        remaining -= chunk
+    for first in range(0, oracle_samples, _ORACLE_GROUP):
+        group = vals[: min(_ORACLE_GROUP, oracle_samples - first)]
+        # numpy draws Dirichlet rows one after another, so the blocks draw
+        # what one call for the whole group would.
+        for start in range(0, group.size, rows):
+            f = gen.dirichlet(spec.concentration, min(rows, group.size - start))
+            group[start : start + len(f)] = np.abs(spec.map(f) - f).sum(axis=1)
+        total += float(group.sum())
+        group *= group
+        total_sq += float(group.sum())
     mean = total / oracle_samples
     var = max(total_sq / oracle_samples - mean**2, 0.0)
     stderr = math.sqrt(var / oracle_samples)

@@ -169,6 +169,23 @@ def test_top_views_and_subset(gen):
     assert np.allclose(sub.probs[0], [0.5, 0.5])
 
 
+def test_binary_top_label_is_the_argmax_entry_bit_for_bit(gen):
+    c = gen.uniform(0.0, 1.0, 500)
+    probs = np.column_stack([c, 1.0 - c])
+    probs[:50] = 0.5  # exact ties go to class 0
+    probs[50:60] = [0.0, 1.0]
+    probs[60:70] = [1.0, 0.0]
+    probs[70:75] = [-0.0, 0.0]  # equal, so class 0 and its -0.0 come back
+    probs[75:80] = [0.0, -0.0]
+    probs[80:85] = [-0.0, 1.0]
+    ps = PredictionSet(probs, gen.integers(0, 2, 500))
+    idx = np.argmax(probs, axis=1)
+    conf, hits = ps.top_label()
+    assert np.array_equal(conf.view(np.int64), probs[np.arange(500), idx].view(np.int64))
+    assert np.array_equal(hits, (ps.labels == idx).astype(float))
+    assert hits.dtype == conf.dtype == np.float64
+
+
 _TWO_ROWS = PredictionSet.from_probs([[0.7, 0.3], [0.4, 0.6]], [0, 1])
 _BINARY = BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.05, 2.0),
                      50, Rng(1))

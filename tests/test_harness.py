@@ -421,6 +421,12 @@ def _correlation_inputs(count: int):
         elif kind == 6:
             (x, y)[i % 2][gen.integers(n)] = math.nan
         yield x, y
+    for ties in (3, 40, 10**9):  # n = 1000, with heavy to no ties
+        x, y = gen.integers(0, ties, size=(2, 1000)).astype(float)
+        yield x, y
+        yield x, -y
+        y[gen.integers(1000, size=5)] = math.inf
+        yield x, y
 
 
 @pytest.mark.parametrize("ours, theirs", [(pearson, "pearsonr"), (kendall_tau, "kendalltau")])

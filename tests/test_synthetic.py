@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,11 +211,31 @@ def _row_major_draw(spec: MulticlassSpec):
 @pytest.mark.parametrize("k", [2, 3, 10, 100])
 def test_gen_multiclass_matches_the_row_major_label_draw(k, kind):
     m = MiscalibrationMapK(kind, (0.6,) * synthetic._MAPS_K[kind].num_params)
-    for n in (1, 3000):  # one row: the transposed rows are a view of truth, which may be probs
+    rows = synthetic.BLOCK_CELLS // k
+    # one row: the transposed rows are a view of m(f), which may be f; then around one
+    # block of rows, and several blocks with a short last one
+    for n in (1, 3000, rows - 1, rows, rows + 1, 3 * rows + 7):
         spec = MulticlassSpec(k, (0.4,) * k, m, n, Rng(k, n))
         data = gen_multiclass(spec)
         probs, labels = _row_major_draw(spec)
         assert np.array_equal(data.probs, probs) and np.array_equal(data.labels, labels)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_gen_multiclass_memory_stays_near_its_output(k):
+    spec = MulticlassSpec(k, (1.0,) * k, MiscalibrationMapK.mixture(0.2), 50_000, Rng(k))
+    gen_multiclass(with_n(spec, 1))  # a first draw imports numpy.random; keep that out
+    tracemalloc.start()
+    try:
+        data = gen_multiclass(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # probs, and n floats each for the label uniforms, the labels and the row sums; then
+    # four blocks: m(f) and its one temporary, the class-major copy, and room for numpy's
+    # comparison and reduction buffers. A whole (n, K) copy of m(f) is over 4 blocks more.
+    whole_arrays = data.probs.nbytes + 3 * spec.n * 8
+    assert peak <= whole_arrays + 4 * synthetic.BLOCK_CELLS * 8
 
 
 def test_gen_multiclass_label_frequencies_track_the_map():
@@ -255,6 +277,44 @@ def test_true_ce_k_matches_independent_monte_carlo():
     check = np.abs(spec.map(f) - f).sum(axis=1)
     assert mean == pytest.approx(check.mean(), abs=4 * (stderr + check.std() / 630.0))
     assert 0 < stderr < 0.01
+
+
+def _one_shot_groups_ce_k(spec: MulticlassSpec, oracle_samples: int) -> tuple[float, float]:
+    """true_ce_k with each 200 000-row summation group drawn and mapped whole."""
+    gen = spec.rng.stream(synthetic._STREAM_ORACLE).generator()
+    total = total_sq = 0.0
+    remaining = oracle_samples
+    while remaining > 0:
+        chunk = min(remaining, 200_000)
+        f = gen.dirichlet(spec.concentration, chunk)
+        vals = np.abs(spec.map(f) - f).sum(axis=1)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+        remaining -= chunk
+    mean = total / oracle_samples
+    return mean, math.sqrt(max(total_sq / oracle_samples - mean**2, 0.0) / oracle_samples)
+
+
+@pytest.mark.parametrize("m", [MiscalibrationMapK.identity(), MiscalibrationMapK.mixture(0.3),
+                               MiscalibrationMapK.temperature(1.7)], ids=lambda m: m.kind)
+@pytest.mark.parametrize("alpha", [1.0, 0.05])  # below 0.1 numpy draws by stick breaking
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_true_ce_k_blocks_give_the_one_shot_bits(k, alpha, m):
+    spec = MulticlassSpec(k, (alpha,) * k, m, 1, Rng(k, 5))
+    assert true_ce_k(spec, 450_001) == _one_shot_groups_ce_k(spec, 450_001)
+
+
+@pytest.mark.parametrize("k, limit_mb", [(3, 6), (10, 10)])
+def test_true_ce_k_memory_does_not_grow_with_the_group(k, limit_mb):
+    spec = MulticlassSpec(k, (1.0,) * k, MiscalibrationMapK.mixture(0.02), 1, Rng(0))
+    true_ce_k(spec, 2)  # a first draw imports numpy.random; keep that out
+    tracemalloc.start()
+    try:
+        true_ce_k(spec, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6  # a (200 000, K) group and its temporaries took 16 / 50 MB
 
 
 def test_with_n_swaps_count_and_stream():
