@@ -2,9 +2,11 @@
 and the two number rules every boundary checks: a count and a finite real.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
-input from outside the package (loaded dumps, user maps, user code). Sets
-the package derives from valid data are built with ``PredictionSet(probs,
-labels)`` directly.
+input from outside the package (loaded dumps, user maps, user code). It
+copies its input and hands the copy to ``PredictionSet._owned``, which
+checks, renormalizes and keeps the array it is given; a dump loader, whose
+array nothing else holds, calls ``_owned`` directly. Sets the package derives
+from valid data are built with ``PredictionSet(probs, labels)`` directly.
 """
 
 from __future__ import annotations
@@ -114,13 +116,18 @@ class Rng:
 
 
 def log_probs(probs: np.ndarray) -> np.ndarray:
-    """Elementwise log of probabilities floored at PROB_FLOOR."""
-    return np.log(np.maximum(probs, PROB_FLOOR))
+    """Elementwise log of probabilities floored at PROB_FLOOR, in one new array."""
+    floored = np.maximum(probs, PROB_FLOOR)
+    # a 0-d input floors to a numpy scalar, which cannot take the log in place
+    return np.log(floored, out=floored) if isinstance(floored, np.ndarray) else np.log(floored)
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over one axis (the last by default), shifted by the maximum for stability."""
-    e = scores - scores.max(axis=axis, keepdims=True)
+def softmax(scores: np.ndarray, axis: int = -1, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over one axis (the last by default), shifted by the maximum for stability.
+
+    The result goes to ``out`` when given, which may be ``scores`` itself.
+    """
+    e = np.subtract(scores, scores.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
@@ -142,11 +149,17 @@ def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
     if n == 0:
         problems.append("prediction set is empty")
         return problems
-    # Written as a negated inclusion so NaN entries fail it as well.
-    bad_range = np.where((~((probs >= 0.0) & (probs <= 1.0))).any(axis=1))[0]
-    for i in bad_range[:10]:
-        problems.append(f"row {i}: entry outside [0, 1] or NaN")
-    bad_sum = np.where(np.abs(probs.sum(axis=1) - 1.0) > SIMPLEX_ATOL)[0]
+    sums = probs.sum(axis=1)
+    # Extremes of the whole array, then of each row only if those show a bad
+    # entry, since row reductions over a short axis are slow; no full-size
+    # temporaries either way. A NaN entry makes its row sum NaN (object arrays
+    # do not carry it into min and max), and NaN fails every comparison.
+    # A row without entries (k == 0) has no extremes and nothing out of range.
+    if k and not (probs.min() >= 0.0 and probs.max() <= 1.0 and (sums == sums).all()):
+        in_range = (probs.min(axis=1) >= 0.0) & (probs.max(axis=1) <= 1.0) & (sums == sums)
+        for i in np.where(~in_range)[0][:10]:
+            problems.append(f"row {i}: entry outside [0, 1] or NaN")
+    bad_sum = np.where(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]
     for i in bad_sum[:10]:
         problems.append(f"row {i}: sums to {probs[i].sum():.12g}, not 1")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -165,9 +178,9 @@ class PredictionSet:
 
     The constructor trusts its arrays (float rows on the simplex, int64
     labels) and makes them read-only in place. Input from outside the
-    package goes through :meth:`from_probs`, which checks it and rescales
-    only rows whose sum is off 1 by more than ``RENORM_TOL``; drift within
-    a few ulp is kept as given, so a valid set passes through unchanged.
+    package goes through :meth:`from_probs`, which copies it, checks it and
+    rescales only rows whose sum is off 1 by more than ``RENORM_TOL``; drift
+    within a few ulp is kept as given, so a valid set passes through unchanged.
     """
 
     probs: np.ndarray = field(repr=False)
@@ -179,7 +192,12 @@ class PredictionSet:
 
     @classmethod
     def from_probs(cls, probs, labels) -> "PredictionSet":
-        probs = np.array(probs, dtype=float)
+        return cls._owned(np.array(probs, dtype=float), labels)
+
+    @classmethod
+    def _owned(cls, probs: np.ndarray, labels) -> "PredictionSet":
+        """from_probs without the copy: checks probs, a float array no one else holds,
+        rescales its drifting rows in place and keeps it."""
         labels = np.asarray(labels)
         problems = validate_prediction_set(probs, labels)
         if problems:

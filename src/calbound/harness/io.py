@@ -14,6 +14,13 @@ numpy and the result checked in vectorized form; that path only speeds up
 files the row-wise parser accepts, and any file it refuses goes through the
 row-wise parser, which either raises the row-numbered error or returns its
 own result.
+
+A load holds the data about once. JSON lines and the row-wise parser pack
+each row into one bytearray of float64 that becomes the set's array (with
+``struct``, which numpy has already imported; the ``array`` module would load
+one more extension into every process), and an npz member is read into the
+set's array, so either peaks near the set plus row-sized temporaries. A CSV load peaks near numpy's (n, K + 1) table plus the set's
+copy of its K value columns. Logits become probabilities in place.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 import warnings
 import zipfile
 import zlib
@@ -137,7 +145,7 @@ def _read_table(handle):
 
 def _parse_csv_rows(reader, k: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The row-wise parser over the records after the header."""
-    rows, labels = [], []
+    values, labels = bytearray(), []
     i = 0
     try:
         for i, row in enumerate(reader, start=1):
@@ -145,13 +153,13 @@ def _parse_csv_rows(reader, k: int, path: Path) -> tuple[np.ndarray, np.ndarray]
                 continue
             if len(row) != k + 1:
                 raise ValidationError(f"row {i}: expected {k + 1} fields, got {len(row)}")
-            rows.append(_parse_values(row[:k], i))
+            values += struct.pack(f"{k}d", *_parse_values(row[:k], i))
             labels.append(_parse_label(row[k], i))
     except csv.Error as err:  # e.g. a field past csv.field_size_limit()
         raise ValidationError(f"row {i + 1}: {err}")
-    if not rows:
+    if not labels:
         raise ValidationError(f"{path}: dump has a header but no rows")
-    return np.array(rows), np.array(labels)
+    return np.frombuffer(values).reshape(len(labels), k), np.array(labels)
 
 
 def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
@@ -176,7 +184,7 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
 
 
 def _load_jsonl(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    rows, labels = [], []
+    values, labels = bytearray(), []
     mode = None
     k = None
     with open(path) as handle:
@@ -208,11 +216,11 @@ def _load_jsonl(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
                 k = len(vec)
             elif len(vec) != k:
                 raise ValidationError(f"row {i}: expected {k} entries, got {len(vec)}")
-            rows.append(_parse_values(vec, i))
+            values += struct.pack(f"{k}d", *_parse_values(vec, i))
             labels.append(_parse_label(obj["label"], i))
-    if not rows:
+    if not labels:
         raise ValidationError(f"{path}: empty dump")
-    return mode, np.array(rows), np.array(labels)
+    return mode, np.frombuffer(values).reshape(len(labels), k), np.array(labels)
 
 
 def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
@@ -258,10 +266,14 @@ def load_dump(path) -> PredictionDump:
         mode, values, labels = _LOADERS[fmt](path)
     except UnicodeDecodeError as err:  # text dumps are read in the locale encoding
         raise ValidationError(f"{path}: not {err.encoding} text ({err.reason})")
-    # rows without entries have no maximum; from_probs reports the missing classes
-    probs = softmax(values) if mode == "logits" and values.shape[1] else values
+    # The set keeps this array: it is the loader's own, so only CSV's strided
+    # view of its table (or a Fortran-order npz member) is copied here.
+    probs = np.require(values, requirements=["C", "W"])
+    # rows without entries have no maximum; the set's check reports the missing classes
+    if mode == "logits" and probs.shape[1]:
+        softmax(probs, out=probs)
     return PredictionDump(source=str(path), format=fmt, mode=mode,
-                          data=PredictionSet.from_probs(probs, labels))
+                          data=PredictionSet._owned(probs, labels))
 
 
 def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs") -> None:

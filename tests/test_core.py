@@ -29,7 +29,7 @@ from calbound import (
     true_ce_k,
     validate_prediction_set,
 )
-from calbound.core import _count, _real
+from calbound.core import PROB_FLOOR, _count, _real, log_probs, softmax
 from calbound.ece import assign_bins_1d
 from calbound.harness import compare_methods, convergence_experiment, kl_gap_experiment
 
@@ -102,6 +102,55 @@ def test_validate_accepts_clean_input():
     assert validate_prediction_set(np.array([[0.3, 0.7]]), np.array([1])) == []
 
 
+@pytest.mark.parametrize("dtype", [float, object])
+def test_validate_flags_the_rows_the_elementwise_check_flags(dtype):
+    ulp_above_1, ulp_below_0 = np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)
+    rows = [[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [-0.0, 1.0, 0.0],
+            [ulp_above_1, 0.0, 0.0], [1.0, ulp_below_0, 0.0], [0.0, 0.0, ulp_below_0],
+            [np.inf, -np.inf, 1.0], [1.0, 0.0, -0.0], [np.nan] * 3]
+    probs = np.array(rows, dtype=dtype)
+    with np.errstate(invalid="ignore"):  # the row sums of the inf row
+        problems = validate_prediction_set(probs, np.zeros(len(rows), dtype=int))
+    floats = np.array(rows)
+    flagged = np.where((~((floats >= 0.0) & (floats <= 1.0))).any(axis=1))[0]
+    assert flagged.tolist() == [1, 2, 4, 5, 6, 7, 9]
+    assert [p for p in problems if "outside" in p] == [
+        f"row {i}: entry outside [0, 1] or NaN" for i in flagged]
+    assert "row 3" not in " ".join(problems) and "row 8" not in " ".join(problems)
+    # each row alone beside a valid one, so a bad row must also fail the whole-array check
+    for row in rows:
+        pair = np.array([[0.5, 0.5, 0.0], row], dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            problems = validate_prediction_set(pair, np.zeros(2, dtype=int))
+        flagged = not ((np.array(row) >= 0.0) & (np.array(row) <= 1.0)).all()
+        assert ("row 1: entry outside [0, 1] or NaN" in problems) == flagged, row
+
+
+def test_log_probs_is_the_floored_log_in_one_array(gen):
+    probs = np.concatenate([gen.dirichlet(np.ones(7), 300), np.zeros((2, 7)),
+                            np.full((1, 7), PROB_FLOOR / 2)])
+    for x in (probs, probs.T, probs[:, 3], probs.astype(np.float32)):
+        got = log_probs(x)
+        expect = np.log(np.maximum(x, PROB_FLOOR))
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    for x in (np.array(0.25), 0.25, 0.0, np.float32(0.5)):
+        got, expect = log_probs(x), np.log(np.maximum(x, PROB_FLOOR))
+        assert type(got) is type(expect) and got.tobytes() == expect.tobytes()
+    assert log_probs(probs) is not probs and np.array_equal(probs[-1], [PROB_FLOOR / 2] * 7)
+
+
+def test_softmax_into_out_is_the_softmax_bit_for_bit(gen):
+    scores = gen.normal(scale=5.0, size=(400, 9))
+    for axis in (0, 1, -1):
+        expect = softmax(scores, axis=axis)
+        into = np.empty_like(scores)
+        assert softmax(scores, axis=axis, out=into) is into
+        assert into.tobytes() == expect.tobytes()
+        in_place = scores.copy()
+        softmax(in_place, axis=axis, out=in_place)
+        assert in_place.tobytes() == expect.tobytes()
+
+
 def test_from_probs_renormalizes_tiny_drift():
     row = np.array([[0.3 + 1e-12, 0.7]])
     ps = PredictionSet.from_probs(row, [0])
@@ -154,6 +203,16 @@ def test_from_probs_leaves_the_callers_array_writable():
     probs = np.array([[0.4, 0.6]])
     PredictionSet.from_probs(probs, [1])
     probs[0, 0] = 0.5
+
+
+def test_from_probs_copies_the_callers_arrays():
+    probs, labels = np.array([[0.4, 0.6], [0.3 + 1e-12, 0.7]]), np.array([1, 0])
+    ps = PredictionSet.from_probs(probs, labels)
+    kept = ps.probs.copy(), ps.labels.copy()
+    assert probs[1, 0] == 0.3 + 1e-12  # the drifting row is rescaled in the copy only
+    probs[:] = 0.5
+    labels[:] = 7
+    assert np.array_equal(ps.probs, kept[0]) and np.array_equal(ps.labels, kept[1])
 
 
 def test_top_views_and_subset(gen):

@@ -46,6 +46,7 @@ from calbound.harness import (
 )
 from calbound.harness import io as dio
 from calbound.harness.experiments import PBR_OBJECTIVES, _split_source, fit_method
+from calbound.core import log_probs, softmax
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
 
@@ -309,19 +310,68 @@ def test_valid_dumps_skip_the_row_wise_parser(tmp_path, gen, monkeypatch):
         assert load_dump(p).data.probs.tobytes() == probs.tobytes()
 
 
-def test_csv_load_does_not_hold_every_field(tmp_path):
-    # the benchmark's dump shape; a reader holding each field as a str peaks at about 5x
+@pytest.fixture(scope="module")
+def wide_set():
+    # the benchmark's dump shape
     spec = MulticlassSpec(100, (1.0,) * 100, MiscalibrationMapK.temperature(2.0), 2000, Rng(13))
-    data = gen_multiclass(spec)
-    p = tmp_path / "wide.csv"
-    write_dump(data, p)
+    return gen_multiclass(spec)
+
+
+def _traced_peak(call, *args) -> int:
+    """The tracemalloc peak of one call, in bytes."""
     tracemalloc.start()
     try:
-        load_dump(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * data.probs.nbytes
+
+
+def test_csv_load_does_not_hold_every_field(tmp_path, wide_set):
+    # numpy's (n, K + 1) table, then the set's copy of its first K columns; a
+    # reader holding each field as a str peaks at about 5x
+    p = tmp_path / "wide.csv"
+    write_dump(wide_set, p)
+    assert _traced_peak(load_dump, p) <= 2.6 * wide_set.probs.nbytes
+
+
+@pytest.mark.parametrize("mode", ["probs", "logits"])
+@pytest.mark.parametrize("fmt", ["jsonl", "npz"])
+def test_jsonl_and_npz_loads_hold_the_data_once(tmp_path, wide_set, fmt, mode):
+    # the set's own array plus row-sized temporaries and a bool finiteness mask
+    p = tmp_path / f"wide.{fmt}"
+    write_dump(wide_set, p, fmt=fmt, mode=mode)
+    assert _traced_peak(load_dump, p) <= 1.6 * wide_set.probs.nbytes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_logits_write_holds_one_copy_of_the_data(tmp_path, wide_set, fmt):
+    # the log-probabilities, written row by row
+    peak = _traced_peak(write_dump, wide_set, tmp_path / f"wide.{fmt}", fmt, "logits")
+    assert peak <= 1.2 * wide_set.probs.nbytes
+
+
+@pytest.mark.parametrize("mode", ["probs", "logits"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
+def test_loaded_probs_are_a_c_contiguous_read_only_array(tmp_path, gen, fmt, mode):
+    data = random_prediction_set(gen, 40, 5)
+    p = tmp_path / f"d.{fmt}"
+    write_dump(data, p, fmt=fmt, mode=mode)
+    loaded = load_dump(p).data
+    assert loaded.probs.flags.c_contiguous and not loaded.probs.flags.writeable
+    # every format holds every bit, so the load is the checked set of the written values
+    values = data.probs if mode == "probs" else softmax(log_probs(data.probs))
+    assert loaded.probs.tobytes() == PredictionSet.from_probs(values, data.labels).probs.tobytes()
+    assert loaded.labels.tobytes() == data.labels.tobytes()
+
+
+def test_fortran_order_npz_loads_as_c_contiguous(tmp_path, gen):
+    logits = np.asfortranarray(gen.normal(size=(30, 4)))
+    p = tmp_path / "f.npz"
+    np.savez(p, logits=logits, labels=gen.integers(0, 4, 30))
+    probs = load_dump(p).data.probs
+    assert probs.flags.c_contiguous
+    assert probs.tobytes() == softmax(np.ascontiguousarray(logits)).tobytes()
 
 
 def test_npz_round_trip_is_bit_exact(tmp_path, gen):
