@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..core import PredictionSet, ValidationError, log_probs, softmax
 
@@ -285,9 +286,17 @@ def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs")
     path = Path(path)
     values = data.probs if mode == "probs" else log_probs(data.probs)
     if fmt == "npz":
-        # a handle, so np.savez does not append .npz to another suffix
-        with open(path, "wb") as handle:
-            np.savez(handle, **{mode: values, "labels": data.labels})
+        # np.savez's members, each written from the array's own buffer in 16 MiB
+        # slices: np.savez copies every chunk with tobytes on its way into the zip.
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for name, array in ((mode, values), ("labels", data.labels)):
+                array = np.ascontiguousarray(array)
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    npy_format.write_array_header_1_0(
+                        member, npy_format.header_data_from_array_1_0(array))
+                    buffer = memoryview(array).cast("B")
+                    for start in range(0, buffer.nbytes, 1 << 24):
+                        member.write(buffer[start : start + (1 << 24)])
         return
     labels = data.labels.tolist()
     if fmt == "csv":

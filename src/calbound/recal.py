@@ -23,8 +23,15 @@ out class-major, as (J, K, n) arrays over J parameter draws, K classes and n
 rows, with the data's log-probabilities transposed once to (K, n). K is small
 (often 2 to 20), and numpy reduces a short inner axis far more slowly than a
 long one, so every softmax and per-row sum over K runs with the n rows as the
-contiguous inner loop. The affine family is then a batched matmul, W @ z^T.
-Public functions still take and return (n, K) probability rows.
+contiguous inner loop. Public functions still take and return (n, K)
+probability rows.
+
+Past the scores, a step writes each (J, K, n) array once: the softmax overwrites
+the scores, and the residual, a copy of the probabilities, becomes the gradient
+with respect to the scores in place. Sums and chain rules are contractions in
+numpy's own ``einsum`` (no BLAS, so no dependence on the BLAS thread count; only
+the affine family's matmuls use BLAS), and the factors 2/n and 1/n scale the
+small (J, d) gradient, never a (J, K, n) array.
 
 A family is one ``_FAMILIES`` row: identity vector, whose size is the parameter
 count, scores in that layout and their chain rule back to the parameters. Nothing
@@ -56,8 +63,9 @@ _PATIENCE = 50
 
 
 class _Family(NamedTuple):
-    """scores takes (J, d) draws, (K, n) log-probabilities and K to (J, K, n); grad chains
-    dObjective/dscores, (J, K, n), back to (J, d), given zt and the scores; t reads t off v."""
+    """scores takes (J, d) draws, (K, n) log-probabilities and K to (J, K, n); grad contracts
+    dObjective/dscores, (J, K, n), with zt back to (J, d), given the draws, and is linear in
+    it, so the step scales the small result instead of the (J, K, n) array; t reads t off v."""
 
     identity: Callable
     scores: Callable
@@ -70,21 +78,21 @@ def _with_offsets(g_weights: np.ndarray, g_scores: np.ndarray) -> np.ndarray:
 
 
 _FAMILIES = {
-    "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -scores
+    "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -exp(-v) * z
         identity=lambda k: np.zeros(1),
         scores=lambda vs, zt, k: zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None],
-        grad=lambda g, zt, scores: -(g * scores).sum(axis=(1, 2))[:, None],
+        grad=lambda g, zt, vs: (-np.exp(-vs[:, 0]) * np.einsum("jkn,kn->j", g, zt))[:, None],
         t=lambda v: math.exp(v[0]),
     ),
     "vector_scale": _Family(
         identity=lambda k: np.concatenate([np.ones(k), np.zeros(k)]),
         scores=lambda vs, zt, k: zt[None, :, :] * vs[:, :k, None] + vs[:, k:, None],
-        grad=lambda g, zt, scores: _with_offsets((g * zt[None, :, :]).sum(axis=2), g),
+        grad=lambda g, zt, vs: _with_offsets(np.einsum("jkn,kn->jk", g, zt), g),
     ),
     "affine": _Family(
         identity=lambda k: np.concatenate([np.eye(k).ravel(), np.zeros(k)]),
         scores=lambda vs, zt, k: vs[:, : k * k].reshape(-1, k, k) @ zt + vs[:, k * k :, None],
-        grad=lambda g, zt, scores: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
+        grad=lambda g, zt, vs: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
     ),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -314,7 +322,6 @@ class _Fit(NamedTuple):
     """Per-fit constants: the data in the class-major layout, the prior and the family row."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
-    et: np.ndarray  # one-hot labels, (K, n)
     label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
     prior_mu: np.ndarray
     prior_var: np.ndarray
@@ -326,8 +333,7 @@ class _Fit(NamedTuple):
 
 def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
-    et = np.ascontiguousarray(data.one_hot_labels().T)
-    return _Fit(zt, et, data.labels * data.n + np.arange(data.n), prior.mu, prior.sigma**2,
+    return _Fit(zt, data.labels * data.n + np.arange(data.n), prior.mu, prior.sigma**2,
                 _FAMILIES[cfg.family], cfg.mc_samples, data.num_classes, data.n)
 
 
@@ -336,32 +342,32 @@ def _step(
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """Objective, its KL, sigma and the exact gradient over (mu, log_sigma) for fixed draws.
 
-    A mean is np.add.reduce(x) / count, which is what ndarray.mean computes, and the
-    KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
+    The residual p - onehot is a copy of p with 1 taken off each label cell, and
+    (resid - <p, resid>) * p, the Brier gradient with respect to the scores over 2/n,
+    overwrites it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
     """
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
     scores = fit.family.scores(vs, fit.zt, fit.k)
-    p = softmax(scores, axis=1)
+    p = softmax(scores, axis=1, out=scores)
 
-    resid = p - fit.et[None, :, :]
-    value = np.add.reduce(np.add.reduce((resid**2).sum(axis=1), axis=1) / fit.n) / fit.j
-    inner = (p * resid).sum(axis=1, keepdims=True)
-    g_scores = 2.0 * p
-    g_scores *= resid - inner
+    resid = p.copy()
+    resid.reshape(fit.j, -1)[:, fit.label_at] -= 1.0
+    value = np.einsum("jkn,jkn->", resid, resid)
+    inner = np.einsum("jkn,jkn->jn", p, resid)
+    g_loss = 0.0
     if cfg.objective == "brier_plus_loss":
-        picked = p.reshape(p.shape[0], -1)[:, fit.label_at]
-        value -= np.add.reduce(np.add.reduce(log_probs(picked), axis=1) / fit.n) / fit.j
-        g_scores += resid
-    g_scores /= fit.n
-
-    g_vs = fit.family.grad(g_scores, fit.zt, scores)
+        value -= np.add.reduce(log_probs(p.reshape(fit.j, -1)[:, fit.label_at]), axis=None)
+        g_loss = fit.family.grad(resid, fit.zt, vs)
+    resid -= inner[:, None, :]
+    resid *= p
+    g_vs = (2.0 * fit.family.grad(resid, fit.zt, vs) + g_loss) / fit.n
     g_mu = np.add.reduce(g_vs) / fit.j
     g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
 
     var, var_p = sigma**2, fit.prior_var
     kl = _kl_gaussian_diag(mu, var, fit.prior_mu, var_p)
-    value = float(value + cfg.alpha * kl / fit.n)
+    value = float(value / (fit.n * fit.j) + cfg.alpha * kl / fit.n)
 
     g_mu = g_mu + cfg.alpha / fit.n * (mu - fit.prior_mu) / var_p
     g_log_sigma = g_log_sigma + cfg.alpha / fit.n * (var / var_p - 1.0)

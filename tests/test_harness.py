@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import zipfile
 from functools import partial
 from unittest import mock
 
@@ -344,11 +345,34 @@ def test_jsonl_and_npz_loads_hold_the_data_once(tmp_path, wide_set, fmt, mode):
     assert _traced_peak(load_dump, p) <= 1.6 * wide_set.probs.nbytes
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
 def test_logits_write_holds_one_copy_of_the_data(tmp_path, wide_set, fmt):
-    # the log-probabilities, written row by row
+    # the log-probabilities, written row by row or, for npz, from their own buffer
     peak = _traced_peak(write_dump, wide_set, tmp_path / f"wide.{fmt}", fmt, "logits")
     assert peak <= 1.2 * wide_set.probs.nbytes
+
+
+def test_npz_probs_write_copies_nothing(tmp_path, wide_set):
+    # np.savez copied each member through tobytes, a peak of 1.0x here
+    peak = _traced_peak(write_dump, wide_set, tmp_path / "wide.npz", "npz", "probs")
+    assert peak <= 0.1 * wide_set.probs.nbytes
+
+
+@pytest.mark.parametrize("mode", ["probs", "logits"])
+def test_npz_members_are_the_bytes_np_savez_writes(tmp_path, gen, mode):
+    data = random_prediction_set(gen, 70, 4)
+    values = data.probs if mode == "probs" else log_probs(data.probs)
+    write_dump(data, tmp_path / "ours.npz", fmt="npz", mode=mode)
+    np.savez(tmp_path / "numpy.npz", **{mode: values, "labels": data.labels})
+    with np.load(tmp_path / "ours.npz") as archive:
+        assert archive.files == [mode, "labels"]
+        assert np.array_equal(archive[mode], values)
+        assert np.array_equal(archive["labels"], data.labels)
+    with zipfile.ZipFile(tmp_path / "ours.npz") as ours, \
+            zipfile.ZipFile(tmp_path / "numpy.npz") as theirs:
+        assert ours.namelist() == theirs.namelist()
+        for name in theirs.namelist():
+            assert ours.read(name) == theirs.read(name)
 
 
 @pytest.mark.parametrize("mode", ["probs", "logits"])
@@ -512,7 +536,7 @@ def test_klgap_report_is_pinned():
     # a change to the fits or to either statistic moves it.
     rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5, 1.0), replicates=2, n_re=60)
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
-    assert digest == "5ed611a97d88f499edb0f5257744b9ccda9ea688e8bd502d2108e049c0952a2a"
+    assert digest == "e54dac028fd35de364f9cb36f4a883fd1bd114689954d9c68f817e5132415f93"
 
 
 def test_loglog_slope_recovers_exact_power_law():

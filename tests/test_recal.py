@@ -246,23 +246,27 @@ def test_objective_is_deterministic_given_rng(gen):
 @pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_class_major_pass_matches_row_major_reference(gen, family, objective, k):
-    # Sums over n, and over K once K >= 8, run in another order than in the
-    # reference, so agreement is to rounding, not bit for bit.
-    data = random_prediction_set(gen, 60, k)
-    dim = param_dim(family, k)
-    cfg = PbrConfig(family=family, alpha=0.3, mc_samples=3, objective=objective)
-    post = GaussianPosterior(
-        identity_params(family, k) + gen.normal(0.0, 0.2, dim), gen.normal(-1.0, 0.2, dim)
-    )
-    prior = GaussianPosterior.standard(dim)
-    xi = Rng(11).generator().standard_normal((cfg.mc_samples, dim))
-    value, grad = _row_major_objective_and_gradient(post, prior, data, cfg, xi)
-    assert pbr_objective(post, prior, data, cfg, Rng(11)) == pytest.approx(value, rel=1e-12)
-    np.testing.assert_allclose(pbr_gradient(post, prior, data, cfg, Rng(11)), grad, rtol=1e-12)
+    # Sums over n and K run in another order than in the reference (einsum's
+    # unrolled loops, numpy's pairwise sums), so agreement is to rounding, not bit
+    # for bit. n = 1000 runs einsum's long sums; one draw takes the single-draw path.
+    for n, mc_samples in ((60, 3), (1000, 1)):
+        data = random_prediction_set(gen, n, k)
+        dim = param_dim(family, k)
+        cfg = PbrConfig(family=family, alpha=0.3, mc_samples=mc_samples, objective=objective)
+        post = GaussianPosterior(
+            identity_params(family, k) + gen.normal(0.0, 0.2, dim), gen.normal(-1.0, 0.2, dim)
+        )
+        prior = GaussianPosterior.standard(dim)
+        xi = Rng(11).generator().standard_normal((cfg.mc_samples, dim))
+        value, grad = _row_major_objective_and_gradient(post, prior, data, cfg, xi)
+        assert pbr_objective(post, prior, data, cfg, Rng(11)) == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(pbr_gradient(post, prior, data, cfg, Rng(11)), grad,
+                                   rtol=1e-12)
 
-    m = RecalMap(family, k, post.mu)
-    expect = softmax(_row_major_scores(family, k, post.mu[None, :], log_probs(data.probs))[0])
-    np.testing.assert_allclose(apply_recal(m, data.probs), expect, rtol=1e-12)
+        m = RecalMap(family, k, post.mu)
+        expect = softmax(_row_major_scores(family, k, post.mu[None, :],
+                                           log_probs(data.probs))[0])
+        np.testing.assert_allclose(apply_recal(m, data.probs), expect, rtol=1e-12)
 
 
 def _assert_gradient_matches_finite_differences(data, family, objective, post):
@@ -307,32 +311,31 @@ def test_loss_gradient_where_the_probability_floor_is_active():
     _assert_gradient_matches_finite_differences(data, "affine", "brier_plus_loss", post)
 
 
-def _reference_step(posterior, prior, zt, et, label_at, cfg, xi):
-    """The training step before its per-fit constants were hoisted: a posterior
-    object per step, kl_to and ndarray.mean."""
+def _reference_step(posterior, prior, data, cfg, xi):
+    """The training step before its per-fit constants were hoisted: the class-major
+    layout built per step, a posterior object per step, kl_to and ndarray.mean."""
     sigma = posterior.sigma
     vs = posterior.mu[None, :] + sigma[None, :] * xi
+    zt = np.ascontiguousarray(log_probs(data.probs).T)
+    label_at = data.labels * data.n + np.arange(data.n)
     k, n = zt.shape
-    scores = _FAMILIES[cfg.family].scores(vs, zt, k)
-    p = softmax(scores, axis=1)
+    family = _FAMILIES[cfg.family]
+    p = softmax(family.scores(vs, zt, k), axis=1)
 
-    resid = p - et[None, :, :]
-    value = (resid**2).sum(axis=1).mean(axis=1).mean()
-    inner = (p * resid).sum(axis=1, keepdims=True)
-    g_scores = 2.0 * p
-    g_scores *= resid - inner
+    resid = p.copy()
+    resid.reshape(len(xi), -1)[:, label_at] -= 1.0
+    value = np.einsum("jkn,jkn->", resid, resid)
+    inner = np.einsum("jkn,jkn->jn", p, resid)
+    g_loss = 0.0
     if cfg.objective == "brier_plus_loss":
-        picked = p.reshape(p.shape[0], -1)[:, label_at]
-        value -= log_probs(picked).mean(axis=1).mean()
-        g_scores += resid
-    g_scores /= n
-
-    g_vs = _FAMILIES[cfg.family].grad(g_scores, zt, scores)
+        value -= log_probs(p.reshape(len(xi), -1)[:, label_at]).sum()
+        g_loss = family.grad(resid, zt, vs)
+    g_vs = (2.0 * family.grad((resid - inner[:, None, :]) * p, zt, vs) + g_loss) / n
     g_mu = g_vs.mean(axis=0)
     g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
 
     kl = posterior.kl_to(prior)
-    value = float(value + cfg.alpha * kl / n)
+    value = float(value / (n * len(xi)) + cfg.alpha * kl / n)
 
     var_p = prior.sigma**2
     g_mu = g_mu + cfg.alpha / n * (posterior.mu - prior.mu) / var_p
@@ -340,15 +343,17 @@ def _reference_step(posterior, prior, zt, et, label_at, cfg, xi):
     return value, kl, g_mu, g_log_sigma
 
 
-def _reference_train_pbr(data, cfg):
-    """The training loop before its per-fit constants were hoisted: a fresh
-    generator per step from noise_root.stream(i); returns the posterior, the map
+def _row_major_step(posterior, prior, data, cfg, xi):
+    value, grad = _row_major_objective_and_gradient(posterior, prior, data, cfg, xi)
+    return value, posterior.kl_to(prior), grad[: posterior.dim], grad[posterior.dim :]
+
+
+def _reference_train_pbr(data, cfg, step=_reference_step):
+    """The training loop before its per-fit constants were hoisted, driving step: a
+    fresh generator per step from noise_root.stream(i); returns the posterior, the map
     parameters, the last objective, steps, best_step, stop_reason and, per step,
     the objective and KL."""
     prior = cfg.prior or GaussianPosterior.at(identity_params(cfg.family, data.num_classes))
-    zt = np.ascontiguousarray(log_probs(data.probs).T)
-    et = np.ascontiguousarray(data.one_hot_labels().T)
-    label_at = data.labels * data.n + np.arange(data.n)
     mu = prior.mu.copy()
     log_sigma = prior.log_sigma.copy()
     noise_root = Rng(cfg.seed).stream(0)
@@ -358,7 +363,7 @@ def _reference_train_pbr(data, cfg):
     for i in range(cfg.max_iters):
         posterior = GaussianPosterior(mu, log_sigma)
         xi = _draws(noise_root.stream(i), cfg.mc_samples, posterior.dim)
-        value, kl, g_mu, g_log_sigma = _reference_step(posterior, prior, zt, et, label_at, cfg, xi)
+        value, kl, g_mu, g_log_sigma = step(posterior, prior, data, cfg, xi)
         values.append(value)
         kls.append(kl)
         steps = i + 1
@@ -410,6 +415,22 @@ def test_train_pbr_matches_the_per_step_reference_under_a_narrow_prior(gen):
     prior = GaussianPosterior(identity_params("affine", 10), np.full(110, math.log(0.1)))
     cfg = PbrConfig(family="affine", step_size=0.1, step_decay=0.999, max_iters=120, prior=prior)
     _assert_fit_matches_reference(data, cfg)
+
+
+@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_pbr_stops_where_the_row_major_loop_stops(gen, family, objective):
+    # The fused step sums in another order than the row-major reference, so the
+    # parameters agree to rounding, and every step count and stop reason exactly.
+    data = random_prediction_set(gen, 80, 5)
+    cfg = PbrConfig(family=family, alpha=0.25, objective=objective, seed=7)
+    res = train_pbr(data, cfg)
+    posterior, _, _, steps, best_step, stop_reason, values, _ = (
+        _reference_train_pbr(data, cfg, _row_major_step)
+    )
+    assert (res.steps, res.best_step, res.stop_reason) == (steps, best_step, stop_reason)
+    np.testing.assert_allclose(res.trace_objective, values, rtol=1e-12)
+    np.testing.assert_allclose(res.posterior.mu, posterior.mu, rtol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
