@@ -207,7 +207,9 @@ def recalibrate_set(recal_map: RecalMap, data: PredictionSet) -> PredictionSet:
 
 def brier_score(data: PredictionSet) -> float:
     """Mean squared L2 distance between probability rows and one-hot labels."""
-    return float(np.mean(((data.probs - data.one_hot_labels()) ** 2).sum(axis=1)))
+    resid = data.probs.copy()  # the only full-size array: probs - one-hot, squared in place
+    resid[np.arange(data.n), data.labels] -= 1.0
+    return float(np.mean(np.square(resid, out=resid).sum(axis=1)))
 
 
 def softmax_cross_entropy(data: PredictionSet) -> float:

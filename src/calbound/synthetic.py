@@ -141,15 +141,20 @@ class ConfidenceLaw:
         return self.lo + (self.hi - self.lo) * gen.beta(self.a, self.b, n)
 
     def pdf(self, c: np.ndarray) -> np.ndarray:
+        """Density at c, 0 outside [lo, hi]. The beta law's is, at x = (c - lo) / (hi - lo),
+        exp((a-1) log x + (b-1) log1p(-x) - lgamma a - lgamma b + lgamma(a+b)) / (hi - lo);
+        a shape of 1 adds exactly 0, and one below 1 makes the density inf at that end."""
         c = np.asarray(c, dtype=float)
         width = self.hi - self.lo
+        inside = (c >= self.lo) & (c <= self.hi)
         if self.kind == "uniform":
-            inside = (c >= self.lo) & (c <= self.hi)
             return np.where(inside, 1.0 / width, 0.0)
-        # Imported here, not at module level: scipy.stats takes about a second
-        # to import, and only the beta law's density needs it.
-        from scipy import stats
-        return stats.beta.pdf((c - self.lo) / width, self.a, self.b) / width
+        x = np.where(inside, (c - self.lo) / width, 0.5)
+        with np.errstate(divide="ignore"):  # log 0 = -inf, which exp takes to 0 or inf
+            left = (self.a - 1.0) * np.log(x) if self.a != 1.0 else 0.0
+            right = (self.b - 1.0) * np.log1p(-x) if self.b != 1.0 else 0.0
+        log_beta = math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b)
+        return np.where(inside, np.exp(left + right - log_beta), 0.0) / width
 
 
 @dataclass(frozen=True)

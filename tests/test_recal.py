@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_brier_and_cross_entropy_hand_values():
     assert softmax_cross_entropy(ps) == pytest.approx(-np.log(0.8), abs=1e-12)
     perfect = PredictionSet.from_probs([[1.0, 0.0]], [0])
     assert brier_score(perfect) == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 5, 10, 100])
+def test_brier_score_is_the_one_hot_formula_bit_for_bit(k):
+    data = random_prediction_set(np.random.default_rng(k), 2000, k)
+    assert brier_score(data) == float(np.mean(((data.probs - data.one_hot_labels()) ** 2).sum(axis=1)))
+
+
+def test_brier_score_holds_one_copy_of_the_probabilities():
+    data = random_prediction_set(np.random.default_rng(0), 2000, 100)
+    brier_score(data)  # a first call may allocate numpy's own caches; keep that out
+    tracemalloc.start()
+    try:
+        brier_score(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (n, K) copy plus n-long label indexes and row sums; a one-hot build and a
+    # difference array make two.
+    assert peak <= 1.2 * data.probs.nbytes
 
 
 def test_brier_decreases_when_confidence_matches_truth():

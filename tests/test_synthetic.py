@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,34 @@ def test_confidence_law_pdf_normalizes():
         grid = np.linspace(law.lo, law.hi, 20001)
         mass = np.trapezoid(law.pdf(grid), grid)
         assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (0.6, 0.9)])
+def test_beta_pdf_is_scipys_in_closed_form(lo, hi):
+    stats = pytest.importorskip("scipy.stats")
+    # the ends of the support, a dense grid on it, and points on either side
+    c = np.concatenate([[lo, hi], np.linspace(lo, hi, 10_001), [0.0, lo - 0.01, hi + 0.01, 1.5]])
+    shapes = (1.0, 1.5, 2.0, 3.0, 7.0)
+    for a in shapes:
+        for b in shapes:
+            ours = ConfidenceLaw.beta(a, b, lo, hi).pdf(c)
+            theirs = stats.beta.pdf((c - lo) / (hi - lo), a, b) / (hi - lo)
+            assert np.allclose(ours, theirs, rtol=1e-12, atol=0.0), (a, b)
+            assert np.array_equal(ours[-4:], np.zeros(4)), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 2.0), (2.0, 0.9)])
+def test_beta_pdf_below_shape_one_is_infinite_at_that_end_without_a_warning(a, b):
+    stats = pytest.importorskip("scipy.stats")
+    law = ConfidenceLaw.beta(a, b, 0.6, 0.9)
+    width = law.hi - law.lo
+    c = np.array([0.6, 0.75, 0.9, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = law.pdf(c)
+    assert np.array_equal(ours[[0, 2]] == np.inf, [a < 1, b < 1])
+    assert np.allclose(ours, stats.beta.pdf((c - 0.6) / width, a, b) / width, rtol=1e-12, atol=0.0)
+    assert np.array_equal(ours[3:], [0.0, 0.0])
 
 
 def test_map_1d_shapes_and_clipping():
