@@ -75,15 +75,15 @@ class BoundInputs:
     assume_density: bool = False
 
     def __post_init__(self):
-        _count(self.n, "sample count")
-        _count(self.num_bins, "bin count")
-        _real(self.epsilon, "epsilon", "> 0", "< 1")
-        _real(self.lipschitz, "Lipschitz constant", ">= 0")
+        object.__setattr__(self, "n", _count(self.n, "sample count"))
+        object.__setattr__(self, "num_bins", _count(self.num_bins, "bin count"))
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", "> 0", "< 1"))
+        object.__setattr__(self, "lipschitz", _real(self.lipschitz, "Lipschitz constant", ">= 0"))
         if not (isinstance(self.lam, str) and self.lam == "auto"):
-            _real(self.lam, "lam", "> 0")
-        _real(self.kl, "kl", ">= 0")
+            object.__setattr__(self, "lam", _real(self.lam, "lam", "> 0"))
+        object.__setattr__(self, "kl", _real(self.kl, "kl", ">= 0"))
         if self.num_classes is not None:
-            _count(self.num_classes, "class count", 2)
+            object.__setattr__(self, "num_classes", _count(self.num_classes, "class count", 2))
         if not isinstance(self.assume_density, bool):
             raise ValidationError(f"assume_density must be a bool, got {self.assume_density!r}")
 
@@ -177,13 +177,13 @@ def evaluate_bound(
     score, added to the value; every other kind takes none. Finite inputs
     whose certificate overflows to infinity raise ValidationError.
     """
-    _real(empirical_term, "empirical term", ">= 0")
+    empirical_term = _real(empirical_term, "empirical term", ">= 0")
     if kind is BoundKind.TotalBiasTest and inputs.kl != 0.0:
         raise ValidationError("TotalBiasTest certifies a fixed predictor; kl must be 0")
     if kind is not BoundKind.JointAccTce and empirical_term != 0.0:
         raise ValidationError(f"{kind.value} takes no empirical term")
     binning, a, c = _terms(kind, inputs)
-    lam = _best_lambda(a, c) if inputs.lam == "auto" else float(inputs.lam)
+    lam = _best_lambda(a, c) if inputs.lam == "auto" else inputs.lam
     statistical = a / lam + c * lam
     value = empirical_term + binning + statistical
     if not math.isfinite(value):
@@ -245,7 +245,7 @@ def mc_validate_bound(
         raise ValidationError(
             f"{kind.value} does not bound a 1-D binned bias; cannot validate here"
         )
-    _count(trials, "trial count")
+    trials = _count(trials, "trial count")
     inputs = BoundInputs(
         n=spec.n,
         num_bins=num_bins,

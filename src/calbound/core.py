@@ -66,6 +66,13 @@ def _real(value, what: str, *rules: str) -> float:
     return x
 
 
+def _seed(value, what: str) -> int:
+    """value as an int: an int or numpy integer, not a bool, of any size."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _splitmix64(x: int) -> int:
     # Finalizer from the splitmix64 generator; bijective on 64-bit ints.
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -80,11 +87,17 @@ class Rng:
 
     Two Rng values with the same key always yield identical draws, and
     distinct stream ids give statistically independent streams, so grid
-    cells can be seeded without coordination.
+    cells can be seeded without coordination. Both parts are any int or numpy
+    integer, not a bool, and are held as int.
     """
 
     master_seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if type(self.master_seed) is not int or type(self.stream_id) is not int:
+            object.__setattr__(self, "master_seed", _seed(self.master_seed, "seed"))
+            object.__setattr__(self, "stream_id", _seed(self.stream_id, "stream id"))
 
     @property
     def key(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import PredictionSet, Rng, ValidationError, _count, _real
+from ..core import PredictionSet, Rng, ValidationError, _count, _real, _seed
 from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
@@ -119,10 +119,11 @@ def convergence_experiment(
         raise ValidationError("n_grid must be strictly ascending")
     if n_grid[-1] < _MIN_SPAN * n_grid[0]:
         raise ValidationError("n_grid must span at least 1.5 decades")
-    _count(seeds, "seeds per n", 20)
+    seeds = _count(seeds, "seeds per n", 20)
     if bin_rule != "optimal":
-        _count(bin_rule, "bin rule")
-    _count(workers, "workers")
+        bin_rule = _count(bin_rule, "bin rule")
+    workers = _count(workers, "workers")
+    oracle_samples = _count(oracle_samples, "oracle sample count", 2)
 
     binary = isinstance(spec, BinarySpec)
     if binary:
@@ -133,7 +134,7 @@ def convergence_experiment(
     def bins_for(n: int) -> int:
         if bin_rule == "optimal":
             return optimal_bins_1d(n) if binary else optimal_bins_per_dim(n, spec.num_classes)
-        return int(bin_rule)
+        return bin_rule
 
     def measure(i_n: int, seed: int) -> dict:
         n = n_grid[i_n]
@@ -255,8 +256,8 @@ def kl_gap_experiment(
     """
     source, source_config = _as_source(source)
     alpha_grid = _alpha_grid(alpha_grid, 2)
-    _count(replicates, "replicates")
-    _count(n_re, "n_re")
+    replicates, n_re = _count(replicates, "replicates"), _count(n_re, "n_re")
+    seed = _seed(seed, "seed")
     cfg = cfg or PbrConfig()
     cfgs = [replace(cfg, alpha=a) for a in alpha_grid]
     bins = optimal_bins_1d(n_re)
@@ -335,7 +336,8 @@ def compare_methods(
     recorded cfg is the one passed in, not the one any cell fitted with.
     """
     source, source_config = _as_source(source)
-    _count(folds, "folds", 2)
+    folds = _count(folds, "folds", 2)
+    seed = _seed(seed, "seed")
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; choose from {METHODS}")
@@ -350,8 +352,7 @@ def compare_methods(
     else:
         n_re = min(1000, max(2, source.n // 5)) if n_re is None else n_re
         n_te = source.n - n_re if n_te is None else n_te
-    _count(n_re, "n_re", 2)
-    _count(n_te, "n_te", 2)
+    n_re, n_te = _count(n_re, "n_re", 2), _count(n_te, "n_te", 2)
     bins_te = optimal_bins_1d(n_te)
 
     def score(data_re, data_te, fold: int, method: str) -> dict:

@@ -277,13 +277,15 @@ def load_dump(path) -> PredictionDump:
                           data=PredictionSet._owned(probs, labels))
 
 
-def write_dump(data: PredictionSet, path, fmt: str = "csv", mode: str = "probs") -> None:
-    """Write a prediction set; logits mode emits log-probabilities."""
+def write_dump(data: PredictionSet, path, fmt: str | None = None, mode: str = "probs") -> None:
+    """Write a prediction set in fmt, by default the format the suffix names (as load_dump
+    reads it); logits mode emits log-probabilities."""
+    path = Path(path)
+    fmt = _resolve_format(path) if fmt is None else fmt
     if fmt not in FORMATS:
         raise ValidationError(f"unknown dump format {fmt!r}")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    path = Path(path)
     values = data.probs if mode == "probs" else log_probs(data.probs)
     if fmt == "npz":
         # np.savez's members, each written from the array's own buffer in 16 MiB

@@ -7,6 +7,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from ..core import ValidationError
+
 SCHEMA_VERSION = 1
 
 # Shape of every serialized report; tests validate emitted documents with it.
@@ -45,13 +47,11 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            kind=d["kind"],
-            config=d["config"],
-            cells=list(d["cells"]),
-            summary=d["summary"],
-            schema=d["schema"],
-        )
+        try:
+            return cls(kind=d["kind"], config=d["config"], cells=list(d["cells"]),
+                       summary=d["summary"], schema=d["schema"])
+        except KeyError as err:
+            raise ValidationError(f"report has no {err.args[0]!r} key")
 
     def cells_csv(self) -> str:
         """The per-cell rows as CSV text, with the union of their keys as columns."""

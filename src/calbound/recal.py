@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import PredictionSet, Rng, ValidationError, _count, _real, log_probs, softmax
+from .core import PredictionSet, Rng, ValidationError, _count, _real, _seed, log_probs, softmax
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -127,8 +127,8 @@ class RecalMap:
 
     def __post_init__(self):
         family = _family(self.family)
-        _count(self.num_classes, "class count", 2)
-        params = np.asarray(self.params, dtype=float)
+        object.__setattr__(self, "num_classes", _count(self.num_classes, "class count", 2))
+        params = np.array(self.params, dtype=float)  # a copy, which the map then holds read-only
         want = family.identity(self.num_classes).size
         if params.shape != (want,):
             raise ValidationError(
@@ -137,7 +137,6 @@ class RecalMap:
             )
         if not np.isfinite(params).all():
             raise ValidationError(f"{self.family} map params must be finite")
-        params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
 
@@ -184,7 +183,7 @@ class RecalMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecalMap":
-        return cls(d["family"], int(d["num_classes"]), np.asarray(d["params"]))
+        return cls(d["family"], d["num_classes"], d["params"])
 
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
@@ -244,8 +243,7 @@ class GaussianPosterior:
     @classmethod
     def at(cls, mu: np.ndarray) -> "GaussianPosterior":
         """Unit-sigma posterior centred at mu."""
-        mu = np.asarray(mu, dtype=float)
-        return cls(mu, np.zeros(mu.shape))
+        return cls(mu, np.zeros(np.shape(mu)))
 
     @property
     def dim(self) -> int:
@@ -266,7 +264,7 @@ class GaussianPosterior:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPosterior":
-        return cls(np.asarray(d["mu"]), np.asarray(d["log_sigma"]))
+        return cls(d["mu"], d["log_sigma"])
 
 
 @dataclass(frozen=True)
@@ -286,12 +284,13 @@ class PbrConfig:
 
     def __post_init__(self):
         _family(self.family)  # rejects an unknown family
-        _real(self.alpha, "alpha", ">= 0")
-        _count(self.mc_samples, "mc_samples")
-        _count(self.j_final, "j_final")
-        _real(self.step_size, "step size", "> 0")
-        _real(self.step_decay, "step decay", "> 0", "<= 1")
-        _count(self.max_iters, "max_iters")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", ">= 0"))
+        object.__setattr__(self, "mc_samples", _count(self.mc_samples, "mc_samples"))
+        object.__setattr__(self, "j_final", _count(self.j_final, "j_final"))
+        object.__setattr__(self, "step_size", _real(self.step_size, "step size", "> 0"))
+        object.__setattr__(self, "step_decay", _real(self.step_decay, "step decay", "> 0", "<= 1"))
+        object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
+        object.__setattr__(self, "seed", _seed(self.seed, "seed"))
         if self.objective not in ("brier", "brier_plus_loss"):
             raise ValidationError(f"unknown objective {self.objective!r}")
 
@@ -303,6 +302,9 @@ class PbrConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PbrConfig":
         d = dict(d)
+        unknown = [key for key in d if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise ValidationError(f"unknown PbrConfig key {unknown[0]!r}")
         prior = d.pop("prior", None)
         return cls(prior=GaussianPosterior.from_dict(prior) if prior else None, **d)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -75,15 +75,15 @@ _MAPS_K = {
 }
 
 
-def _check_map(kind: str, params: tuple, kinds: dict) -> None:
+def _check_map(kind: str, params: tuple, kinds: dict) -> tuple:
+    """params as a tuple of floats, checked against the kind's count and rules."""
     if not isinstance(kind, str) or kind not in kinds:
         raise ValidationError(f"unknown map kind {kind!r}")
     if len(params) != kinds[kind].num_params:
         raise ValidationError(
             f"{kind} map needs params of length {kinds[kind].num_params}, got {len(params)}"
         )
-    for p in params:
-        _real(p, f"{kind} map param", *kinds[kind].rules)
+    return tuple(_real(p, f"{kind} map param", *kinds[kind].rules) for p in params)
 
 
 def _spec_part(d: dict, key: str, types, what: str):
@@ -102,8 +102,7 @@ def _spec_count(d: dict, key: str) -> int:
 
 def _seed_rng(seed) -> Rng:
     """The Rng of a spec's "seed": [master_seed] or [master_seed, stream_id]."""
-    if not (isinstance(seed, (list, tuple)) and 1 <= len(seed) <= 2
-            and all(type(s) is int for s in seed)):
+    if not (isinstance(seed, (list, tuple)) and 1 <= len(seed) <= 2):
         raise ValidationError(f"spec seed must be a list of one or two integers, got {seed!r}")
     return Rng(*seed)
 
@@ -123,7 +122,8 @@ class ConfidenceLaw:
             raise ValidationError(f"unknown confidence law {self.kind!r}")
         shape = ("> 0",) if self.kind == "beta" else ()
         for name, rules in (("lo", (">= 0.5",)), ("hi", ("<= 1",)), ("a", shape), ("b", shape)):
-            _real(getattr(self, name), f"confidence law {name}", *rules)
+            value = _real(getattr(self, name), f"confidence law {name}", *rules)
+            object.__setattr__(self, name, value)
         if self.lo >= self.hi:
             raise ValidationError(f"support [{self.lo}, {self.hi}] is empty")
 
@@ -169,7 +169,7 @@ class MiscalibrationMap1D:
     params: tuple = ()
 
     def __post_init__(self):
-        _check_map(self.kind, self.params, _MAPS_1D)
+        object.__setattr__(self, "params", _check_map(self.kind, self.params, _MAPS_1D))
 
     @classmethod
     def identity(cls) -> "MiscalibrationMap1D":
@@ -177,15 +177,15 @@ class MiscalibrationMap1D:
 
     @classmethod
     def shift(cls, offset: float) -> "MiscalibrationMap1D":
-        return cls("shift", (float(offset),))
+        return cls("shift", (offset,))
 
     @classmethod
     def sine(cls, amplitude: float, frequency: float) -> "MiscalibrationMap1D":
-        return cls("sine", (float(amplitude), float(frequency)))
+        return cls("sine", (amplitude, frequency))
 
     @classmethod
     def power(cls, exponent: float) -> "MiscalibrationMap1D":
-        return cls("power", (float(exponent),))
+        return cls("power", (exponent,))
 
     @property
     def lipschitz_constant(self) -> float:
@@ -205,18 +205,12 @@ class BinarySpec:
     rng: Rng
 
     def __post_init__(self):
-        _count(self.n, "sample count")
+        object.__setattr__(self, "n", _count(self.n, "sample count"))
 
     def to_dict(self) -> dict:
         return {
             "kind": "binary",
-            "law": {
-                "kind": self.law.kind,
-                "lo": self.law.lo,
-                "hi": self.law.hi,
-                "a": self.law.a,
-                "b": self.law.b,
-            },
+            "law": asdict(self.law),
             "map": {"kind": self.map.kind, "params": list(self.map.params)},
             "n": self.n,
             "seed": [self.rng.master_seed, self.rng.stream_id],
@@ -298,7 +292,7 @@ class MiscalibrationMapK:
     params: tuple = ()
 
     def __post_init__(self):
-        _check_map(self.kind, self.params, _MAPS_K)
+        object.__setattr__(self, "params", _check_map(self.kind, self.params, _MAPS_K))
 
     @classmethod
     def identity(cls) -> "MiscalibrationMapK":
@@ -306,11 +300,11 @@ class MiscalibrationMapK:
 
     @classmethod
     def temperature(cls, t: float) -> "MiscalibrationMapK":
-        return cls("temperature", (float(t),))
+        return cls("temperature", (t,))
 
     @classmethod
     def mixture(cls, weight: float) -> "MiscalibrationMapK":
-        return cls("mixture", (float(weight),))
+        return cls("mixture", (weight,))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         return _MAPS_K[self.kind].apply(np.asarray(f, dtype=float), self.params)
@@ -327,12 +321,12 @@ class MulticlassSpec:
     rng: Rng
 
     def __post_init__(self):
-        _count(self.num_classes, "class count", 2)
+        object.__setattr__(self, "num_classes", _count(self.num_classes, "class count", 2))
         if len(self.concentration) != self.num_classes:
             raise ValidationError("concentration length must equal the class count")
-        for a in self.concentration:
-            _real(a, "concentration entry", "> 0")
-        _count(self.n, "sample count")
+        concentration = tuple(_real(a, "concentration entry", "> 0") for a in self.concentration)
+        object.__setattr__(self, "concentration", concentration)
+        object.__setattr__(self, "n", _count(self.n, "sample count"))
 
     def to_dict(self) -> dict:
         return {
@@ -414,7 +408,7 @@ def true_ce_k(
     Uses a dedicated child stream of the spec seed, so the oracle never
     perturbs the draws of gen_multiclass.
     """
-    _count(oracle_samples, "oracle sample count", 2)
+    oracle_samples = _count(oracle_samples, "oracle sample count", 2)
     gen = spec.rng.stream(_STREAM_ORACLE).generator()
     rows = _block_rows(spec.num_classes)
     vals = np.empty(min(oracle_samples, _ORACLE_GROUP))
@@ -438,7 +432,4 @@ def true_ce_k(
 
 def with_n(spec, n: int, rng: Optional[Rng] = None):
     """Copy a spec with a new sample count and optionally a new stream."""
-    out = replace(spec, n=n)
-    if rng is not None:
-        out = replace(out, rng=rng)
-    return out
+    return replace(spec, n=n, rng=spec.rng if rng is None else rng)

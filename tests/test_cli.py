@@ -129,6 +129,8 @@ _GOOD_K_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(),
     json.dumps([_GOOD_SPEC]),
     json.dumps({k: v for k, v in _GOOD_SPEC.items() if k != "law"}),
     json.dumps(_GOOD_SPEC | {"seed": 7}),
+    json.dumps(_GOOD_SPEC | {"seed": [7, 0.5]}),
+    json.dumps(_GOOD_SPEC | {"seed": [True]}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "sine", "params": [0.05]}}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": []}}),
     json.dumps(_GOOD_SPEC | {"law": 5}),
@@ -143,10 +145,10 @@ _GOOD_K_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(),
     json.dumps(_GOOD_K_SPEC | {"concentration": [1, 1, math.inf]}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": [10**400]}}),
     json.dumps(_GOOD_SPEC | {"n": 10**400}),
-], ids=["not-json", "array", "no-law", "scalar-seed", "sine-one-param", "power-no-param",
-        "scalar-law", "scalar-params", "string-n", "fractional-n", "string-lo",
-        "string-exponent", "string-concentration", "string-amplitude", "nan-offset",
-        "inf-concentration", "huge-exponent", "huge-n"])
+], ids=["not-json", "array", "no-law", "scalar-seed", "fractional-seed", "bool-seed",
+        "sine-one-param", "power-no-param", "scalar-law", "scalar-params", "string-n",
+        "fractional-n", "string-lo", "string-exponent", "string-concentration",
+        "string-amplitude", "nan-offset", "inf-concentration", "huge-exponent", "huge-n"])
 def test_malformed_spec_exits_two(tmp_path, capsys, text):
     sp = tmp_path / "spec.json"
     sp.write_text(text)

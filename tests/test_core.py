@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -271,6 +273,8 @@ COUNTS = {
     "optimal_bins_per_dim.n": lambda v: optimal_bins_per_dim(v, 3),
     "optimal_bins_per_dim.num_classes": lambda v: optimal_bins_per_dim(100, v),
     "RecalMap.num_classes": lambda v: RecalMap("temperature", v, [0.0]),
+    "RecalMap.from_dict.num_classes": lambda v: RecalMap.from_dict(
+        {"family": "temperature", "num_classes": v, "params": [0.0]}),
     "PbrConfig.mc_samples": lambda v: PbrConfig(mc_samples=v),
     "PbrConfig.j_final": lambda v: PbrConfig(j_final=v),
     "PbrConfig.max_iters": lambda v: PbrConfig(max_iters=v),
@@ -308,8 +312,23 @@ REALS = {
     "ConfidenceLaw.b": lambda v: ConfidenceLaw("beta", 0.5, 1.0, 2.0, v),
     "MiscalibrationMap1D.params": lambda v: MiscalibrationMap1D("shift", (v,)),
     "MiscalibrationMapK.params": lambda v: MiscalibrationMapK("mixture", (v,)),
+    "MiscalibrationMap1D.shift": MiscalibrationMap1D.shift,
+    "MiscalibrationMap1D.sine.amplitude": lambda v: MiscalibrationMap1D.sine(v, 2.0),
+    "MiscalibrationMap1D.sine.frequency": lambda v: MiscalibrationMap1D.sine(0.05, v),
+    "MiscalibrationMap1D.power": MiscalibrationMap1D.power,
+    "MiscalibrationMapK.temperature": MiscalibrationMapK.temperature,
+    "MiscalibrationMapK.mixture": MiscalibrationMapK.mixture,
     "MulticlassSpec.concentration": lambda v: MulticlassSpec(
         3, (1.0, 1.0, v), _MULTI.map, 50, Rng(1)),
+}
+
+# Each public boundary that takes a seed (any integer), fed the bad value v.
+SEEDS = {
+    "Rng.master_seed": Rng,
+    "Rng.stream_id": lambda v: Rng(0, v),
+    "PbrConfig.seed": lambda v: PbrConfig(seed=v),
+    "klgap.seed": lambda v: kl_gap_experiment(_MULTI, alpha_grid=(0.0, 1.0), seed=v),
+    "compare.seed": lambda v: compare_methods(_MULTI, ("uncalibrated",), seed=v),
 }
 
 _BAD = {"bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -321,6 +340,8 @@ _BAD = {"bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
       for name, v in {**_BAD, "fraction": 20.5, "string": "3", "2**63": 2**63}.items()],
     *[pytest.param(REALS[b], v, id=f"{b}-{name}")
       for b in REALS for name, v in {**_BAD, "string": "0.5"}.items()],
+    *[pytest.param(SEEDS[b], v, id=f"{b}-{name}")
+      for b in SEEDS for name, v in {**_BAD, "fraction": 2.5, "string": "3"}.items()],
 ])
 def test_every_number_boundary_refuses_a_bad_value(boundary, value):
     with pytest.raises(ValidationError):
@@ -346,3 +367,63 @@ def test_number_rules_state_the_rule_they_check():
         _count(2**63, "n")
     with pytest.raises(ValidationError, match=r"^n must be an integer >= 1 and < 2\*\*63, got "):
         _count(np.uint64(2**63), "n")
+
+
+def test_seed_rule_holds_any_integer_as_int():
+    assert Rng(np.int64(7), np.uint64(2**64 - 1)) == Rng(7, 2**64 - 1)
+    assert type(Rng(np.int64(7)).master_seed) is int
+    assert np.array_equal(Rng(np.int64(-3)).stream(5).generator().random(4),
+                          Rng(-3).stream(5).generator().random(4))
+    with pytest.raises(ValidationError, match=r"^seed must be an integer, got True$"):
+        Rng(True)
+    with pytest.raises(ValidationError, match=r"^stream id must be an integer, got 2.5$"):
+        Rng(0, 2.5)
+
+
+def _value_types(i, r):
+    """Every value type, plus a certificate and three reports, with counts made by i and reals
+    by r; each real is exact in float32."""
+    binary = BinarySpec(ConfidenceLaw.uniform(r(0.5), r(0.75)),
+                        MiscalibrationMap1D.sine(r(0.0625), r(2.0)), i(50), Rng(i(1), i(2)))
+    multi = MulticlassSpec(i(3), (r(1.0), r(0.5), r(2.0)), MiscalibrationMapK.mixture(r(0.25)),
+                           i(50), Rng(i(3)))
+    cfg = PbrConfig(alpha=r(0.5), mc_samples=i(2), j_final=i(5), step_size=r(0.25),
+                    step_decay=r(0.5), max_iters=i(3), seed=i(4))
+    inputs = BoundInputs(n=i(1000), num_bins=i(10), epsilon=r(0.0625), lipschitz=r(1.5),
+                         lam=r(8.0), kl=r(0.5), num_classes=i(3))
+    grid = [i(100), i(300), i(1000), i(3200)]
+    values = [
+        binary, multi, cfg, inputs,
+        ConfidenceLaw.beta(r(2.0), r(3.0), r(0.5), r(1.0)),
+        MiscalibrationMap1D.shift(r(0.125)), MiscalibrationMap1D.power(r(2.0)),
+        MiscalibrationMapK.temperature(r(2.0)),
+        RecalMap.from_dict({"family": "temperature", "num_classes": i(3), "params": [0.5]}),
+        evaluate_bound(BoundKind.JointAccTce, inputs, r(0.125)),
+    ]
+    reports = [
+        convergence_experiment(binary, grid, i(20), bin_rule=i(4), workers=i(1)),
+        convergence_experiment(multi, grid, i(20), oracle_samples=i(1000)),
+        kl_gap_experiment(multi, alpha_grid=(r(0.0), r(1.0)), replicates=i(2), n_re=i(50),
+                          cfg=cfg, seed=i(5)),
+        compare_methods(multi, ("uncalibrated", "pbr"), folds=i(2), n_re=i(50), n_te=i(50),
+                        cfg=cfg, alpha_grid=(r(0.5),), seed=i(6)),
+    ]
+    return values, [json.dumps(values[-1].to_dict())] + [rep.to_json() for rep in reports]
+
+
+def _numbers(value):
+    """The numbers a value type holds, through nested value types and tuples."""
+    if is_dataclass(value):
+        return [x for f in fields(value) for x in _numbers(getattr(value, f.name))]
+    if isinstance(value, (tuple, dict)):
+        return [x for v in (value.values() if isinstance(value, dict) else value)
+                for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float, np.generic)) else []
+
+
+def test_numpy_scalars_are_held_as_python_numbers_and_serialize_alike():
+    values, dumps = _value_types(np.int64, np.float32)
+    numbers = [x for v in values for x in _numbers(v)]
+    assert len(numbers) > 40
+    assert {type(x) for x in numbers} <= {int, float, bool}
+    assert dumps == _value_types(int, float)[1]

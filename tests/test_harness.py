@@ -418,6 +418,18 @@ def test_npz_round_trip_is_bit_exact(tmp_path, gen):
         assert archive["labels"].tobytes() == data.labels.tobytes()
 
 
+@pytest.mark.parametrize("name, fmt", [("d.csv", "csv"), ("d.NDJSON", "jsonl"), ("d.npz", "npz")])
+def test_write_dump_reads_the_format_from_the_suffix(tmp_path, gen, name, fmt):
+    data = random_prediction_set(gen, 20, 3)
+    write_dump(data, tmp_path / name)
+    loaded = load_dump(tmp_path / name)
+    assert loaded.format == fmt
+    assert loaded.data.probs.tobytes() == data.probs.tobytes()
+    with pytest.raises(ValidationError, match=r"cannot infer dump format from 'd.txt'"):
+        write_dump(data, tmp_path / "d.txt")
+    assert not (tmp_path / "d.txt").exists()
+
+
 def test_npz_errors_are_validation_errors(tmp_path):
     probs = np.array([[0.6, 0.4], [0.5, 0.5]])
     labels = np.array([0, 1])
@@ -859,4 +871,7 @@ def test_replay_rejects_unknown_kind():
     bad = rep.to_dict()
     bad["kind"] = "mystery"
     with pytest.raises(ValidationError):
+        replay(bad)
+    del bad["kind"]
+    with pytest.raises(ValidationError, match=r"^report has no 'kind' key$"):
         replay(bad)

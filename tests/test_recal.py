@@ -240,6 +240,8 @@ def test_pbr_config_validation_and_round_trip():
         PbrConfig(objective="hinge")
     with pytest.raises(ValidationError):
         PbrConfig(mc_samples=0)
+    with pytest.raises(ValidationError, match=r"^unknown PbrConfig key 'step'$"):
+        PbrConfig.from_dict({**cfg.to_dict(), "step": 0.1})
 
 
 @pytest.mark.parametrize("field", ["alpha", "step_size"])
