@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ValidationError, _count, _real
+from .core import ValidationError, _count, _keys, _real
 from .ece import _ece_top_label_sets
 from .synthetic import BinarySpec, _gen_binary_sets, true_tce
 
@@ -111,15 +111,10 @@ class BoundCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundCertificate":
-        return cls(
-            kind=BoundKind(d["bound_kind"]),
-            value=float(d["value"]),
-            binning_term=float(d["binning_term"]),
-            statistical_term=float(d["statistical_term"]),
-            lambda_used=float(d["lambda_used"]),
-            empirical_term=float(d.get("empirical_term", 0.0)),
-            inputs=dict(d.get("inputs", {})),
-        )
+        terms = ("value", "binning_term", "statistical_term", "lambda_used")
+        d = _keys(d, "certificate", ("bound_kind", *terms), ("empirical_term", "inputs"))
+        return cls(BoundKind(d["bound_kind"]), *(float(d[key]) for key in terms),
+                   float(d.get("empirical_term", 0.0)), dict(d.get("inputs", {})))
 
 
 def _terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float, float]:

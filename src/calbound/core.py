@@ -1,5 +1,5 @@
 """Shared value types (prediction sets, seeded RNG streams), the floored log and softmax,
-and the two number rules every boundary checks: a count and a finite real.
+and the rules every boundary checks: a count, a finite real and an object's keys.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). It
@@ -73,6 +73,18 @@ def _seed(value, what: str) -> int:
     return int(value)
 
 
+def _keys(d, what: str, required=(), optional=()) -> dict:
+    """d, when it is a dict with every required key and no key outside required and optional."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be an object, got {type(d).__name__}")
+    for key in (*required, *d):
+        if key not in d:
+            raise ValidationError(f"{what} has no {key!r} key")
+        if key not in required and key not in optional:
+            raise ValidationError(f"unknown {what} key {key!r}")
+    return d
+
+
 def _splitmix64(x: int) -> int:
     # Finalizer from the splitmix64 generator; bijective on 64-bit ints.
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -108,7 +120,9 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=self.key))
 
     def stream(self, index: int) -> "Rng":
-        """Derive an independent child stream for a cell index."""
+        """Derive an independent child stream for an index: an int or numpy integer, not a bool."""
+        if type(index) is not int:  # the per-step call with an int stays off the check
+            index = _seed(index, "stream index")
         mixed = _splitmix64((self.stream_id & _MASK64) ^ _splitmix64(index & _MASK64))
         return Rng(self.master_seed, mixed)
 

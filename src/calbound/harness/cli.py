@@ -26,7 +26,7 @@ from .experiments import (
     fit_method,
     kl_gap_experiment,
 )
-from .io import MODES, load_dump, write_dump
+from .io import MODES, _resolve_format, load_dump, write_dump
 
 
 def _write(text: str, out: str | None) -> None:
@@ -112,8 +112,9 @@ def _cmd_ece(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     spec = _load_spec(args.spec)
+    fmt = _resolve_format(Path(args.out))  # a bad suffix is refused before the draw
     data = _generate(spec, spec.n if args.n is None else args.n, spec.rng)
-    write_dump(data, args.out, **_given(args, "mode"))
+    write_dump(data, args.out, fmt, **_given(args, "mode"))
     print(f"wrote {data.n} rows x {data.num_classes} classes to {args.out}")
     return 0
 

@@ -8,6 +8,7 @@ can be re-run bit-exactly through :func:`replay`.
 
 from __future__ import annotations
 
+import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -16,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..core import PredictionSet, Rng, ValidationError, _count, _real, _seed
+from ..core import PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed
 from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
@@ -392,6 +393,7 @@ def compare_methods(
 
 
 def _source_from_config(cfg: dict) -> Source:
+    cfg = _keys(cfg, "report source", optional=("spec", "dump", "inline"))
     if "spec" in cfg:
         return spec_from_dict(cfg["spec"])
     if cfg.get("dump"):
@@ -400,7 +402,7 @@ def _source_from_config(cfg: dict) -> Source:
 
 
 def replay(report: Union[ExperimentReport, dict]) -> ExperimentReport:
-    """Re-run an experiment by calling it with its recorded config."""
+    """Re-run an experiment with its recorded config, whose keys its signature states."""
     if isinstance(report, dict):
         report = ExperimentReport.from_dict(report)
     experiments = {
@@ -410,11 +412,14 @@ def replay(report: Union[ExperimentReport, dict]) -> ExperimentReport:
     }
     if report.kind not in experiments:
         raise ValidationError(f"unknown report kind {report.kind!r}")
-    config = dict(report.config)
+    run = experiments[report.kind]
+    params = inspect.signature(run).parameters.values()
+    config = dict(_keys(report.config, f"{report.kind} config",
+                        [p.name for p in params if p.default is p.empty], [p.name for p in params]))
     if "spec" in config:
         config["spec"] = spec_from_dict(config["spec"])
     if "source" in config:
         config["source"] = _source_from_config(config["source"])
     if "cfg" in config:
         config["cfg"] = PbrConfig.from_dict(config["cfg"])
-    return experiments[report.kind](**config)
+    return run(**config)

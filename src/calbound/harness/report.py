@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from ..core import ValidationError
+from ..core import _keys
 
 SCHEMA_VERSION = 1
 
@@ -47,11 +47,8 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        try:
-            return cls(kind=d["kind"], config=d["config"], cells=list(d["cells"]),
-                       summary=d["summary"], schema=d["schema"])
-        except KeyError as err:
-            raise ValidationError(f"report has no {err.args[0]!r} key")
+        d = _keys(d, "report", ("kind", "config", "cells", "summary", "schema"))
+        return cls(**{**d, "cells": list(d["cells"])})
 
     def cells_csv(self) -> str:
         """The per-cell rows as CSV text, with the union of their keys as columns."""

@@ -54,7 +54,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import PredictionSet, Rng, ValidationError, _count, _real, _seed, log_probs, softmax
+from .core import (PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed, log_probs,
+                   softmax)
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -183,6 +184,7 @@ class RecalMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecalMap":
+        d = _keys(d, "recalibration map", ("family", "num_classes", "params"), ("t",))
         return cls(d["family"], d["num_classes"], d["params"])
 
 
@@ -264,7 +266,7 @@ class GaussianPosterior:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPosterior":
-        return cls(d["mu"], d["log_sigma"])
+        return cls(**_keys(d, "posterior", ("mu", "log_sigma")))
 
 
 @dataclass(frozen=True)
@@ -301,12 +303,9 @@ class PbrConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PbrConfig":
-        d = dict(d)
-        unknown = [key for key in d if key not in {f.name for f in fields(cls)}]
-        if unknown:
-            raise ValidationError(f"unknown PbrConfig key {unknown[0]!r}")
+        d = dict(_keys(d, "PbrConfig", optional=[f.name for f in fields(cls)]))
         prior = d.pop("prior", None)
-        return cls(prior=GaussianPosterior.from_dict(prior) if prior else None, **d)
+        return cls(prior=None if prior is None else GaussianPosterior.from_dict(prior), **d)
 
 
 def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import PredictionSet, Rng, ValidationError, _count, _real
+from .core import PredictionSet, Rng, ValidationError, _count, _keys, _real
 
 # Oracle quadrature stops when doubling the panel count moves the estimate
 # by less than this.
@@ -75,21 +75,19 @@ _MAPS_K = {
 }
 
 
+def _reals(values, count: int, what: str, *rules: str) -> tuple:
+    """A list, tuple or 1-D array of count reals, as floats that meet each rule."""
+    listed = isinstance(values, (list, tuple)) or np.ndim(values) == 1
+    if not listed or len(values) != count:
+        raise ValidationError(f"{what} must be a list of {count} numbers, got {values!r}")
+    return tuple(_real(v, f"{what} entry", *rules) for v in values)
+
+
 def _check_map(kind: str, params: tuple, kinds: dict) -> tuple:
     """params as a tuple of floats, checked against the kind's count and rules."""
     if not isinstance(kind, str) or kind not in kinds:
         raise ValidationError(f"unknown map kind {kind!r}")
-    if len(params) != kinds[kind].num_params:
-        raise ValidationError(
-            f"{kind} map needs params of length {kinds[kind].num_params}, got {len(params)}"
-        )
-    return tuple(_real(p, f"{kind} map param", *kinds[kind].rules) for p in params)
-
-
-def _spec_part(d: dict, key: str, types, what: str):
-    if not isinstance(d[key], types):
-        raise ValidationError(f"spec {key!r} must be {what}, got {d[key]!r}")
-    return d[key]
+    return _reals(params, kinds[kind].num_params, f"{kind} map params", *kinds[kind].rules)
 
 
 def _spec_count(d: dict, key: str) -> int:
@@ -218,9 +216,9 @@ class BinarySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinarySpec":
-        law, m = _spec_part(d, "law", dict, "an object"), _spec_part(d, "map", dict, "an object")
-        law = ConfidenceLaw(law["kind"], law["lo"], law["hi"], law["a"], law["b"])
-        m = MiscalibrationMap1D(m["kind"], tuple(_spec_part(m, "params", (list, tuple), "a list")))
+        d = _keys(d, "spec", ("kind", "law", "map", "n", "seed"))
+        law = ConfidenceLaw(**_keys(d["law"], "spec law", ("kind", "lo", "hi"), ("a", "b")))
+        m = MiscalibrationMap1D(**_keys(d["map"], "spec map", ("kind", "params")))
         return cls(law, m, _spec_count(d, "n"), _seed_rng(d["seed"]))
 
 
@@ -322,9 +320,7 @@ class MulticlassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "num_classes", _count(self.num_classes, "class count", 2))
-        if len(self.concentration) != self.num_classes:
-            raise ValidationError("concentration length must equal the class count")
-        concentration = tuple(_real(a, "concentration entry", "> 0") for a in self.concentration)
+        concentration = _reals(self.concentration, self.num_classes, "concentration", "> 0")
         object.__setattr__(self, "concentration", concentration)
         object.__setattr__(self, "n", _count(self.n, "sample count"))
 
@@ -340,26 +336,21 @@ class MulticlassSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MulticlassSpec":
-        m = _spec_part(d, "map", dict, "an object")
+        d = _keys(d, "spec", ("kind", "num_classes", "concentration", "map", "n", "seed"))
         return cls(
             _spec_count(d, "num_classes"),
-            tuple(_spec_part(d, "concentration", (list, tuple), "a list")),
-            MiscalibrationMapK(m["kind"], tuple(_spec_part(m, "params", (list, tuple), "a list"))),
+            d["concentration"],
+            MiscalibrationMapK(**_keys(d["map"], "spec map", ("kind", "params"))),
             _spec_count(d, "n"),
             _seed_rng(d["seed"]),
         )
 
 
 def spec_from_dict(d: dict):
-    if not isinstance(d, dict):
-        raise ValidationError(f"a spec must be a JSON object, got {type(d).__name__}")
-    kinds = {"binary": BinarySpec, "multiclass": MulticlassSpec}
-    if d.get("kind") not in kinds:
-        raise ValidationError(f"unknown spec kind {d.get('kind')!r}")
-    try:
-        return kinds[d["kind"]].from_dict(d)
-    except KeyError as err:
-        raise ValidationError(f"spec has no {err.args[0]!r} key")
+    kind = _keys(d, "spec", ("kind",), d)["kind"]  # the kind's own reader checks the rest
+    if kind not in ("binary", "multiclass"):
+        raise ValidationError(f"unknown spec kind {kind!r}")
+    return (BinarySpec if kind == "binary" else MulticlassSpec).from_dict(d)
 
 
 def spec_from_json(text: str):

@@ -145,10 +145,14 @@ _GOOD_K_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.identity(),
     json.dumps(_GOOD_K_SPEC | {"concentration": [1, 1, math.inf]}),
     json.dumps(_GOOD_SPEC | {"map": {"kind": "power", "params": [10**400]}}),
     json.dumps(_GOOD_SPEC | {"n": 10**400}),
+    json.dumps(_GOOD_SPEC | {"extra": 1}),
+    json.dumps(_GOOD_SPEC | {"law": _GOOD_SPEC["law"] | {"c": 1.0}}),
+    json.dumps(_GOOD_SPEC | {"map": {"params": [0.05, 2.0]}}),
 ], ids=["not-json", "array", "no-law", "scalar-seed", "fractional-seed", "bool-seed",
         "sine-one-param", "power-no-param", "scalar-law", "scalar-params", "string-n",
         "fractional-n", "string-lo", "string-exponent", "string-concentration",
-        "string-amplitude", "nan-offset", "inf-concentration", "huge-exponent", "huge-n"])
+        "string-amplitude", "nan-offset", "inf-concentration", "huge-exponent", "huge-n",
+        "unknown-key", "unknown-law-key", "map-without-kind"])
 def test_malformed_spec_exits_two(tmp_path, capsys, text):
     sp = tmp_path / "spec.json"
     sp.write_text(text)
@@ -157,6 +161,17 @@ def test_malformed_spec_exits_two(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_synthesize_refuses_a_bad_suffix_before_drawing(tmp_path, capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew a set for an output it cannot write")
+
+    monkeypatch.setattr("calbound.harness.cli._generate", draw)
+    out = tmp_path / "x.txt"
+    assert main(["synthesize", "--spec", str(spec_file(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cannot infer dump format from 'x.txt'\n"
     assert not out.exists()
 
 

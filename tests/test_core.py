@@ -7,9 +7,11 @@ import pytest
 
 from calbound import (
     BinarySpec,
+    BoundCertificate,
     BoundInputs,
     BoundKind,
     ConfidenceLaw,
+    GaussianPosterior,
     MiscalibrationMap1D,
     MiscalibrationMapK,
     MulticlassSpec,
@@ -33,7 +35,15 @@ from calbound import (
 )
 from calbound.core import PROB_FLOOR, _count, _real, log_probs, softmax
 from calbound.ece import assign_bins_1d
-from calbound.harness import compare_methods, convergence_experiment, kl_gap_experiment
+from calbound.harness import (
+    ExperimentReport,
+    compare_methods,
+    convergence_experiment,
+    kl_gap_experiment,
+    make_report,
+    replay,
+)
+from calbound.synthetic import spec_from_dict
 
 
 def _multiclass():
@@ -326,6 +336,7 @@ REALS = {
 SEEDS = {
     "Rng.master_seed": Rng,
     "Rng.stream_id": lambda v: Rng(0, v),
+    "Rng.stream": lambda v: Rng(1).stream(v),
     "PbrConfig.seed": lambda v: PbrConfig(seed=v),
     "klgap.seed": lambda v: kl_gap_experiment(_MULTI, alpha_grid=(0.0, 1.0), seed=v),
     "compare.seed": lambda v: compare_methods(_MULTI, ("uncalibrated",), seed=v),
@@ -378,6 +389,65 @@ def test_seed_rule_holds_any_integer_as_int():
         Rng(True)
     with pytest.raises(ValidationError, match=r"^stream id must be an integer, got 2.5$"):
         Rng(0, 2.5)
+    assert Rng(1).stream(np.int64(3)) == Rng(1).stream(3)
+    assert Rng(1).stream(np.uint64(2**64 - 1)) == Rng(1).stream(2**64 - 1)
+    with pytest.raises(ValidationError, match=r"^stream index must be an integer, got True$"):
+        Rng(1).stream(True)
+
+
+_CONV_CONFIG = {"spec": _BINARY.to_dict(), "n_grid": _GRID, "seeds": 20, "bin_rule": "optimal",
+                "oracle_samples": 1000}
+_COMPARE = make_report("compare", {"source": {"spec": _MULTI.to_dict()}}, [], {}).to_dict()
+
+# Each reader of an object from JSON: (read, its name in messages, a valid object, a required
+# key or None when every key is optional). Each feeds read a value in place of the object.
+KEYS = {
+    "spec": (spec_from_dict, "spec", _BINARY.to_dict(), "n"),
+    "spec.multiclass": (spec_from_dict, "spec", _MULTI.to_dict(), "concentration"),
+    "spec.law": (lambda v: spec_from_dict(_BINARY.to_dict() | {"law": v}), "spec law",
+                 _BINARY.to_dict()["law"], "hi"),
+    "spec.map": (lambda v: spec_from_dict(_BINARY.to_dict() | {"map": v}), "spec map",
+                 _BINARY.to_dict()["map"], "kind"),
+    "spec.multiclass.map": (lambda v: spec_from_dict(_MULTI.to_dict() | {"map": v}),
+                            "spec map", _MULTI.to_dict()["map"], "params"),
+    "RecalMap": (RecalMap.from_dict, "recalibration map", RecalMap.temperature(1.5).to_dict(),
+                 "params"),
+    "GaussianPosterior": (GaussianPosterior.from_dict, "posterior",
+                          GaussianPosterior.standard(2).to_dict(), "mu"),
+    "PbrConfig": (PbrConfig.from_dict, "PbrConfig", PbrConfig().to_dict(), None),
+    "PbrConfig.prior": (lambda v: PbrConfig.from_dict({"prior": v}), "posterior",
+                        GaussianPosterior.standard(1).to_dict(), "log_sigma"),
+    "BoundCertificate": (BoundCertificate.from_dict, "certificate",
+                         evaluate_bound(BoundKind.JointAccTce, _inputs(), 0.1).to_dict(), "value"),
+    "ExperimentReport": (ExperimentReport.from_dict, "report", _COMPARE, "cells"),
+    "replay.config": (lambda v: replay(make_report("convergence", v, [], {})),
+                      "convergence config", _CONV_CONFIG, "n_grid"),
+    "replay.compare.config": (lambda v: replay(_COMPARE | {"config": v}), "compare config",
+                              _COMPARE["config"], "source"),
+    "replay.source": (lambda v: replay(_COMPARE | {"config": {"source": v}}),
+                      "report source", _COMPARE["config"]["source"], None),
+}
+
+
+@pytest.mark.parametrize("read, value, message", [
+    *[pytest.param(read, [good], rf"^{what} must be an object, got list$", id=f"{b}-not-object")
+      for b, (read, what, good, key) in KEYS.items()],
+    *[pytest.param(read, {k: v for k, v in good.items() if k != key},
+                   rf"^{what} has no '{key}' key$", id=f"{b}-no-{key}")
+      for b, (read, what, good, key) in KEYS.items() if key is not None],
+    *[pytest.param(read, good | {"extra": 1}, rf"^unknown {what} key 'extra'$",
+                   id=f"{b}-unknown-key")
+      for b, (read, what, good, key) in KEYS.items()],
+])
+def test_every_key_reader_refuses_a_bad_object_by_name(read, value, message):
+    with pytest.raises(ValidationError, match=message):
+        read(value)
+
+
+@pytest.mark.parametrize("b", [b for b in KEYS if not b.startswith("replay")])
+def test_every_key_reader_reads_its_valid_object(b):
+    read, _, good, _ = KEYS[b]
+    read(good)
 
 
 def _value_types(i, r):

@@ -108,6 +108,25 @@ def test_unknown_and_non_numeric_maps_are_rejected():
             reject()
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: MiscalibrationMap1D("sine", v),
+    lambda v: MiscalibrationMapK("mixture", v),
+    lambda v: MulticlassSpec(3, v, MiscalibrationMapK.identity(), 10, Rng(0)),
+], ids=["map-1d-params", "map-k-params", "concentration"])
+@pytest.mark.parametrize("value", [5, None, "ab", {"a": 1}, np.float64(1.0), np.ones((1, 3))],
+                         ids=["int", "none", "string", "dict", "numpy-scalar", "2-d-array"])
+def test_param_and_concentration_containers_must_be_lists(make, value):
+    with pytest.raises(ValidationError, match="must be a list of"):
+        make(value)
+
+
+def test_numpy_params_and_concentrations_are_still_accepted():
+    assert MiscalibrationMap1D("sine", np.array([0.05, 2.0])) == MiscalibrationMap1D.sine(0.05, 2.0)
+    assert MiscalibrationMapK("mixture", np.array([0.25])) == MiscalibrationMapK.mixture(0.25)
+    spec = MulticlassSpec(3, np.array([1.0, 0.5, 2.0]), MiscalibrationMapK.identity(), 10, Rng(0))
+    assert spec.concentration == (1.0, 0.5, 2.0)
+
+
 def test_map_1d_lipschitz_bounds_finite_differences(gen):
     for m in (
         MiscalibrationMap1D.sine(0.25, 3.0),
@@ -186,6 +205,15 @@ def test_binary_spec_json_round_trip():
     clone = spec_from_json(json.dumps(spec.to_dict()))
     assert clone == spec
     assert gen_binary(clone).probs.shape == (777, 2)
+
+
+def test_uniform_law_may_omit_its_shapes():
+    spec = BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.shift(0.05), 50, Rng(1))
+    d = spec.to_dict()
+    d["law"] = {"kind": "uniform", "lo": 0.55, "hi": 0.95}
+    clone = spec_from_json(json.dumps(d))
+    assert clone == spec
+    assert spec_from_json(json.dumps(clone.to_dict())) == spec
 
 
 def test_map_k_temperature_flattens():
