@@ -26,19 +26,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import ValidationError, _count, _keys, _real
-from .ece import _ece_top_label_sets
-from .synthetic import BinarySpec, _gen_binary_sets, true_tce
+from .core import Rng, ValidationError, _count, _keys, _real
+from .ece import _ece_full_k_sets, _ece_top_label_sets
+from .synthetic import BinarySpec, MulticlassSpec, _gen_binary_sets, _gen_multiclass_sets, true_tce
 
 LAMBDA_MIN = 1e-6
 LAMBDA_MAX = 1e12
 
-# mc_validate_bound draws and scores its trials in chunks of at most this many
-# rows (one trial when a trial is larger): about 4 MB of arrays at a time.
+# mc_validate_bound and the convergence grids draw and score their sets in chunks
+# of at most this many rows (one set when a set is larger): about 4 MB of arrays
+# at a time for a binary spec.
 COVERAGE_CHUNK_ROWS = 50_000
 
 
@@ -113,8 +115,13 @@ class BoundCertificate:
     def from_dict(cls, d: dict) -> "BoundCertificate":
         terms = ("value", "binning_term", "statistical_term", "lambda_used")
         d = _keys(d, "certificate", ("bound_kind", *terms), ("empirical_term", "inputs"))
-        return cls(BoundKind(d["bound_kind"]), *(float(d[key]) for key in terms),
-                   float(d.get("empirical_term", 0.0)), dict(d.get("inputs", {})))
+        kinds = {kind.value: kind for kind in BoundKind}
+        if not isinstance(d["bound_kind"], str) or d["bound_kind"] not in kinds:
+            raise ValidationError(f"unknown bound kind {d['bound_kind']!r}")
+        inputs = d.get("inputs", {})
+        _keys(inputs, "certificate inputs", optional=inputs)  # an object, of any keys
+        return cls(kinds[d["bound_kind"]], *(_real(d[key], f"certificate {key}") for key in terms),
+                   _real(d.get("empirical_term", 0.0), "certificate empirical_term"), dict(inputs))
 
 
 def _terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float, float]:
@@ -250,11 +257,29 @@ def mc_validate_bound(
     certificate = evaluate_bound(kind, inputs).value
     oracle = true_tce(spec)
     deviations = np.empty(trials)
-    gens = spec.rng.stream_generators(range(trials))  # trial t draws from stream t
-    chunk = max(1, COVERAGE_CHUNK_ROWS // spec.n)
-    for start in range(0, trials, chunk):
-        sets = min(chunk, trials - start)
-        data = _gen_binary_sets(spec, gens, sets)
-        deviations[start:start + sets] = np.abs(oracle - _ece_top_label_sets(data, num_bins, sets))
+    for first, stop, score in _chunks(spec, spec.rng, num_bins, trials):
+        deviations[first:stop] = np.abs(oracle - score())
     coverage = float(np.mean(deviations <= certificate))
     return CoverageResult(coverage, certificate, deviations)
+
+
+def _chunks(spec: Union[BinarySpec, MulticlassSpec], rng: Rng, num_bins: int, count: int):
+    """(first, stop, score) for each chunk of draws 0..count-1 of spec, in order.
+
+    Draw s comes from ``rng.stream(s)``. A chunk holds at most
+    COVERAGE_CHUNK_ROWS rows, or one draw when a draw is larger, and score()
+    returns the binned estimate of each of its draws: top-label ECE at num_bins
+    bins for a binary spec, full-K ECE at num_bins bins per dimension otherwise.
+    """
+    step = max(1, COVERAGE_CHUNK_ROWS // spec.n)
+    for first in range(0, count, step):
+        stop = min(first + step, count)
+        yield first, stop, partial(_score_chunk, spec, rng, num_bins, first, stop)
+
+
+def _score_chunk(spec, rng: Rng, num_bins: int, first: int, stop: int) -> np.ndarray:
+    """The binned estimates of draws first..stop-1 of spec, drawn and scored stacked."""
+    gens, sets = rng.stream_generators(range(first, stop)), stop - first
+    if isinstance(spec, BinarySpec):
+        return _ece_top_label_sets(_gen_binary_sets(spec, gens, sets), num_bins, sets)
+    return _ece_full_k_sets(_gen_multiclass_sets(spec, gens, sets), num_bins, sets)

@@ -7,7 +7,11 @@ are one reduction, :func:`_cell_ece`, over one of two cell numberings: the
 bin index in 1-D, and in K-D the key of each hypercube cell (each coordinate
 binned by the same rule). The reduction keeps occupied cells only, so keys
 serve as they are while the (B')^K cells number no more than the rows; past
-that, ``np.unique`` numbers the occupied keys densely in the same order.
+that, the occupied keys are numbered densely in the same order, as the inverse
+of ``np.unique`` numbers them. The ``_sets`` forms score equal consecutive
+blocks of rows, one prediction set each, in one pass: block t's cells are
+offset past those of the blocks before it, and each set's value is the one it
+has alone.
 """
 
 from __future__ import annotations
@@ -101,19 +105,38 @@ def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
     return float(np.sum(np.abs(residual_sums)) / data.n)
 
 
-def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
-    """L1 calibration error of the full probability vector over occupied hypercube cells."""
+def _ece_full_k_sets(data: PredictionSet, bins_per_dim: int, sets: int) -> np.ndarray:
+    """Full-K ECE of each of ``sets`` equal consecutive blocks of rows."""
     n, d = data.probs.shape
     b = _count(bins_per_dim, "bin count")
     if b**d > MAX_TOTAL_CELLS:
         raise ValidationError(
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"
         )
+    rows = n // sets
     idx = assign_bins_1d(data.probs.ravel(), b).reshape(n, d) - 1
-    cells = idx @ b ** np.arange(d, dtype=np.int64)
-    if b**d > n:  # bincount over every key would outgrow the data
-        cells = np.unique(cells, return_inverse=True)[1]
-    return float(_cell_ece(cells, data.probs, data.labels)[0])
+    keys = (idx @ b ** np.arange(d, dtype=np.int64)).reshape(sets, rows)
+    if b**d > rows:  # bincount over every key would outgrow the data
+        keys, span = _dense_keys(keys), rows
+    else:
+        span = b**d
+    keys += np.arange(sets)[:, None] * span  # block t's cells from t * span
+    return _cell_ece(keys.ravel(), data.probs, data.labels, sets, span)
+
+
+def _dense_keys(keys: np.ndarray) -> np.ndarray:
+    """Each row's keys numbered 0, 1, ... in key order, as np.unique's inverse numbers them."""
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    ranks = np.zeros(keys.shape, dtype=np.int64)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=ranks[:, 1:])
+    np.put_along_axis(keys, order, ranks, axis=1)
+    return keys
+
+
+def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:
+    """L1 calibration error of the full probability vector over occupied hypercube cells."""
+    return float(_ece_full_k_sets(data, bins_per_dim, 1)[0])
 
 
 def _integer_root(n: int, power: int) -> int:

@@ -17,8 +17,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..bounds import _chunks
 from ..core import PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed
-from ..ece import ece_full_k, ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
+from ..ece import ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
 from ..recal import (
     PbrConfig,
     PbrResult,
@@ -78,20 +79,28 @@ class ExperimentCellError(RuntimeError):
         self.cause = cause
 
 
-def _run_cells(cells, workers: int = 1) -> list:
-    """Run (descriptor, thunk) pairs in order; each row is the descriptor plus the thunk's dict."""
+def _run_cells(jobs, workers: int = 1) -> list:
+    """Run (descriptor, thunk) jobs; the rows each thunk returns, in job order.
 
-    def run(cell):
-        descriptor, thunk = cell
+    A job that raises fails as an ExperimentCellError naming its descriptor.
+    """
+
+    def run(job):
+        descriptor, thunk = job
         try:
-            return {**descriptor, **thunk()}
+            return thunk()
         except Exception as err:
             raise ExperimentCellError(descriptor, err) from err
 
     if workers <= 1:
-        return [run(cell) for cell in cells]
+        return [row for job in jobs for row in run(job)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, cells))
+        return [row for rows in pool.map(run, jobs) for row in rows]
+
+
+def _cell(descriptor: dict, thunk) -> tuple:
+    """A job whose one row is the descriptor plus the dict the thunk returns."""
+    return descriptor, lambda: [{**descriptor, **thunk()}]
 
 
 def _generate(spec: Source, n: int, rng: Rng) -> PredictionSet:
@@ -137,18 +146,19 @@ def convergence_experiment(
             return optimal_bins_1d(n) if binary else optimal_bins_per_dim(n, spec.num_classes)
         return bin_rule
 
-    def measure(i_n: int, seed: int) -> dict:
-        n = n_grid[i_n]
-        data = _generate(spec, n, spec.rng.stream(i_n).stream(seed))
-        bins = bins_for(n)
-        est = ece_top_label(data, bins) if binary else ece_full_k(data, bins)
-        return {"bins": bins, "estimate": est, "deviation": abs(est - oracle)}
+    def rows(n: int, bins: int, first: int, score) -> list:
+        return [{"n": n, "seed": seed, "bins": bins, "estimate": est, "deviation": abs(est - oracle)}
+                for seed, est in enumerate(score().tolist(), first)]
 
-    cells = _run_cells(
-        (({"n": n, "seed": seed}, partial(measure, i_n, seed))
-         for i_n, n in enumerate(n_grid) for seed in range(seeds)),
-        workers,
-    )
+    def jobs():
+        # Seed s of grid point i draws from stream(i).stream(s); a job scores a chunk of seeds.
+        for i_n, n in enumerate(n_grid):
+            bins = bins_for(n)
+            for first, stop, score in _chunks(with_n(spec, n), spec.rng.stream(i_n), bins, seeds):
+                yield ({"n": n, "first_seed": first, "last_seed": stop - 1},
+                       partial(rows, n, bins, first, score))
+
+    cells = _run_cells(jobs(), workers)
 
     medians = []
     for n in n_grid:
@@ -273,8 +283,8 @@ def kl_gap_experiment(
         for r in range(replicates):
             data_re, data_te = _split_source(source, n_re, n_re, r, seed)
             for ia, alpha_cfg in enumerate(cfgs):
-                yield ({"replicate": r, "alpha": alpha_cfg.alpha},
-                       partial(fit, data_re, data_te, r, ia))
+                yield _cell({"replicate": r, "alpha": alpha_cfg.alpha},
+                            partial(fit, data_re, data_te, r, ia))
 
     cells = _run_cells(grid())
     per_replicate = []
@@ -367,8 +377,8 @@ def compare_methods(
         for fold in range(folds):
             data_re, data_te = _split_source(source, n_re, n_te, fold, seed)
             for method in methods:
-                yield ({"fold": fold, "method": method},
-                       partial(score, data_re, data_te, fold, method))
+                yield _cell({"fold": fold, "method": method},
+                            partial(score, data_re, data_te, fold, method))
 
     cells = _run_cells(grid())
     by_method = {

@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from ..core import _keys
+from ..core import ValidationError, _keys
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +48,12 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
         d = _keys(d, "report", ("kind", "config", "cells", "summary", "schema"))
+        if not isinstance(d["kind"], str):
+            raise ValidationError(f"report kind must be a string, got {d['kind']!r}")
+        if not (isinstance(d["cells"], list) and all(isinstance(c, dict) for c in d["cells"])):
+            raise ValidationError("report cells must be a list of objects")
+        for key in ("config", "summary"):  # objects, of any keys; replay checks the config's
+            _keys(d[key], f"{d['kind']} {key}", optional=d[key])
         return cls(**{**d, "cells": list(d["cells"])})
 
     def cells_csv(self) -> str:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import PredictionSet, Rng, ValidationError, _count, _keys, _real
+from .core import PredictionSet, Rng, ValidationError, _count, _keys, _real, row_sums
 
 # Oracle quadrature stops when doubling the panel count moves the estimate
 # by less than this.
@@ -371,12 +371,28 @@ def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
     All of f is drawn first and all label uniforms second, so the stream
     layout is part of the contract and reruns are bit-identical.
     """
-    gen = spec.rng.generator()
-    probs = gen.dirichlet(spec.concentration, spec.n)
-    u = gen.uniform(0.0, 1.0, spec.n)
-    labels = np.empty(spec.n, dtype=np.int64)
+    return _gen_multiclass_sets(spec, [spec.rng.generator()], 1)
+
+
+def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int) -> PredictionSet:
+    """``sets`` draws of gen_multiclass(spec), the t-th from the t-th generator, stacked in order.
+
+    gens may be a longer iterator; only ``sets`` generators are taken from it.
+    """
+    n = spec.n
+    # One set keeps its draw as it is; a copy would add n * K floats to the peak.
+    probs = np.empty((sets * n, spec.num_classes)) if sets > 1 else None
+    u = np.empty(sets * n)
+    for start, gen in zip(range(0, sets * n, n), gens):  # zip stops before a spare generator
+        f = gen.dirichlet(spec.concentration, n)
+        if probs is None:
+            probs = f
+        else:
+            probs[start:start + n] = f
+        u[start:start + n] = gen.uniform(0.0, 1.0, n)
+    labels = np.empty(sets * n, dtype=np.int64)
     rows = _block_rows(spec.num_classes)
-    for start in range(0, spec.n, rows):
+    for start in range(0, sets * n, rows):
         block = slice(start, start + rows)
         # Class-major running sums: each is one add of two contiguous rows, and they are
         # the sums np.cumsum(m(f), axis=1) makes. A copy, since m(f) may be f itself.
@@ -387,7 +403,7 @@ def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
     np.minimum(labels, spec.num_classes - 1, out=labels)
     # numpy's rows can sum to 1 +- 5 eps at K=100 (14 eps at K=1000); divided by
     # their sum once, they sum to within 2 eps, which from_probs keeps as given.
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= row_sums(probs)[:, None]
     return PredictionSet(probs, labels)
 
 
@@ -411,7 +427,7 @@ def true_ce_k(
         # what one call for the whole group would.
         for start in range(0, group.size, rows):
             f = gen.dirichlet(spec.concentration, min(rows, group.size - start))
-            group[start : start + len(f)] = np.abs(spec.map(f) - f).sum(axis=1)
+            group[start : start + len(f)] = row_sums(np.abs(spec.map(f) - f))
         total += float(group.sum())
         group *= group
         total_sq += float(group.sum())

@@ -218,6 +218,30 @@ def test_certificate_serialization_round_trip():
     assert clone.value == cert.value and clone.kind == cert.kind
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bound_kind", "nope", r"^unknown bound kind 'nope'$"),
+    ("bound_kind", ["total_bias_test"], r"^unknown bound kind \['total_bias_test'\]$"),
+    ("value", "0.5", r"^certificate value must be finite, got '0.5'$"),
+    ("binning_term", None, r"^certificate binning_term must be finite, got None$"),
+    ("statistical_term", math.nan, r"^certificate statistical_term must be finite, got nan$"),
+    ("lambda_used", math.inf, r"^certificate lambda_used must be finite, got inf$"),
+    ("empirical_term", -math.inf, r"^certificate empirical_term must be finite, got -inf$"),
+    ("empirical_term", True, r"^certificate empirical_term must be finite, got True$"),
+    ("inputs", "abc", r"^certificate inputs must be an object, got str$"),
+])
+def test_certificate_from_dict_refuses_a_bad_value(key, value, message):
+    payload = json.loads(json.dumps(evaluate_bound(BoundKind.TotalBiasTest, THM1).to_dict()))
+    with pytest.raises(ValidationError, match=message):
+        BoundCertificate.from_dict({**payload, key: value})
+
+
+def test_certificate_from_dict_reads_terms_as_floats():
+    payload = evaluate_bound(BoundKind.TotalBiasTest, THM1).to_dict()
+    clone = BoundCertificate.from_dict({**payload, "lambda_used": 100, "value": np.float32(0.5)})
+    assert type(clone.lambda_used) is float and type(clone.value) is float
+    assert clone.lambda_used == 100.0 and clone.value == 0.5
+
+
 def test_kl_gaussian_diag_worked_examples():
     assert kl_gaussian_diag(
         np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([1.0])

@@ -33,7 +33,7 @@ from calbound import (
     true_ce_k,
     validate_prediction_set,
 )
-from calbound.core import PROB_FLOOR, _count, _real, log_probs, softmax
+from calbound.core import PROB_FLOOR, _count, _real, log_probs, row_sums, softmax
 from calbound.ece import assign_bins_1d
 from calbound.harness import (
     ExperimentReport,
@@ -238,6 +238,18 @@ def test_top_views_and_subset(gen):
     sub = ps.subset(np.array([2, 0]))
     assert sub.n == 2
     assert np.allclose(sub.probs[0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("k", [*range(1, 20), 100, 300])
+def test_row_sums_is_numpys_row_sum_bit_for_bit(gen, k):
+    scale = gen.choice([1.0, 1e300, 1e-300, 5e-324, 1e-310], (400, k))  # 1e-310 is subnormal
+    a = gen.standard_normal((400, k)) * scale
+    a[:20] = -0.0  # numpy sums from +0.0, so an all -0.0 row sums to +0.0
+    a[20:40] = gen.choice([-0.0, 0.0], (20, k))
+    a[40:60] = gen.choice([-1e300, 1e300], (20, k))
+    a[60:80, 0] = -0.0
+    for layout in (a, np.asfortranarray(a)):
+        assert row_sums(layout).tobytes() == layout.sum(axis=1).tobytes()
 
 
 def test_binary_top_label_is_the_argmax_entry_bit_for_bit(gen):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from calbound import PredictionSet, ValidationError
 from calbound.ece import (
+    _ece_full_k_sets,
     assign_bins_1d,
     ece_full_k,
     ece_gap,
@@ -88,6 +89,19 @@ def test_ece_full_k_matches_unique_numbering_on_both_sides_of_dense_keys(n, k, b
     assert ece_full_k(data, b) == _unique_ece_full_k(data, b)
     edgy = lattice_set(np.random.default_rng(n + b), 2 * b, k)  # entries on bin edges
     assert ece_full_k(edgy, b) == _unique_ece_full_k(edgy, b)
+
+
+@pytest.mark.parametrize("n, k, b", [(125, 3, 5), (1000, 4, 5), (124, 3, 5), (100, 10, 2), (7, 3, 40)])
+def test_ece_full_k_sets_give_each_set_its_own_value(n, k, b):
+    parts = [gen_multiclass(MulticlassSpec(k, (0.7,) * k, MiscalibrationMapK.mixture(0.3), n,
+                                           Rng(k, b).stream(t))) for t in range(5)]
+    gen = np.random.default_rng(n + b)
+    counts = gen.multinomial(2 * b, gen.dirichlet(np.ones(k)), size=n)  # entries on bin edges
+    parts.append(PredictionSet.from_probs(counts / (2 * b), gen.integers(0, k, n)))
+    stacked = PredictionSet(np.concatenate([p.probs for p in parts]),
+                            np.concatenate([p.labels for p in parts]))
+    values = _ece_full_k_sets(stacked, b, len(parts))
+    assert values.tolist() == [_unique_ece_full_k(p, b) for p in parts]
 
 
 def lattice_set(gen, total: int, k: int) -> PredictionSet:

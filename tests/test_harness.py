@@ -23,10 +23,12 @@ from calbound import (
     PredictionSet,
     Rng,
     ValidationError,
+    ece_full_k,
     ece_gap,
     ece_top_label,
     gen_multiclass,
     optimal_bins_1d,
+    optimal_bins_per_dim,
     recalibrate_set,
     train_pbr,
 )
@@ -46,7 +48,8 @@ from calbound.harness import (
     write_dump,
 )
 from calbound.harness import io as dio
-from calbound.harness.experiments import PBR_OBJECTIVES, _split_source, fit_method
+import calbound.bounds as bounds
+from calbound.harness.experiments import PBR_OBJECTIVES, _generate, _split_source, fit_method
 from calbound.core import log_probs, softmax
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
@@ -639,6 +642,44 @@ def test_convergence_threaded_matches_serial():
         assert serial.to_dict() == threaded.to_dict()
 
 
+def _per_cell_convergence(spec, n_grid, seeds, bin_rule, oracle):
+    """The convergence rows one (n, seed) cell at a time, from _generate and the one-set estimators."""
+    binary = isinstance(spec, BinarySpec)
+    rows = []
+    for i_n, n in enumerate(n_grid):
+        if bin_rule != "optimal":
+            bins = bin_rule
+        else:
+            bins = optimal_bins_1d(n) if binary else optimal_bins_per_dim(n, spec.num_classes)
+        for seed in range(seeds):
+            data = _generate(spec, n, spec.rng.stream(i_n).stream(seed))
+            est = ece_top_label(data, bins) if binary else ece_full_k(data, bins)
+            rows.append({"n": n, "seed": seed, "bins": bins, "estimate": est,
+                         "deviation": abs(est - oracle)})
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, bin_rule", [
+    (BIN_SPEC, "optimal"),
+    (MULTI_SPEC, "optimal"),
+    (MULTI_SPEC, 15),  # 15^3 cells outnumber the rows of every n: each set's keys are ranked
+], ids=["binary", "k3-optimal", "k3-sparse-keys"])
+def test_chunked_convergence_matches_the_per_cell_reference(monkeypatch, spec, bin_rule, workers):
+    # Chunks of 1000 rows: 10, 10 and 3 seeds at n = 100; 3, 3, ... and 2 at n = 300; then one
+    # seed a chunk at n = 1000, and at n = 1200, a set larger than a chunk.
+    monkeypatch.setattr(bounds, "COVERAGE_CHUNK_ROWS", 1000)
+    n_grid, seeds = [100, 300, 1000, 1200, 3200], 23
+    rep = convergence_experiment(spec, n_grid, seeds=seeds, bin_rule=bin_rule, workers=workers,
+                                 oracle_samples=1000)
+    expect = _per_cell_convergence(spec, n_grid, seeds, bin_rule, rep.summary["oracle"])
+    assert rep.cells == expect
+    assert [type(c["estimate"]) for c in rep.cells] == [float] * len(expect)
+    medians = {str(n): float(np.median([c["deviation"] for c in expect if c["n"] == n]))
+               for n in n_grid}
+    assert rep.summary["median_deviation"] == medians
+
+
 def test_convergence_validates_grid():
     with pytest.raises(ValidationError):
         convergence_experiment(BIN_SPEC, [200, 400, 20_000], seeds=20)  # too few points
@@ -668,7 +709,7 @@ def test_convergence_rejects_bad_workers_before_any_cell(workers, monkeypatch):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr("calbound.harness.experiments._generate", no_cells)
+    monkeypatch.setattr("calbound.bounds._score_chunk", no_cells)
     with pytest.raises(ValidationError, match="workers"):
         convergence_experiment(BIN_SPEC, GRID, seeds=20, workers=workers)
 
@@ -849,22 +890,39 @@ def _explode(*args, **kwargs):
 @pytest.mark.parametrize(
     "target, run, cell",
     [
-        ("ece_top_label", lambda: convergence_experiment(BIN_SPEC, GRID, seeds=20),
-         {"n": 100, "seed": 0}),
-        ("train_pbr",
+        # a convergence job scores a chunk of seeds of one n: here all 20 seeds of n = 100
+        ("calbound.bounds._score_chunk", lambda: convergence_experiment(BIN_SPEC, GRID, seeds=20),
+         {"n": 100, "first_seed": 0, "last_seed": 19}),
+        ("calbound.harness.experiments.train_pbr",
          lambda: kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 1.0), replicates=1, n_re=60),
          {"replicate": 0, "alpha": 0.0}),
-        ("ece_top_label", lambda: compare_methods(MULTI_SPEC, folds=2, n_re=80, n_te=200),
+        ("calbound.harness.experiments.ece_top_label",
+         lambda: compare_methods(MULTI_SPEC, folds=2, n_re=80, n_te=200),
          {"fold": 0, "method": "uncalibrated"}),
     ],
     ids=["convergence", "klgap", "compare"],
 )
 def test_cell_errors_name_their_cell(monkeypatch, target, run, cell):
-    monkeypatch.setattr(f"calbound.harness.experiments.{target}", _explode)
+    monkeypatch.setattr(target, _explode)
     with pytest.raises(ExperimentCellError) as exc:
         run()
     assert exc.value.cell == cell
     assert isinstance(exc.value.cause, RuntimeError)
+
+@pytest.mark.parametrize("key, value, message", [
+    ("kind", ["convergence"], r"^report kind must be a string, got \['convergence'\]$"),
+    ("cells", "abc", r"^report cells must be a list of objects$"),
+    ("cells", [{"fold": 0}, 3], r"^report cells must be a list of objects$"),
+    ("config", "abc", r"^compare config must be an object, got str$"),
+    ("summary", [], r"^compare summary must be an object, got list$"),
+])
+def test_report_from_dict_refuses_a_bad_shape(key, value, message):
+    good = make_report("compare", {"source": {"spec": MULTI_SPEC.to_dict()}}, [], {}).to_dict()
+    with pytest.raises(ValidationError, match=message):
+        ExperimentReport.from_dict({**good, key: value})
+    with pytest.raises(ValidationError, match=message):
+        replay({**good, key: value})
+
 
 def test_replay_rejects_unknown_kind():
     rep = make_report("convergence", {"spec": {"kind": "binary"}}, [], {})

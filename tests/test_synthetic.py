@@ -278,6 +278,17 @@ def test_gen_multiclass_matches_the_row_major_label_draw(k, kind):
         assert np.array_equal(data.probs, probs) and np.array_equal(data.labels, labels)
 
 
+@pytest.mark.parametrize("k, n, sets", [(2, 1, 5), (3, 4000, 4), (10, 777, 7), (3, 20_000, 1)])
+def test_gen_multiclass_sets_stack_the_one_set_draws(k, n, sets):
+    spec = MulticlassSpec(k, (0.7,) * k, MiscalibrationMapK.temperature(1.3), n, Rng(k, 2))
+    gens = spec.rng.stream_generators(range(sets + 1))  # one spare generator stays untaken
+    data = synthetic._gen_multiclass_sets(spec, gens, sets)
+    parts = [gen_multiclass(with_n(spec, n, spec.rng.stream(t))) for t in range(sets)]
+    assert data.probs.tobytes() == np.concatenate([p.probs for p in parts]).tobytes()
+    assert np.array_equal(data.labels, np.concatenate([p.labels for p in parts]))
+    assert next(gens).random() == spec.rng.stream(sets).generator().random()
+
+
 @pytest.mark.parametrize("k", [3, 10])
 def test_gen_multiclass_memory_stays_near_its_output(k):
     spec = MulticlassSpec(k, (1.0,) * k, MiscalibrationMapK.mixture(0.2), 50_000, Rng(k))
