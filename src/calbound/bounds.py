@@ -32,8 +32,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import Rng, ValidationError, _count, _keys, _real
-from .ece import _ece_full_k_sets, _ece_top_label_sets
-from .synthetic import BinarySpec, MulticlassSpec, _gen_binary_sets, _gen_multiclass_sets, true_tce
+from .ece import _ece_top_label_sets
+from .synthetic import BinarySpec, MulticlassSpec, _gen_sets, true_tce
 
 LAMBDA_MIN = 1e-6
 LAMBDA_MAX = 1e12
@@ -257,29 +257,28 @@ def mc_validate_bound(
     certificate = evaluate_bound(kind, inputs).value
     oracle = true_tce(spec)
     deviations = np.empty(trials)
-    for first, stop, score in _chunks(spec, spec.rng, num_bins, trials):
+    estimate = partial(_ece_top_label_sets, num_bins=num_bins)
+    for first, stop, score in _chunks(spec, spec.rng, estimate, trials):
         deviations[first:stop] = np.abs(oracle - score())
     coverage = float(np.mean(deviations <= certificate))
     return CoverageResult(coverage, certificate, deviations)
 
 
-def _chunks(spec: Union[BinarySpec, MulticlassSpec], rng: Rng, num_bins: int, count: int):
+def _chunks(spec: Union[BinarySpec, MulticlassSpec], rng: Rng, estimate, count: int):
     """(first, stop, score) for each chunk of draws 0..count-1 of spec, in order.
 
     Draw s comes from ``rng.stream(s)``. A chunk holds at most
     COVERAGE_CHUNK_ROWS rows, or one draw when a draw is larger, and score()
-    returns the binned estimate of each of its draws: top-label ECE at num_bins
-    bins for a binary spec, full-K ECE at num_bins bins per dimension otherwise.
+    returns ``estimate(data, sets=...)``, a ``_sets`` estimator of the caller's
+    choosing, of the chunk's draws stacked.
     """
     step = max(1, COVERAGE_CHUNK_ROWS // spec.n)
     for first in range(0, count, step):
         stop = min(first + step, count)
-        yield first, stop, partial(_score_chunk, spec, rng, num_bins, first, stop)
+        yield first, stop, partial(_score_chunk, spec, rng, estimate, first, stop)
 
 
-def _score_chunk(spec, rng: Rng, num_bins: int, first: int, stop: int) -> np.ndarray:
-    """The binned estimates of draws first..stop-1 of spec, drawn and scored stacked."""
+def _score_chunk(spec, rng: Rng, estimate, first: int, stop: int) -> np.ndarray:
+    """estimate(data, sets=...) of draws first..stop-1 of spec, drawn and scored stacked."""
     gens, sets = rng.stream_generators(range(first, stop)), stop - first
-    if isinstance(spec, BinarySpec):
-        return _ece_top_label_sets(_gen_binary_sets(spec, gens, sets), num_bins, sets)
-    return _ece_full_k_sets(_gen_multiclass_sets(spec, gens, sets), num_bins, sets)
+    return estimate(_gen_sets(spec, gens, sets), sets=sets)

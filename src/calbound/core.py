@@ -4,9 +4,9 @@ and the rules every boundary checks: a count, a finite real and an object's keys
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). It
 copies its input and hands the copy to ``PredictionSet._owned``, which
-checks, renormalizes and keeps the array it is given; a dump loader, whose
-array nothing else holds, calls ``_owned`` directly. Sets the package derives
-from valid data are built with ``PredictionSet(probs, labels)`` directly.
+checks, renormalizes and keeps the array it is given; a dump loader and
+``recal.recalibrate_set``, whose arrays nothing else holds, call ``_owned`` directly.
+Sets the package derives from valid data are built with ``PredictionSet(probs, labels)``.
 """
 
 from __future__ import annotations
@@ -266,11 +266,6 @@ class PredictionSet:
             return np.where(idx, p1, p0), (self.labels == idx).astype(float)
         idx = np.argmax(self.probs, axis=1)
         return self.probs[np.arange(self.n), idx], (self.labels == idx).astype(float)
-
-    def one_hot_labels(self) -> np.ndarray:
-        e = np.zeros_like(self.probs)
-        e[np.arange(self.n), self.labels] = 1.0
-        return e
 
     def subset(self, rows: np.ndarray) -> "PredictionSet":
         return PredictionSet(self.probs[rows], self.labels[rows])

@@ -105,10 +105,10 @@ def ece_top_label_reformulated(data: PredictionSet, num_bins: int) -> float:
     return float(np.sum(np.abs(residual_sums)) / data.n)
 
 
-def _ece_full_k_sets(data: PredictionSet, bins_per_dim: int, sets: int) -> np.ndarray:
-    """Full-K ECE of each of ``sets`` equal consecutive blocks of rows."""
+def _ece_full_k_sets(data: PredictionSet, num_bins: int, sets: int) -> np.ndarray:
+    """Full-K ECE at num_bins bins per dimension of each of ``sets`` equal consecutive blocks."""
     n, d = data.probs.shape
-    b = _count(bins_per_dim, "bin count")
+    b = _count(num_bins, "bin count")
     if b**d > MAX_TOTAL_CELLS:
         raise ValidationError(
             f"{b}^{d} cells exceeds the {MAX_TOTAL_CELLS} sparse-key limit"

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..bounds import _chunks
 from ..core import PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed
-from ..ece import ece_gap, ece_top_label, optimal_bins_1d, optimal_bins_per_dim
+from ..ece import (_ece_full_k_sets, _ece_top_label_sets, ece_gap, ece_top_label, optimal_bins_1d,
+                   optimal_bins_per_dim)
 from ..recal import (
     PbrConfig,
     PbrResult,
@@ -33,8 +34,7 @@ from ..recal import (
 from ..synthetic import (
     BinarySpec,
     MulticlassSpec,
-    gen_binary,
-    gen_multiclass,
+    _gen_sets,
     spec_from_dict,
     true_ce_k,
     true_tce,
@@ -103,9 +103,8 @@ def _cell(descriptor: dict, thunk) -> tuple:
     return descriptor, lambda: [{**descriptor, **thunk()}]
 
 
-def _generate(spec: Source, n: int, rng: Rng) -> PredictionSet:
-    spec = with_n(spec, n, rng)
-    return gen_binary(spec) if isinstance(spec, BinarySpec) else gen_multiclass(spec)
+def _generate(spec: Union[BinarySpec, MulticlassSpec], n: int, rng: Rng) -> PredictionSet:
+    return _gen_sets(with_n(spec, n, rng), [rng.generator()], 1)
 
 
 def convergence_experiment(
@@ -135,16 +134,13 @@ def convergence_experiment(
     workers = _count(workers, "workers")
     oracle_samples = _count(oracle_samples, "oracle sample count", 2)
 
-    binary = isinstance(spec, BinarySpec)
-    if binary:
+    if isinstance(spec, BinarySpec):
         oracle, oracle_stderr = true_tce(spec), 0.0
+        estimate, optimal_bins = _ece_top_label_sets, optimal_bins_1d
     else:
         oracle, oracle_stderr = true_ce_k(spec, oracle_samples)
-
-    def bins_for(n: int) -> int:
-        if bin_rule == "optimal":
-            return optimal_bins_1d(n) if binary else optimal_bins_per_dim(n, spec.num_classes)
-        return bin_rule
+        estimate = _ece_full_k_sets
+        optimal_bins = partial(optimal_bins_per_dim, num_classes=spec.num_classes)
 
     def rows(n: int, bins: int, first: int, score) -> list:
         return [{"n": n, "seed": seed, "bins": bins, "estimate": est, "deviation": abs(est - oracle)}
@@ -153,8 +149,10 @@ def convergence_experiment(
     def jobs():
         # Seed s of grid point i draws from stream(i).stream(s); a job scores a chunk of seeds.
         for i_n, n in enumerate(n_grid):
-            bins = bins_for(n)
-            for first, stop, score in _chunks(with_n(spec, n), spec.rng.stream(i_n), bins, seeds):
+            bins = optimal_bins(n) if bin_rule == "optimal" else bin_rule
+            chunks = _chunks(with_n(spec, n), spec.rng.stream(i_n),
+                             partial(estimate, num_bins=bins), seeds)
+            for first, stop, score in chunks:
                 yield ({"n": n, "first_seed": first, "last_seed": stop - 1},
                        partial(rows, n, bins, first, score))
 

@@ -48,6 +48,8 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
         d = _keys(d, "report", ("kind", "config", "cells", "summary", "schema"))
+        if isinstance(d["schema"], bool) or d["schema"] != SCHEMA_VERSION:  # as the schema's const
+            raise ValidationError(f"report schema must be {SCHEMA_VERSION}, got {d['schema']!r}")
         if not isinstance(d["kind"], str):
             raise ValidationError(f"report kind must be a string, got {d['kind']!r}")
         if not (isinstance(d["cells"], list) and all(isinstance(c, dict) for c in d["cells"])):

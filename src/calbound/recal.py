@@ -185,7 +185,11 @@ class RecalMap:
     @classmethod
     def from_dict(cls, d: dict) -> "RecalMap":
         d = _keys(d, "recalibration map", ("family", "num_classes", "params"), ("t",))
-        return cls(d["family"], d["num_classes"], d["params"])
+        recal_map = cls(d["family"], d["num_classes"], d["params"])
+        # .t refuses a family without a t; a temperature map's t is exp(params[0]) exactly.
+        if "t" in d and _real(d["t"], "recalibration map t") != recal_map.t:
+            raise ValidationError(f"recalibration map t {d['t']!r} is not exp(params[0])")
+        return recal_map
 
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
@@ -199,11 +203,11 @@ def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
         )
     zt = np.ascontiguousarray(log_probs(probs).T)
     scores = _FAMILIES[recal_map.family].scores(recal_map.params[None], zt, recal_map.num_classes)
-    return np.ascontiguousarray(softmax(scores[0], axis=0).T)
+    return np.ascontiguousarray(softmax(scores[0], axis=0, out=scores[0]).T)
 
 
 def recalibrate_set(recal_map: RecalMap, data: PredictionSet) -> PredictionSet:
-    return PredictionSet.from_probs(apply_recal(recal_map, data.probs), data.labels)
+    return PredictionSet._owned(apply_recal(recal_map, data.probs), data.labels)
 
 
 def brier_score(data: PredictionSet) -> float:
@@ -237,10 +241,6 @@ class GaussianPosterior:
             raise ValidationError("mu and log_sigma must be equal-length vectors")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "log_sigma", ls)
-
-    @classmethod
-    def standard(cls, dim: int) -> "GaussianPosterior":
-        return cls(np.zeros(dim), np.zeros(dim))
 
     @classmethod
     def at(cls, mu: np.ndarray) -> "GaussianPosterior":

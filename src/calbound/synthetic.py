@@ -407,6 +407,12 @@ def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int) -> PredictionSet
     return PredictionSet(probs, labels)
 
 
+def _gen_sets(spec, gens, sets: int) -> PredictionSet:
+    """_gen_binary_sets or _gen_multiclass_sets, as spec's kind asks: the one place that picks."""
+    draw = _gen_binary_sets if isinstance(spec, BinarySpec) else _gen_multiclass_sets
+    return draw(spec, gens, sets)
+
+
 def true_ce_k(
     spec: MulticlassSpec, oracle_samples: int = 1_000_000
 ) -> tuple[float, float]:

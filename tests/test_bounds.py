@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from calbound import (
     BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
+    MiscalibrationMapK,
+    MulticlassSpec,
     PredictionSet,
     Rng,
     ValidationError,
+    ece_top_label,
     evaluate_bound,
+    gen_multiclass,
     heuristic_lambda,
     kl_gaussian_diag,
     mc_validate_bound,
@@ -23,6 +28,8 @@ from calbound import (
     true_tce,
 )
 import calbound.bounds as bounds
+from calbound.ece import _ece_top_label_sets
+from calbound.synthetic import with_n
 from tests.conftest import reference_bins, reference_cell_ece
 
 THM1 = BoundInputs(n=1000, num_bins=10, epsilon=0.05, lipschitz=1.0, lam=100.0)
@@ -338,3 +345,15 @@ def test_mc_validate_bound_matches_the_per_trial_loop(
     res = mc_validate_bound(kind, spec, num_bins, 0.05, trials)
     assert np.array_equal(res.deviations, deviations)
     assert res.coverage == coverage and res.certificate == certificate
+
+
+def test_chunks_score_multiclass_draws_with_the_callers_estimator(monkeypatch):
+    # Chunks of 1000 rows hold 3 draws of 300: draws 0-2, 3-5 and 6.
+    monkeypatch.setattr(bounds, "COVERAGE_CHUNK_ROWS", 1000)
+    spec = MulticlassSpec(3, (1.0,) * 3, MiscalibrationMapK.mixture(0.5), 300, Rng(5))
+    rng = spec.rng.stream(2)
+    estimate = partial(_ece_top_label_sets, num_bins=7)
+    chunks = [(first, stop, score().tolist()) for first, stop, score in
+              bounds._chunks(spec, rng, estimate, 7)]
+    expect = [ece_top_label(gen_multiclass(with_n(spec, 300, rng.stream(s))), 7) for s in range(7)]
+    assert chunks == [(0, 3, expect[:3]), (3, 6, expect[3:6]), (6, 7, expect[6:])]

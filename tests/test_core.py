@@ -234,7 +234,6 @@ def test_top_views_and_subset(gen):
     assert np.allclose(conf, [0.8, 0.7, 0.5])
     # row 2 ties; argmax goes to class 0 so the label-1 row is a miss
     assert np.allclose(hits, [1.0, 0.0, 0.0])
-    assert np.array_equal(ps.one_hot_labels()[2], [0.0, 1.0])
     sub = ps.subset(np.array([2, 0]))
     assert sub.n == 2
     assert np.allclose(sub.probs[0], [0.5, 0.5])
@@ -425,10 +424,10 @@ KEYS = {
     "RecalMap": (RecalMap.from_dict, "recalibration map", RecalMap.temperature(1.5).to_dict(),
                  "params"),
     "GaussianPosterior": (GaussianPosterior.from_dict, "posterior",
-                          GaussianPosterior.standard(2).to_dict(), "mu"),
+                          GaussianPosterior.at(np.zeros(2)).to_dict(), "mu"),
     "PbrConfig": (PbrConfig.from_dict, "PbrConfig", PbrConfig().to_dict(), None),
     "PbrConfig.prior": (lambda v: PbrConfig.from_dict({"prior": v}), "posterior",
-                        GaussianPosterior.standard(1).to_dict(), "log_sigma"),
+                        GaussianPosterior.at(np.zeros(1)).to_dict(), "log_sigma"),
     "BoundCertificate": (BoundCertificate.from_dict, "certificate",
                          evaluate_bound(BoundKind.JointAccTce, _inputs(), 0.1).to_dict(), "value"),
     "ExperimentReport": (ExperimentReport.from_dict, "report", _COMPARE, "cells"),

@@ -76,7 +76,7 @@ def _unique_ece_full_k(data: PredictionSet, b: int) -> float:
     """ece_full_k with every key numbered by np.unique."""
     n, d = data.probs.shape
     idx = reference_bins(data.probs.ravel(), b).reshape(n, d) - 1
-    return reference_cell_ece(idx @ b ** np.arange(d), data.probs, data.one_hot_labels())
+    return reference_cell_ece(idx @ b ** np.arange(d), data.probs, np.eye(d)[data.labels])
 
 
 @pytest.mark.parametrize("n, k, b", [
@@ -192,7 +192,7 @@ def test_full_k_hand_example():
 
 def test_full_k_single_cell_equals_mean_residual_norm(gen):
     ps = random_prediction_set(gen, 300, 3)
-    expect = np.abs((ps.one_hot_labels() - ps.probs).mean(axis=0)).sum()
+    expect = np.abs((np.eye(3)[ps.labels] - ps.probs).mean(axis=0)).sum()
     assert ece_full_k(ps, 1) == pytest.approx(expect, abs=1e-12)
 
 

@@ -915,6 +915,9 @@ def test_cell_errors_name_their_cell(monkeypatch, target, run, cell):
     ("cells", [{"fold": 0}, 3], r"^report cells must be a list of objects$"),
     ("config", "abc", r"^compare config must be an object, got str$"),
     ("summary", [], r"^compare summary must be an object, got list$"),
+    ("schema", 99, r"^report schema must be 1, got 99$"),
+    ("schema", True, r"^report schema must be 1, got True$"),
+    ("schema", "1", r"^report schema must be 1, got '1'$"),
 ])
 def test_report_from_dict_refuses_a_bad_shape(key, value, message):
     good = make_report("compare", {"source": {"spec": MULTI_SPEC.to_dict()}}, [], {}).to_dict()

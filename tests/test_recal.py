@@ -49,7 +49,7 @@ def _row_major_objective_and_gradient(posterior, prior, data, cfg, xi):
     z = log_probs(data.probs)
     scores = _row_major_scores(cfg.family, k, vs, z)
     p = softmax(scores)
-    e = data.one_hot_labels()
+    e = np.eye(k)[data.labels]
 
     resid = p - e[None, :, :]
     briers = (resid**2).sum(axis=2).mean(axis=1)
@@ -166,6 +166,29 @@ def test_recalibrate_set_rejects_a_map_that_makes_nan_rows(gen):
         recalibrate_set(RecalMap("temperature", 2, [-800.0]), data)
 
 
+@pytest.mark.parametrize("saved, message", [
+    (RecalMap.temperature(1.0).to_dict() | {"t": 5.0},
+     r"^recalibration map t 5.0 is not exp\(params\[0\]\)$"),
+    (RecalMap.temperature(2.0).to_dict() | {"t": True},
+     r"^recalibration map t must be finite, got True$"),
+    (RecalMap.temperature(2.0).to_dict() | {"t": "2.0"},
+     r"^recalibration map t must be finite, got '2.0'$"),
+    (RecalMap.identity("vector_scale", 2).to_dict() | {"t": 1.0},
+     r"^vector_scale map has no temperature$"),
+    (RecalMap.identity("affine", 3).to_dict() | {"t": 1.0}, r"^affine map has no temperature$"),
+])
+def test_recal_map_from_dict_refuses_a_t_its_params_do_not_give(saved, message):
+    with pytest.raises(ValidationError, match=message):
+        RecalMap.from_dict(saved)
+
+
+@pytest.mark.parametrize("m", [RecalMap.temperature(t, 3) for t in (0.1, 1.0, 1.7, 2.0, 1e3)]
+                         + [RecalMap.identity(f, 3) for f in ("vector_scale", "affine")])
+def test_recal_map_to_dict_loads_back(m):
+    saved = m.to_dict()
+    assert RecalMap.from_dict(json.loads(json.dumps(saved))).to_dict() == saved
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_recal_map_refuses_non_finite_params(bad):
     with pytest.raises(ValidationError, match="affine map params must be finite"):
@@ -186,7 +209,8 @@ def test_brier_and_cross_entropy_hand_values():
 @pytest.mark.parametrize("k", [2, 5, 10, 100])
 def test_brier_score_is_the_one_hot_formula_bit_for_bit(k):
     data = random_prediction_set(np.random.default_rng(k), 2000, k)
-    assert brier_score(data) == float(np.mean(((data.probs - data.one_hot_labels()) ** 2).sum(axis=1)))
+    one_hot = np.eye(k)[data.labels]
+    assert brier_score(data) == float(np.mean(((data.probs - one_hot) ** 2).sum(axis=1)))
 
 
 def test_brier_score_holds_one_copy_of_the_probabilities():
@@ -210,7 +234,7 @@ def test_brier_decreases_when_confidence_matches_truth():
 
 
 def test_gaussian_posterior_helpers():
-    p = GaussianPosterior.standard(3)
+    p = GaussianPosterior.at(np.zeros(3))
     assert p.dim == 3
     assert np.allclose(p.sigma, 1.0)
     assert p.kl_to(p) == 0.0
@@ -221,7 +245,7 @@ def test_gaussian_posterior_helpers():
 
 
 def test_gaussian_posterior_sampling_is_seeded():
-    p = GaussianPosterior.standard(4)
+    p = GaussianPosterior.at(np.zeros(4))
     a = p.sample(Rng(3), 6)
     b = p.sample(Rng(3), 6)
     assert a.shape == (6, 4)
@@ -255,7 +279,7 @@ def test_objective_is_deterministic_given_rng(gen):
     data = random_prediction_set(gen, 60, 3)
     cfg = PbrConfig(family="temperature", alpha=0.25)
     post = GaussianPosterior(np.array([0.3]), np.array([math.log(0.8)]))
-    prior = GaussianPosterior.standard(1)
+    prior = GaussianPosterior.at(np.zeros(1))
     v1 = pbr_objective(post, prior, data, cfg, Rng(5))
     v2 = pbr_objective(post, prior, data, cfg, Rng(5))
     assert v1 == v2
@@ -279,7 +303,7 @@ def test_class_major_pass_matches_row_major_reference(gen, family, objective, k)
         post = GaussianPosterior(
             identity_params(family, k) + gen.normal(0.0, 0.2, dim), gen.normal(-1.0, 0.2, dim)
         )
-        prior = GaussianPosterior.standard(dim)
+        prior = GaussianPosterior.at(np.zeros(dim))
         xi = Rng(11).generator().standard_normal((cfg.mc_samples, dim))
         value, grad = _row_major_objective_and_gradient(post, prior, data, cfg, xi)
         assert pbr_objective(post, prior, data, cfg, Rng(11)) == pytest.approx(value, rel=1e-12)
@@ -296,7 +320,7 @@ def _assert_gradient_matches_finite_differences(data, family, objective, post):
     h = 1e-5
     dim = post.dim
     cfg = PbrConfig(family=family, alpha=0.3, mc_samples=3, objective=objective)
-    prior = GaussianPosterior.standard(dim)
+    prior = GaussianPosterior.at(np.zeros(dim))
     grad = pbr_gradient(post, prior, data, cfg, Rng(11))
     theta = np.concatenate([post.mu, post.log_sigma])
     for j in (0, dim - 1, dim, 2 * dim - 1):
@@ -526,7 +550,7 @@ def test_train_pbr_reports_why_it_stopped(gen):
 def test_train_pbr_rejects_a_prior_of_the_wrong_dimension(gen, family, dim):
     # over 3 classes the families have 1, 6 and 12 parameters
     data = random_prediction_set(gen, 40, 3)
-    cfg = PbrConfig(family=family, prior=GaussianPosterior.standard(dim), max_iters=5)
+    cfg = PbrConfig(family=family, prior=GaussianPosterior.at(np.zeros(dim)), max_iters=5)
     with pytest.raises(ValidationError, match="prior dimension"):
         train_pbr(data, cfg)
 

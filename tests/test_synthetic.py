@@ -289,6 +289,18 @@ def test_gen_multiclass_sets_stack_the_one_set_draws(k, n, sets):
     assert next(gens).random() == spec.rng.stream(sets).generator().random()
 
 
+@pytest.mark.parametrize("spec, one_set", [
+    (BinarySpec(ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.05, 2.0), 700,
+                Rng(3, 1)), gen_binary),
+    (MulticlassSpec(4, (0.5,) * 4, MiscalibrationMapK.mixture(0.3), 700, Rng(3, 2)),
+     gen_multiclass),
+], ids=["binary", "multiclass"])
+def test_gen_sets_with_one_generator_is_the_one_set_draw(spec, one_set):
+    data, expect = synthetic._gen_sets(spec, [spec.rng.generator()], 1), one_set(spec)
+    assert data.probs.tobytes() == expect.probs.tobytes()
+    assert data.labels.tobytes() == expect.labels.tobytes()
+
+
 @pytest.mark.parametrize("k", [3, 10])
 def test_gen_multiclass_memory_stays_near_its_output(k):
     spec = MulticlassSpec(k, (1.0,) * k, MiscalibrationMapK.mixture(0.2), 50_000, Rng(k))
