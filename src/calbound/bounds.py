@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Rng, ValidationError, _count, _keys, _real
+from .core import Rng, ValidationError, _array, _count, _keys, _real
 from .ece import _ece_top_label_sets
 from .synthetic import BinarySpec, MulticlassSpec, _gen_sets, true_tce
 
@@ -207,15 +207,13 @@ def kl_gaussian_diag(
     mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray, var_p: np.ndarray
 ) -> float:
     """KL(N(mu_q, diag var_q) || N(mu_p, diag var_p)) in nats."""
-    mu_q, var_q = np.asarray(mu_q, float), np.asarray(var_q, float)
-    mu_p, var_p = np.asarray(mu_p, float), np.asarray(var_p, float)
+    mu_q, mu_p = _array(mu_q, "means", finite=True), _array(mu_p, "means", finite=True)
+    var_q, var_p = _array(var_q, "variances"), _array(var_p, "variances")
     if not (mu_q.shape == var_q.shape == mu_p.shape == var_p.shape):
         raise ValidationError("mean and variance arrays must share one shape")
     # An inclusion, since NaN fails every comparison and so would pass (var <= 0).any().
     if not ((0 < var_q) & (var_q < math.inf) & (0 < var_p) & (var_p < math.inf)).all():
         raise ValidationError("variances must be positive and finite")
-    if not (np.isfinite(mu_q).all() and np.isfinite(mu_p).all()):
-        raise ValidationError("means must be finite")
     return _kl_gaussian_diag(mu_q, var_q, mu_p, var_p)
 
 
@@ -241,12 +239,14 @@ def mc_validate_bound(
 ) -> CoverageResult:
     """Fraction of synthetic trials whose realized |TCE - ECE| the bound covers.
 
-    Only the 1-D bias kinds describe the quantity this harness realizes.
+    Only the 1-D bias kinds describe the quantity this harness realizes, on a binary spec.
     """
     if kind not in _BIAS_1D:
         raise ValidationError(
             f"{kind.value} does not bound a 1-D binned bias; cannot validate here"
         )
+    if not isinstance(spec, BinarySpec):
+        raise ValidationError(f"coverage is checked on a BinarySpec, got {type(spec).__name__}")
     trials = _count(trials, "trial count")
     inputs = BoundInputs(
         n=spec.n,

@@ -1,5 +1,5 @@
 """Shared value types (prediction sets, seeded RNG streams), the floored log and softmax,
-and the rules every boundary checks: a count, a finite real and an object's keys.
+and the rules every boundary checks: a count, a finite real, an array and an object's keys.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). It
@@ -71,6 +71,29 @@ def _seed(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _array(value, what: str, ndim: int | None = None, finite: bool = False) -> np.ndarray:
+    """value as a float64 array, itself when it is one: ints, unsigned ints or floats, or reals
+    that are not bools in a sequence or object array; of ndim dimensions when given, and without
+    NaN or ±inf when finite. Anything else is a ValidationError that names what."""
+    try:  # a sequence is read entry by entry, since numpy reads [True, 0.5] as two floats
+        a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        bad = [x for x in a.flat if isinstance(x, bool) or not isinstance(x, numbers.Real)
+               ] if a.dtype.kind == "O" else []
+        if a.dtype.kind == "O" and not bad:
+            a = a.astype(float)
+    except (TypeError, ValueError, OverflowError) as err:  # ragged rows, a real past float range
+        raise ValidationError(f"{what} must be an array of real numbers: {err}") from None
+    if bad or a.dtype.kind not in ("i", "u", "f"):
+        got = f"an entry of type {type(bad[0]).__name__}" if bad else f"dtype {a.dtype}"
+        raise ValidationError(f"{what} must be an array of real numbers, got {got}")
+    if ndim is not None and a.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-D, got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if finite and not np.isfinite(a).all():
+        raise ValidationError(f"{what} must be finite")
+    return a
 
 
 def _keys(d, what: str, required=(), optional=()) -> dict:
@@ -176,13 +199,13 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
+def validate_prediction_set(probs, labels) -> list[str]:
     """Collect human-readable violations; empty list means the pair is valid."""
+    try:
+        probs, labels = _array(probs, "probs", 2), _array(labels, "labels")
+    except ValidationError as err:
+        return [str(err)]
     problems: list[str] = []
-    probs = np.asarray(probs)
-    labels = np.asarray(labels)
-    if probs.ndim != 2:
-        return [f"probs must be 2-D, got shape {probs.shape}"]
     n, k = probs.shape
     if k < 2:
         problems.append(f"need at least 2 classes, got {k}")
@@ -195,23 +218,21 @@ def validate_prediction_set(probs: np.ndarray, labels: np.ndarray) -> list[str]:
     sums = probs.sum(axis=1)
     # Extremes of the whole array, then of each row only if those show a bad
     # entry, since row reductions over a short axis are slow; no full-size
-    # temporaries either way. A NaN entry makes its row sum NaN (object arrays
-    # do not carry it into min and max), and NaN fails every comparison.
-    # A row without entries (k == 0) has no extremes and nothing out of range.
-    if k and not (probs.min() >= 0.0 and probs.max() <= 1.0 and (sums == sums).all()):
-        in_range = (probs.min(axis=1) >= 0.0) & (probs.max(axis=1) <= 1.0) & (sums == sums)
+    # temporaries either way. min and max carry a NaN entry, and NaN fails every
+    # comparison. A row without entries (k == 0) has no extremes and nothing out of range.
+    if k and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        in_range = (probs.min(axis=1) >= 0.0) & (probs.max(axis=1) <= 1.0)
         for i in np.where(~in_range)[0][:10]:
             problems.append(f"row {i}: entry outside [0, 1] or NaN")
     bad_sum = np.where(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]
     for i in bad_sum[:10]:
         problems.append(f"row {i}: sums to {probs[i].sum():.12g}, not 1")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == np.floor(labels)):
-            problems.append("labels must be integers")
-            return problems
+    if not np.all(labels == np.floor(labels)):
+        problems.append("labels must be integers")
+        return problems
     bad_label = np.where((labels < 0) | (labels >= k))[0]
     for i in bad_label[:10]:
-        problems.append(f"row {i}: label {labels[i]} outside [0, {k})")
+        problems.append(f"row {i}: label {labels[i]:.17g} outside [0, {k})")
     return problems
 
 
@@ -235,13 +256,14 @@ class PredictionSet:
 
     @classmethod
     def from_probs(cls, probs, labels) -> "PredictionSet":
-        return cls._owned(np.array(probs, dtype=float), labels)
+        rows = _array(probs, "probs")  # a new array unless probs already is a float64 one
+        return cls._owned(rows.copy() if rows is probs else rows, labels)
 
     @classmethod
     def _owned(cls, probs: np.ndarray, labels) -> "PredictionSet":
         """from_probs without the copy: checks probs, a float array no one else holds,
         rescales its drifting rows in place and keeps it."""
-        labels = np.asarray(labels)
+        labels = _array(labels, "labels")
         problems = validate_prediction_set(probs, labels)
         if problems:
             raise ValidationError("; ".join(problems))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PredictionSet, ValidationError, _count
+from .core import PredictionSet, ValidationError, _array, _count
 
 # Refuse sparse K-D binning when the nominal cell count exceeds 2**48; the
 # cell key must stay an exact int64.
@@ -28,7 +28,7 @@ MAX_TOTAL_CELLS = 2**48
 def assign_bins_1d(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Bin indices in 1..B for values in [0, 1]; right-closed bins, 0 -> bin 1."""
     b = _count(num_bins, "bin count")
-    values = np.asarray(values, dtype=float)
+    values = _array(values, "values")
     # min and max propagate NaN, so NaN fails this check too.
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         bad = values[~((values >= 0.0) & (values <= 1.0))][0]

@@ -350,6 +350,8 @@ def compare_methods(
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; choose from {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"methods repeat: {list(methods)}")
     if not methods:
         raise ValidationError("need at least one method")
     alpha_grid = _alpha_grid(alpha_grid, 1)  # checked whatever the methods, before any cell

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from ..core import PredictionSet, ValidationError, log_probs, softmax
+from ..core import PredictionSet, ValidationError, _array, log_probs, softmax
 
 FORMATS = ("csv", "jsonl", "npz")
 MODES = ("probs", "logits")
@@ -103,25 +103,17 @@ def _parse_values(raw, row_index: int) -> list[float]:
     return values
 
 
-def _checked(values, labels):
-    """Float values and int64 labels if both pass the row-wise rules, else None.
-
-    Numbers only (no bool, str or object arrays), every cell finite, every
-    label a whole number below 2**53 in magnitude, where a float holds every integer.
-    """
+def _checked(table: np.ndarray, k: int):
+    """The K value columns and int64 labels of a CSV table numpy read, or None unless every cell
+    is finite and every label a whole number below 2**53 in magnitude (exact in a float)."""
     try:
-        values, labels = np.asarray(values), np.asarray(labels)
-    except (TypeError, ValueError, OverflowError):  # ragged nesting, ints past 64 bits
+        _array(table, "CSV table", finite=True)
+    except ValidationError:
         return None
-    if (values.ndim != 2 or labels.ndim != 1
-            or values.dtype.kind not in "iuf" or labels.dtype.kind not in "iuf"):
+    labels = table[:, k]
+    if not ((labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**53).all()):
         return None
-    values = values.astype(float, copy=False)
-    labels = labels.astype(float, copy=False)
-    if not (np.isfinite(values).all() and np.isfinite(labels).all()
-            and (labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**53).all()):
-        return None
-    return values, labels.astype(np.int64)
+    return table[:, :k], labels.astype(np.int64)
 
 
 def _numpy_lines(handle):
@@ -175,7 +167,7 @@ def _load_csv(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
         mode, k = _header_mode(header)
         table = _read_table(handle)
         if table is not None and len(table) and table.shape[1] == k + 1:
-            checked = _checked(table[:, :k], table[:, k])
+            checked = _checked(table, k)
             if checked is not None:
                 return mode, *checked
         handle.seek(0)
@@ -242,12 +234,8 @@ def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
         # object arrays need pickle; a damaged member fails its CRC or inflation
         except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as err:
             raise ValidationError(f"{path}: {err}")
-    checked = _checked(values, labels)
-    if checked is None:
-        raise ValidationError(
-            f"{path}: '{found[0]}' must be a finite 2-D numeric array and "
-            "'labels' a 1-D array of whole numbers")
-    return found[0], *checked
+    # the labels are the set's to check, as the labels of from_probs are
+    return found[0], _array(values, f"{path}: '{found[0]}'", 2, finite=True), labels
 
 
 _LOADERS = {"csv": _load_csv, "jsonl": _load_jsonl, "npz": _load_npz}

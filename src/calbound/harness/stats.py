@@ -12,13 +12,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import ValidationError
+from ..core import ValidationError, _array
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
+    x, y = _array(x, "x", 1), _array(y, "y", 1)
+    if x.shape != y.shape:
         raise ValidationError("inputs must be equal-length vectors")
     if x.size < 2:
         raise ValidationError("need at least 2 points")

@@ -54,8 +54,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import (PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed, log_probs,
-                   softmax)
+from .core import (PredictionSet, Rng, ValidationError, _array, _count, _keys, _real, _seed,
+                   log_probs, softmax)
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -118,8 +118,8 @@ def identity_params(family: str, num_classes: int) -> np.ndarray:
 class RecalMap:
     """A fitted recalibration map.
 
-    params is the unconstrained vector the posterior lives on: [ln t] for
-    temperature, [w, b] for vector_scale, [W.ravel(), b] for affine.
+    params, a read-only copy, is the unconstrained vector the posterior lives on:
+    [ln t] for temperature, [w, b] for vector_scale, [W.ravel(), b] for affine.
     """
 
     family: str
@@ -129,15 +129,13 @@ class RecalMap:
     def __post_init__(self):
         family = _family(self.family)
         object.__setattr__(self, "num_classes", _count(self.num_classes, "class count", 2))
-        params = np.array(self.params, dtype=float)  # a copy, which the map then holds read-only
+        params = _array(self.params, f"{self.family} map params", 1, finite=True).copy()
         want = family.identity(self.num_classes).size
         if params.shape != (want,):
             raise ValidationError(
                 f"{self.family} over {self.num_classes} classes needs {want} "
                 f"parameters, got shape {params.shape}"
             )
-        if not np.isfinite(params).all():
-            raise ValidationError(f"{self.family} map params must be finite")
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
 
@@ -148,17 +146,15 @@ class RecalMap:
 
     @classmethod
     def vector_scale(cls, weights, offsets) -> "RecalMap":
-        w = np.asarray(weights, dtype=float)
-        b = np.asarray(offsets, dtype=float)
-        if w.ndim != 1 or w.shape != b.shape:
+        w, b = _array(weights, "weights", 1), _array(offsets, "offsets", 1)
+        if w.shape != b.shape:
             raise ValidationError("weights and offsets must be equal-length vectors")
         return cls("vector_scale", w.size, np.concatenate([w, b]))
 
     @classmethod
     def affine(cls, matrix, offsets) -> "RecalMap":
-        mat = np.asarray(matrix, dtype=float)
-        b = np.asarray(offsets, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != b.size:
+        mat, b = _array(matrix, "matrix", 2), _array(offsets, "offsets", 1)
+        if mat.shape != (b.size, b.size):
             raise ValidationError("matrix must be square and match the offset length")
         return cls("affine", b.size, np.concatenate([mat.ravel(), b]))
 
@@ -194,9 +190,7 @@ class RecalMap:
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
     """Apply a map to a 2-D batch of probability rows."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2:
-        raise ValidationError(f"rows must form a 2-D array, got shape {probs.shape}")
+    probs = _array(probs, "probs", 2)
     if probs.shape[1] != recal_map.num_classes:
         raise ValidationError(
             f"map expects {recal_map.num_classes} classes, got {probs.shape[1]}"
@@ -235,9 +229,8 @@ class GaussianPosterior:
     log_sigma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        ls = np.asarray(self.log_sigma, dtype=float)
-        if mu.ndim != 1 or mu.shape != ls.shape:
+        mu, ls = _array(self.mu, "mu", 1), _array(self.log_sigma, "log_sigma", 1)
+        if mu.shape != ls.shape:
             raise ValidationError("mu and log_sigma must be equal-length vectors")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "log_sigma", ls)

@@ -302,6 +302,13 @@ def test_mc_validate_only_accepts_single_split_bias_kinds():
     assert np.array_equal(res.deviations, again.deviations)
 
 
+def test_mc_validate_refuses_a_multiclass_spec():
+    spec = MulticlassSpec(3, (1.0,) * 3, MiscalibrationMapK.mixture(0.5), 300, Rng(5))
+    with pytest.raises(ValidationError,
+                       match=r"^coverage is checked on a BinarySpec, got MulticlassSpec$"):
+        mc_validate_bound(BoundKind.TotalBiasTest, spec, 5, 0.05, trials=3)
+
+
 def _per_trial_coverage(kind, spec, num_bins, epsilon, trials):
     """mc_validate_bound with one generator, one set and one ECE per trial.
 

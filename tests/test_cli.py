@@ -342,6 +342,14 @@ def test_experiment_compare_on_dump(tmp_path, gen):
     assert report["config"]["source"] == {"dump": str(p)}
 
 
+def test_experiment_compare_repeated_method_exits_two(tmp_path, gen, capsys):
+    p, _ = dump_file(tmp_path, gen)
+    assert main(["experiment", "compare", "--dump", str(p), "--methods", "pbr,pbr"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: methods repeat: ['pbr', 'pbr']")
+
+
 def test_experiment_needs_exactly_one_source(tmp_path, gen, capsys):
     p, _ = dump_file(tmp_path, gen)
     sp = spec_file(tmp_path)

@@ -1,6 +1,9 @@
 import json
 import math
+import re
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +23,14 @@ from calbound import (
     RecalMap,
     Rng,
     ValidationError,
+    apply_recal,
     ece_full_k,
     ece_top_label,
     ece_top_label_reformulated,
     evaluate_bound,
     gen_binary,
     gen_multiclass,
+    kl_gaussian_diag,
     mc_validate_bound,
     optimal_bins_1d,
     optimal_bins_per_dim,
@@ -33,14 +38,16 @@ from calbound import (
     true_ce_k,
     validate_prediction_set,
 )
-from calbound.core import PROB_FLOOR, _count, _real, log_probs, row_sums, softmax
+from calbound.core import PROB_FLOOR, _array, _count, _real, log_probs, row_sums, softmax
 from calbound.ece import assign_bins_1d
 from calbound.harness import (
     ExperimentReport,
     compare_methods,
     convergence_experiment,
     kl_gap_experiment,
+    load_dump,
     make_report,
+    pearson,
     replay,
 )
 from calbound.synthetic import spec_from_dict
@@ -508,3 +515,168 @@ def test_numpy_scalars_are_held_as_python_numbers_and_serialize_alike():
     assert len(numbers) > 40
     assert {type(x) for x in numbers} <= {int, float, bool}
     assert dumps == _value_types(int, float)[1]
+
+
+_ONE_HOT = [[1, 0], [0, 1]]
+
+
+def _validate(probs, labels):
+    """validate_prediction_set, raising its one problem when it finds any."""
+    problems = validate_prediction_set(probs, labels)
+    if problems:
+        (problem,) = problems  # a refused array is the only problem reported
+        raise ValidationError(problem)
+    return problems
+
+
+def _npz(probs, labels):
+    """The set load_dump reads from an npz archive holding probs and labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.npz"
+        np.savez(path, probs=probs, labels=labels)
+        return load_dump(path).data
+
+
+# Each public boundary that takes an array, fed the bad value v: (call, the name its
+# messages give v, a valid value of whole numbers, the dimension count it requires or None
+# for any, whether it refuses NaN by that name).
+ARRAYS = {
+    "from_probs.probs": (lambda v: PredictionSet.from_probs(v, [0, 1]), "probs", _ONE_HOT, 2,
+                         False),
+    "from_probs.labels": (lambda v: PredictionSet.from_probs(_ONE_HOT, v), "labels", [0, 1], 1,
+                          True),
+    "validate_prediction_set.probs": (lambda v: _validate(v, [0, 1]), "probs", _ONE_HOT, 2,
+                                      False),
+    "validate_prediction_set.labels": (lambda v: _validate(_ONE_HOT, v), "labels", [0, 1], 1,
+                                       True),
+    "RecalMap.params": (lambda v: RecalMap("vector_scale", 2, v), "vector_scale map params",
+                        [1, 2, 0, 1], 1, True),
+    "RecalMap.from_dict.params": (lambda v: RecalMap.from_dict(
+        {"family": "temperature", "num_classes": 2, "params": v}), "temperature map params", [1],
+        1, True),
+    "RecalMap.vector_scale.weights": (lambda v: RecalMap.vector_scale(v, [0, 1]), "weights",
+                                      [1, 2], 1, False),
+    "RecalMap.vector_scale.offsets": (lambda v: RecalMap.vector_scale([1, 2], v), "offsets",
+                                      [0, 1], 1, False),
+    "RecalMap.affine.matrix": (lambda v: RecalMap.affine(v, [0, 1]), "matrix", [[1, 0], [1, 2]],
+                               2, False),
+    "RecalMap.affine.offsets": (lambda v: RecalMap.affine(np.eye(2), v), "offsets", [0, 1], 1,
+                                False),
+    "apply_recal": (lambda v: apply_recal(RecalMap.vector_scale([1, 2], [0, 1]), v), "probs",
+                    _ONE_HOT, 2, False),
+    "GaussianPosterior.mu": (lambda v: GaussianPosterior(v, np.zeros(2)), "mu", [1, 2], 1, False),
+    "GaussianPosterior.log_sigma": (lambda v: GaussianPosterior(np.zeros(2), v), "log_sigma",
+                                    [0, 1], 1, False),
+    "GaussianPosterior.from_dict": (lambda v: GaussianPosterior.from_dict(
+        {"mu": v, "log_sigma": [0, 0]}), "mu", [1, 2], 1, False),
+    "PbrConfig.from_dict.prior": (lambda v: PbrConfig.from_dict(
+        {"prior": {"mu": [0], "log_sigma": v}}), "log_sigma", [1], 1, False),
+    "kl_gaussian_diag.mu_q": (lambda v: kl_gaussian_diag(v, [1, 2], [0, 0], [1, 1]), "means",
+                              [1, 2], None, True),
+    "kl_gaussian_diag.var_q": (lambda v: kl_gaussian_diag([1, 2], v, [0, 0], [1, 1]),
+                               "variances", [1, 2], None, True),
+    "kl_gaussian_diag.mu_p": (lambda v: kl_gaussian_diag([0, 0], [1, 1], v, [1, 2]), "means",
+                              [1, 2], None, True),
+    "kl_gaussian_diag.var_p": (lambda v: kl_gaussian_diag([0, 0], [1, 1], [1, 2], v),
+                               "variances", [1, 2], None, True),
+    "assign_bins_1d": (lambda v: assign_bins_1d(v, 4), "values", [0, 1], None, False),
+    "pearson.x": (lambda v: pearson(v, [3, 1, 2]), "x", [1, 2, 3], 1, False),
+    "pearson.y": (lambda v: pearson([1, 2, 3], v), "y", [3, 1, 2], 1, False),
+    "load_dump.npz.probs": (lambda v: _npz(v, [0, 1]), "'probs'", _ONE_HOT, 2, True),
+    "load_dump.npz.labels": (lambda v: _npz(_ONE_HOT, v), "labels", [0, 1], 1, True),
+}
+
+# An npz member is one typed array: it holds Python objects only through pickle, which
+# load_dump refuses by file, and a list with one bool in it is saved as floats.
+_NOT_IN_NPZ = ("none", "ragged", "dict", "bool-entry", "object")
+
+
+def _object_with_none(good):
+    a = np.array(good, dtype=object)
+    a.flat[0] = None
+    return a
+
+
+def _first_entry(good, entry):
+    """good as nested lists, with entry in place of its first entry."""
+    rows = np.asarray(good).tolist()
+    (rows[0] if isinstance(rows[0], list) else rows)[0] = entry
+    return rows
+
+
+def _ragged(good):
+    """good with its last row one entry short, or with its last entry in a list of its own."""
+    rows = np.asarray(good).tolist()
+    rows[-1] = rows[-1][:-1] if isinstance(rows[-1], list) else [rows[-1]]
+    return rows
+
+
+_BAD_ARRAYS = {
+    "bool": lambda good: np.ones(np.shape(good), dtype=bool),
+    "bool-entry": lambda good: _first_entry(good, True),
+    "string": lambda good: np.full(np.shape(good), "1"),
+    "complex": lambda good: np.asarray(good) + 0j,
+    "none": _object_with_none,
+    "ragged": _ragged,
+    "dict": lambda good: {"0": good},
+}
+
+_GOOD_ARRAYS = {
+    "int": lambda good: np.asarray(good, dtype=np.int64),
+    "float32": lambda good: np.asarray(good, dtype=np.float32),
+    "list": lambda good: np.asarray(good, dtype=float).tolist(),
+    "object": lambda good: np.array(np.asarray(good, dtype=float).tolist(), dtype=object),
+}
+
+
+def _skips(b, kind):
+    return b.startswith("load_dump.npz") and kind in _NOT_IN_NPZ
+
+
+@pytest.mark.parametrize("call, value, what", [
+    *[pytest.param(call, bad(good), what, id=f"{b}-{kind}")
+      for b, (call, what, good, ndim, finite) in ARRAYS.items()
+      for kind, bad in _BAD_ARRAYS.items() if not _skips(b, kind)],
+    *[pytest.param(call, np.asarray(good)[None], what, id=f"{b}-ndim")
+      for b, (call, what, good, ndim, finite) in ARRAYS.items() if ndim is not None],
+    *[pytest.param(call, np.full(np.shape(good), np.nan), what, id=f"{b}-nan")
+      for b, (call, what, good, ndim, finite) in ARRAYS.items() if finite],
+])
+def test_every_array_boundary_refuses_a_bad_array_by_name(call, value, what):
+    with pytest.raises(ValidationError, match=rf"^(.*: )?{re.escape(what)} "):
+        call(value)
+
+
+def _bits(value):
+    """Every array's dtype, shape and bytes, and the repr of every other value, in value."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+@pytest.mark.parametrize("b, form", [
+    (b, form) for b in ARRAYS for form in _GOOD_ARRAYS if not _skips(b, form)])
+def test_every_array_boundary_reads_real_arrays_as_float64_bit_for_bit(b, form):
+    call, _, good, _, _ = ARRAYS[b]
+    assert _bits(call(_GOOD_ARRAYS[form](good))) == _bits(call(np.asarray(good, dtype=float)))
+
+
+def test_array_rule_keeps_a_float64_array_and_states_its_rule():
+    a = np.array([[0.5, 0.25]])
+    assert _array(a, "a", 2, finite=True) is a
+    rule = "a must be an array of real numbers, got"
+    with pytest.raises(ValidationError, match=rf"^{rule} dtype bool$"):
+        _array(np.array([True]), "a")
+    for entry, name in ((True, "bool"), ("0.5", "str"), (None, "NoneType"), ([0.5], "list")):
+        with pytest.raises(ValidationError, match=rf"^{rule} an entry of type {name}$"):
+            _array([0.5, entry], "a")  # numpy alone reads [0.5, True] as two floats
+    with pytest.raises(ValidationError, match=r"^a must be 2-D, got shape \(2,\)$"):
+        _array([0.5, 0.25], "a", 2)
+    with pytest.raises(ValidationError, match=r"^a must be finite$"):
+        _array([0.5, -math.inf], "a", finite=True)
+    with pytest.raises(ValidationError, match=r"^a must be an array of real numbers: "):
+        _array(np.array([0.5, 10**400], dtype=object), "a")  # past the float range

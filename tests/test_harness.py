@@ -824,6 +824,13 @@ def test_compare_methods_rejects_unknown_method():
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))
 
 
+def test_compare_methods_rejects_a_repeated_method():
+    # a repeat refits with the same seeds, so its cells would be copies
+    with pytest.raises(ValidationError,
+                       match=r"^methods repeat: \['uncalibrated', 'uncalibrated'\]$"):
+        compare_methods(MULTI_SPEC, methods=("uncalibrated", "uncalibrated"), folds=2)
+
+
 @pytest.mark.parametrize("grid, match", [
     pytest.param((-1.0, 1.0), "alpha must be finite", id="negative"),
     pytest.param((1.0, math.inf), "alpha must be finite", id="inf"),
