@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Rng, ValidationError, _array, _count, _keys, _real
+from .core import Rng, ValidationError, _array, _choice, _count, _keys, _real
 from .ece import _ece_top_label_sets
 from .synthetic import BinarySpec, MulticlassSpec, _gen_sets, true_tce
 
@@ -115,12 +115,10 @@ class BoundCertificate:
     def from_dict(cls, d: dict) -> "BoundCertificate":
         terms = ("value", "binning_term", "statistical_term", "lambda_used")
         d = _keys(d, "certificate", ("bound_kind", *terms), ("empirical_term", "inputs"))
-        kinds = {kind.value: kind for kind in BoundKind}
-        if not isinstance(d["bound_kind"], str) or d["bound_kind"] not in kinds:
-            raise ValidationError(f"unknown bound kind {d['bound_kind']!r}")
+        kind = BoundKind(_choice(d["bound_kind"], "bound kind", [k.value for k in BoundKind]))
         inputs = d.get("inputs", {})
         _keys(inputs, "certificate inputs", optional=inputs)  # an object, of any keys
-        return cls(kinds[d["bound_kind"]], *(_real(d[key], f"certificate {key}") for key in terms),
+        return cls(kind, *(_real(d[key], f"certificate {key}") for key in terms),
                    _real(d.get("empirical_term", 0.0), "certificate empirical_term"), dict(inputs))
 
 
@@ -130,6 +128,7 @@ def _terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float, float]:
     The three 1-D bias rows share one formula; TotalBiasTest only differs in
     that evaluate_bound holds its kl at 0.
     """
+    kind = _choice(kind, "bound kind", tuple(BoundKind))
     b, n, eps, kl = inputs.num_bins, inputs.n, inputs.epsilon, inputs.kl
     one_plus_l = 1.0 + inputs.lipschitz
     ln2 = math.log(2.0)
@@ -148,11 +147,10 @@ def _terms(kind: BoundKind, inputs: BoundInputs) -> tuple[float, float, float]:
         return (k * one_plus_l / b ** (1.0 / k),
                 kl + b * k * ln2 + math.log(1.0 / eps),
                 k**2 / (2.0 * n))
-    if kind is BoundKind.JointAccTce:
-        return (2.0 * one_plus_l / b,
-                3.0 * kl + 2.0 * b * ln2 + 3.0 * math.log(2.0 / eps),
-                65.0 / (8.0 * n))
-    raise ValidationError(f"unknown bound kind {kind!r}")  # pragma: no cover
+    assert kind is BoundKind.JointAccTce
+    return (2.0 * one_plus_l / b,
+            3.0 * kl + 2.0 * b * ln2 + 3.0 * math.log(2.0 / eps),
+            65.0 / (8.0 * n))
 
 
 def _best_lambda(a: float, c: float) -> float:
@@ -161,7 +159,7 @@ def _best_lambda(a: float, c: float) -> float:
 
 def heuristic_lambda(n: int, num_bins: int) -> float:
     """The sqrt(B n) default; optimize_lambda is never worse."""
-    return math.sqrt(num_bins * n)
+    return math.sqrt(_count(num_bins, "bin count") * _count(n, "sample count"))
 
 
 def optimize_lambda(kind: BoundKind, inputs: BoundInputs) -> float:
@@ -180,11 +178,11 @@ def evaluate_bound(
     whose certificate overflows to infinity raise ValidationError.
     """
     empirical_term = _real(empirical_term, "empirical term", ">= 0")
+    binning, a, c = _terms(kind, inputs)  # refuses anything but a BoundKind first
     if kind is BoundKind.TotalBiasTest and inputs.kl != 0.0:
         raise ValidationError("TotalBiasTest certifies a fixed predictor; kl must be 0")
     if kind is not BoundKind.JointAccTce and empirical_term != 0.0:
         raise ValidationError(f"{kind.value} takes no empirical term")
-    binning, a, c = _terms(kind, inputs)
     lam = _best_lambda(a, c) if inputs.lam == "auto" else inputs.lam
     statistical = a / lam + c * lam
     value = empirical_term + binning + statistical
@@ -241,7 +239,7 @@ def mc_validate_bound(
 
     Only the 1-D bias kinds describe the quantity this harness realizes, on a binary spec.
     """
-    if kind not in _BIAS_1D:
+    if _choice(kind, "bound kind", tuple(BoundKind)) not in _BIAS_1D:
         raise ValidationError(
             f"{kind.value} does not bound a 1-D binned bias; cannot validate here"
         )

@@ -1,5 +1,5 @@
 """Shared value types (prediction sets, seeded RNG streams), the floored log and softmax,
-and the rules every boundary checks: a count, a finite real, an array and an object's keys.
+and the rules every boundary checks: a count, a finite real, an array, a name and an object's keys.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). It
@@ -11,6 +11,7 @@ Sets the package derives from valid data are built with ``PredictionSet(probs, l
 
 from __future__ import annotations
 
+import enum
 import math
 import numbers
 import operator
@@ -94,6 +95,14 @@ def _array(value, what: str, ndim: int | None = None, finite: bool = False) -> n
     if finite and not np.isfinite(a).all():
         raise ValidationError(f"{what} must be finite")
     return a
+
+
+def _choice(value, what: str, choices):
+    """value, when it is a str among choices or a member of an enum among them; anything else
+    is a ValidationError that lists the choices as a caller writes them."""
+    if isinstance(value, (str, enum.Enum)) and value in choices:
+        return value
+    raise ValidationError(f"unknown {what} {value!r}; choose from {', '.join(map(str, choices))}")
 
 
 def _keys(d, what: str, required=(), optional=()) -> dict:
@@ -201,8 +210,10 @@ def row_sums(a: np.ndarray) -> np.ndarray:
 
 def validate_prediction_set(probs, labels) -> list[str]:
     """Collect human-readable violations; empty list means the pair is valid."""
-    try:
-        probs, labels = _array(probs, "probs", 2), _array(labels, "labels")
+    try:  # integer labels are checked as they are; any others as the array rule reads them
+        probs = _array(probs, "probs", 2)
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+            labels = _array(labels, "labels")
     except ValidationError as err:
         return [str(err)]
     problems: list[str] = []
@@ -215,7 +226,7 @@ def validate_prediction_set(probs, labels) -> list[str]:
     if n == 0:
         problems.append("prediction set is empty")
         return problems
-    sums = probs.sum(axis=1)
+    sums = row_sums(probs)
     # Extremes of the whole array, then of each row only if those show a bad
     # entry, since row reductions over a short axis are slow; no full-size
     # temporaries either way. min and max carry a NaN entry, and NaN fails every
@@ -227,7 +238,7 @@ def validate_prediction_set(probs, labels) -> list[str]:
     bad_sum = np.where(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]
     for i in bad_sum[:10]:
         problems.append(f"row {i}: sums to {probs[i].sum():.12g}, not 1")
-    if not np.all(labels == np.floor(labels)):
+    if labels.dtype.kind == "f" and not np.all(labels == np.floor(labels)):
         problems.append("labels must be integers")
         return problems
     bad_label = np.where((labels < 0) | (labels >= k))[0]
@@ -263,14 +274,13 @@ class PredictionSet:
     def _owned(cls, probs: np.ndarray, labels) -> "PredictionSet":
         """from_probs without the copy: checks probs, a float array no one else holds,
         rescales its drifting rows in place and keeps it."""
-        labels = _array(labels, "labels")
         problems = validate_prediction_set(probs, labels)
         if problems:
             raise ValidationError("; ".join(problems))
-        sums = probs.sum(axis=1)
+        sums = row_sums(probs)
         drift = np.abs(sums - 1.0) > RENORM_TOL
         probs[drift] /= sums[drift, None]
-        return cls(probs, labels.astype(np.int64))
+        return cls(probs, np.array(labels, dtype=np.int64))  # a new array, not the caller's
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..bounds import _chunks
-from ..core import PredictionSet, Rng, ValidationError, _count, _keys, _real, _seed
+from ..core import PredictionSet, Rng, ValidationError, _choice, _count, _keys, _real, _seed
 from ..ece import (_ece_full_k_sets, _ece_top_label_sets, ece_gap, ece_top_label, optimal_bins_1d,
                    optimal_bins_per_dim)
 from ..recal import (
@@ -236,12 +236,11 @@ def fit_method(
 
     A PBR method sweeps cfg over alpha_grid with the method's own objective.
     """
+    method = _choice(method, "method", METHODS)
     if method == "uncalibrated":
         return RecalMap.identity("temperature", data_re.num_classes), None
     if method == "temperature":
         return temperature_scaling_fit(data_re), None
-    if method not in PBR_OBJECTIVES:
-        raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
     cfgs = [replace(cfg, alpha=a, objective=PBR_OBJECTIVES[method])
             for a in _alpha_grid(alpha_grid, 1)]
     result = _fit_pbr_with_alpha_selection(data_re, cfgs, seed, split)
@@ -347,9 +346,9 @@ def compare_methods(
     source, source_config = _as_source(source)
     folds = _count(folds, "folds", 2)
     seed = _seed(seed, "seed")
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"unknown method {m!r}; choose from {METHODS}")
+    if isinstance(methods, str) or not hasattr(methods, "__iter__"):
+        raise ValidationError(f"methods must be a list of names, got {methods!r}")
+    methods = [_choice(m, "method", METHODS) for m in methods]
     if len(set(methods)) < len(methods):
         raise ValidationError(f"methods repeat: {list(methods)}")
     if not methods:
@@ -404,9 +403,12 @@ def compare_methods(
 
 def _source_from_config(cfg: dict) -> Source:
     cfg = _keys(cfg, "report source", optional=("spec", "dump", "inline"))
+    if len(cfg) != 1:
+        raise ValidationError(
+            f"report source must hold exactly one of spec, dump or inline, got {sorted(cfg)}")
     if "spec" in cfg:
         return spec_from_dict(cfg["spec"])
-    if cfg.get("dump"):
+    if "dump" in cfg:
         return load_dump(cfg["dump"])
     raise ValidationError("report source was an in-memory set; cannot replay")
 
@@ -420,9 +422,7 @@ def replay(report: Union[ExperimentReport, dict]) -> ExperimentReport:
         "klgap": kl_gap_experiment,
         "compare": compare_methods,
     }
-    if report.kind not in experiments:
-        raise ValidationError(f"unknown report kind {report.kind!r}")
-    run = experiments[report.kind]
+    run = experiments[_choice(report.kind, "report kind", experiments)]
     params = inspect.signature(run).parameters.values()
     config = dict(_keys(report.config, f"{report.kind} config",
                         [p.name for p in params if p.default is p.empty], [p.name for p in params]))

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from ..core import PredictionSet, ValidationError, _array, log_probs, softmax
+from ..core import PredictionSet, ValidationError, _array, _choice, log_probs, softmax
 
 FORMATS = ("csv", "jsonl", "npz")
 MODES = ("probs", "logits")
@@ -104,8 +104,8 @@ def _parse_values(raw, row_index: int) -> list[float]:
 
 
 def _checked(table: np.ndarray, k: int):
-    """The K value columns and int64 labels of a CSV table numpy read, or None unless every cell
-    is finite and every label a whole number below 2**53 in magnitude (exact in a float)."""
+    """The K value columns and the label column of a CSV table numpy read, or None unless every
+    cell is finite and every label a whole number below 2**53 in magnitude (exact in a float)."""
     try:
         _array(table, "CSV table", finite=True)
     except ValidationError:
@@ -113,7 +113,7 @@ def _checked(table: np.ndarray, k: int):
     labels = table[:, k]
     if not ((labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**53).all()):
         return None
-    return table[:, :k], labels.astype(np.int64)
+    return table[:, :k], labels
 
 
 def _numpy_lines(handle):
@@ -229,13 +229,15 @@ def _load_npz(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
         if len(found) != 1 or "labels" not in keys:
             raise ValidationError(
                 f"{path}: needs 'labels' and exactly one of 'probs' or 'logits', has {keys}")
-        try:
-            values, labels = archive[found[0]], archive["labels"]
-        # object arrays need pickle; a damaged member fails its CRC or inflation
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as err:
-            raise ValidationError(f"{path}: {err}")
+        members = []
+        for name in (found[0], "labels"):
+            try:
+                members.append(archive[name])
+            # object arrays need pickle; a damaged member fails its CRC or inflation
+            except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+                raise ValidationError(f"{path}: {name!r}: {err}")
     # the labels are the set's to check, as the labels of from_probs are
-    return found[0], _array(values, f"{path}: '{found[0]}'", 2, finite=True), labels
+    return found[0], _array(members[0], f"{path}: '{found[0]}'", 2, finite=True), members[1]
 
 
 _LOADERS = {"csv": _load_csv, "jsonl": _load_jsonl, "npz": _load_npz}
@@ -269,11 +271,8 @@ def write_dump(data: PredictionSet, path, fmt: str | None = None, mode: str = "p
     """Write a prediction set in fmt, by default the format the suffix names (as load_dump
     reads it); logits mode emits log-probabilities."""
     path = Path(path)
-    fmt = _resolve_format(path) if fmt is None else fmt
-    if fmt not in FORMATS:
-        raise ValidationError(f"unknown dump format {fmt!r}")
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
+    fmt = _choice(_resolve_format(path) if fmt is None else fmt, "dump format", FORMATS)
+    _choice(mode, "dump mode", MODES)
     values = data.probs if mode == "probs" else log_probs(data.probs)
     if fmt == "npz":
         # np.savez's members, each written from the array's own buffer in 16 MiB

@@ -54,8 +54,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import (PredictionSet, Rng, ValidationError, _array, _count, _keys, _real, _seed,
-                   log_probs, softmax)
+from .core import (PredictionSet, Rng, ValidationError, _array, _choice, _count, _keys, _real,
+                   _seed, log_probs, row_sums, softmax)
 
 # Stopping rule: quit when the best objective has not improved by more than
 # _TOL for _PATIENCE consecutive steps.
@@ -100,9 +100,7 @@ FAMILIES = tuple(_FAMILIES)
 
 
 def _family(family: str) -> _Family:
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}")
-    return _FAMILIES[family]
+    return _FAMILIES[_choice(family, "family", FAMILIES)]
 
 
 def param_dim(family: str, num_classes: int) -> int:
@@ -208,7 +206,7 @@ def brier_score(data: PredictionSet) -> float:
     """Mean squared L2 distance between probability rows and one-hot labels."""
     resid = data.probs.copy()  # the only full-size array: probs - one-hot, squared in place
     resid[np.arange(data.n), data.labels] -= 1.0
-    return float(np.mean(np.square(resid, out=resid).sum(axis=1)))
+    return float(np.mean(row_sums(np.square(resid, out=resid))))
 
 
 def softmax_cross_entropy(data: PredictionSet) -> float:
@@ -286,8 +284,7 @@ class PbrConfig:
         object.__setattr__(self, "step_decay", _real(self.step_decay, "step decay", "> 0", "<= 1"))
         object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
         object.__setattr__(self, "seed", _seed(self.seed, "seed"))
-        if self.objective not in ("brier", "brier_plus_loss"):
-            raise ValidationError(f"unknown objective {self.objective!r}")
+        _choice(self.objective, "objective", ("brier", "brier_plus_loss"))
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import PredictionSet, Rng, ValidationError, _count, _keys, _real, row_sums
+from .core import PredictionSet, Rng, ValidationError, _choice, _count, _keys, _real, row_sums
 
 # Oracle quadrature stops when doubling the panel count moves the estimate
 # by less than this.
@@ -85,9 +85,8 @@ def _reals(values, count: int, what: str, *rules: str) -> tuple:
 
 def _check_map(kind: str, params: tuple, kinds: dict) -> tuple:
     """params as a tuple of floats, checked against the kind's count and rules."""
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"unknown map kind {kind!r}")
-    return _reals(params, kinds[kind].num_params, f"{kind} map params", *kinds[kind].rules)
+    row = kinds[_choice(kind, "map kind", kinds)]
+    return _reals(params, row.num_params, f"{kind} map params", *row.rules)
 
 
 def _spec_count(d: dict, key: str) -> int:
@@ -116,8 +115,7 @@ class ConfidenceLaw:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "beta"):
-            raise ValidationError(f"unknown confidence law {self.kind!r}")
+        _choice(self.kind, "confidence law", ("uniform", "beta"))
         shape = ("> 0",) if self.kind == "beta" else ()
         for name, rules in (("lo", (">= 0.5",)), ("hi", ("<= 1",)), ("a", shape), ("b", shape)):
             value = _real(getattr(self, name), f"confidence law {name}", *rules)
@@ -348,9 +346,8 @@ class MulticlassSpec:
 
 def spec_from_dict(d: dict):
     kind = _keys(d, "spec", ("kind",), d)["kind"]  # the kind's own reader checks the rest
-    if kind not in ("binary", "multiclass"):
-        raise ValidationError(f"unknown spec kind {kind!r}")
-    return (BinarySpec if kind == "binary" else MulticlassSpec).from_dict(d)
+    readers = {"binary": BinarySpec, "multiclass": MulticlassSpec}
+    return readers[_choice(kind, "spec kind", readers)].from_dict(d)
 
 
 def spec_from_json(text: str):

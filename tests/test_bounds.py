@@ -120,6 +120,17 @@ def test_heuristic_lambda_is_root_of_bn():
     assert heuristic_lambda(10_000, 25) == pytest.approx(500.0)
 
 
+@pytest.mark.parametrize("n, num_bins, message", [
+    (-5, 3, r"^sample count must be an integer >= 1 and < 2\*\*63, got -5$"),
+    (0, 3, r"^sample count must be an integer >= 1 and < 2\*\*63, got 0$"),
+    (True, 2, r"^sample count must be an integer >= 1 and < 2\*\*63, got True$"),
+    (10, 2.5, r"^bin count must be an integer >= 1 and < 2\*\*63, got 2.5$"),
+])
+def test_heuristic_lambda_refuses_a_count_that_is_not_one(n, num_bins, message):
+    with pytest.raises(ValidationError, match=message):
+        heuristic_lambda(n, num_bins)
+
+
 def test_optimize_lambda_beats_any_fixed_choice(gen):
     for _ in range(30):
         inputs = BoundInputs(
@@ -225,9 +236,13 @@ def test_certificate_serialization_round_trip():
     assert clone.value == cert.value and clone.kind == cert.kind
 
 
+_KIND_VALUES = "total_bias_test, pac_bias_train, ce_k_bias, gen_recal, bias_recal, joint_acc_tce"
+
+
 @pytest.mark.parametrize("key, value, message", [
-    ("bound_kind", "nope", r"^unknown bound kind 'nope'$"),
-    ("bound_kind", ["total_bias_test"], r"^unknown bound kind \['total_bias_test'\]$"),
+    ("bound_kind", "nope", rf"^unknown bound kind 'nope'; choose from {_KIND_VALUES}$"),
+    ("bound_kind", ["total_bias_test"],
+     rf"^unknown bound kind \['total_bias_test'\]; choose from {_KIND_VALUES}$"),
     ("value", "0.5", r"^certificate value must be finite, got '0.5'$"),
     ("binning_term", None, r"^certificate binning_term must be finite, got None$"),
     ("statistical_term", math.nan, r"^certificate statistical_term must be finite, got nan$"),

@@ -350,6 +350,20 @@ def test_experiment_compare_repeated_method_exits_two(tmp_path, gen, capsys):
     assert out.err.startswith("error: methods repeat: ['pbr', 'pbr']")
 
 
+def test_an_unknown_name_exits_two_and_lists_the_choices(tmp_path, gen, capsys):
+    p, _ = dump_file(tmp_path, gen)
+    sp = tmp_path / "sinus.json"
+    sp.write_text(json.dumps(_GOOD_SPEC | {"map": {"kind": "sinus", "params": [0.05, 2.0]}}))
+    for argv, refusal in (
+        (["experiment", "compare", "--dump", str(p), "--methods", "pbr,magic"],
+         "method 'magic'; choose from uncalibrated, temperature, pbr, pbr_total"),
+        (["synthesize", "--spec", str(sp), "--out", str(tmp_path / "d.csv")],
+         "map kind 'sinus'; choose from identity, shift, sine, power"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: unknown {refusal}\n"
+
+
 def test_experiment_needs_exactly_one_source(tmp_path, gen, capsys):
     p, _ = dump_file(tmp_path, gen)
     sp = spec_file(tmp_path)

@@ -38,7 +38,9 @@ from calbound import (
     true_ce_k,
     validate_prediction_set,
 )
-from calbound.core import PROB_FLOOR, _array, _count, _real, log_probs, row_sums, softmax
+from calbound.bounds import _BIAS_1D, heuristic_lambda, optimize_lambda
+from calbound.core import (PROB_FLOOR, _array, _choice, _count, _real, log_probs, row_sums,
+                           softmax)
 from calbound.ece import assign_bins_1d
 from calbound.harness import (
     ExperimentReport,
@@ -49,7 +51,10 @@ from calbound.harness import (
     make_report,
     pearson,
     replay,
+    write_dump,
 )
+from calbound.harness.experiments import fit_method
+from calbound.recal import FAMILIES, identity_params, param_dim
 from calbound.synthetic import spec_from_dict
 
 
@@ -224,6 +229,16 @@ def test_from_probs_leaves_the_callers_array_writable():
     probs[0, 0] = 0.5
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_from_probs_neither_freezes_nor_keeps_integer_labels(dtype):
+    labels = np.array([1, 0], dtype=dtype)
+    ps = PredictionSet.from_probs([[0.4, 0.6], [0.7, 0.3]], labels)
+    assert labels.flags.writeable and not np.shares_memory(labels, ps.labels)
+    assert ps.labels.dtype == np.int64 and ps.labels.tolist() == [1, 0]
+    assert validate_prediction_set([[0.4, 0.6]], np.array([2], dtype=dtype)) == [
+        "row 0: label 2 outside [0, 2)"]
+
+
 def test_from_probs_copies_the_callers_arrays():
     probs, labels = np.array([[0.4, 0.6], [0.3 + 1e-12, 0.7]]), np.array([1, 0])
     ps = PredictionSet.from_probs(probs, labels)
@@ -321,6 +336,8 @@ COUNTS = {
     "compare.folds": lambda v: compare_methods(_MULTI, ("uncalibrated",), folds=v),
     "compare.n_re": lambda v: compare_methods(_MULTI, ("uncalibrated",), n_re=v, n_te=50),
     "compare.n_te": lambda v: compare_methods(_MULTI, ("uncalibrated",), n_re=50, n_te=v),
+    "heuristic_lambda.n": lambda v: heuristic_lambda(v, 3),
+    "heuristic_lambda.num_bins": lambda v: heuristic_lambda(100, v),
 }
 
 # Each public boundary that takes a finite real, fed the bad value v.
@@ -648,14 +665,15 @@ def test_every_array_boundary_refuses_a_bad_array_by_name(call, value, what):
 
 
 def _bits(value):
-    """Every array's dtype, shape and bytes, and the repr of every other value, in value."""
+    """Every array's dtype, shape and bytes, and the repr of every other value, in value; a
+    string's repr is that of it as a str, so a numpy string reads as the same str."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if is_dataclass(value):
         return [_bits(getattr(value, f.name)) for f in fields(value)]
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
-    return repr(value)
+    return repr(str(value) if isinstance(value, str) else value)
 
 
 @pytest.mark.parametrize("b, form", [
@@ -680,3 +698,127 @@ def test_array_rule_keeps_a_float64_array_and_states_its_rule():
         _array([0.5, -math.inf], "a", finite=True)
     with pytest.raises(ValidationError, match=r"^a must be an array of real numbers: "):
         _array(np.array([0.5, 10**400], dtype=object), "a")  # past the float range
+
+
+def _named(table, v):
+    """table's entry for the name v, or its first entry when v is not one of its names."""
+    return table[v] if isinstance(v, str) and v in table else next(iter(table.values()))
+
+
+def _written(fmt="csv", mode="probs"):
+    """The bytes write_dump writes of a two-row set in fmt and mode, to a .csv path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dump(_TWO_ROWS, path, fmt, mode)
+        return path.read_bytes()
+
+
+_FIT = PbrConfig(mc_samples=1, j_final=2, max_iters=2)
+_FAMILY_PARAMS = {f: identity_params(f, 2) for f in FAMILIES}
+_MAP_1D_PARAMS = {"identity": (), "shift": (0.05,), "sine": (0.05, 2.0), "power": (2.0,)}
+_MAP_K_PARAMS = {"identity": (), "temperature": (2.0,), "mixture": (0.2,)}
+_SPECS = {"binary": _BINARY.to_dict(), "multiclass": _MULTI.to_dict()}
+_REPORTS = {
+    "convergence": lambda: convergence_experiment(_BINARY, _GRID, 20),
+    "klgap": lambda: kl_gap_experiment(_MULTI, (0.0, 1.0), replicates=1, n_re=20, cfg=_FIT),
+    "compare": lambda: compare_methods(_MULTI, ("temperature",), folds=2, n_re=20, n_te=20),
+}
+_CERTIFICATE = evaluate_bound(BoundKind.JointAccTce, _inputs(), 0.1).to_dict()
+_BOUND_KINDS = ", ".join(map(str, BoundKind))
+_KIND_VALUES = tuple(k.value for k in BoundKind)
+_FAMILY_NAMES = "temperature, vector_scale, affine"
+_METHOD_NAMES = "uncalibrated, temperature, pbr, pbr_total"
+
+# Each public boundary that takes a name from a fixed set: (call, its name in messages, the
+# choices as messages list them, the names it builds from). Each feeds call v for the name.
+CHOICES = {
+    "RecalMap": (lambda v: RecalMap(v, 2, _named(_FAMILY_PARAMS, v)), "family", _FAMILY_NAMES,
+                 FAMILIES),
+    "RecalMap.from_dict": (lambda v: RecalMap.from_dict(
+        {"family": v, "num_classes": 2, "params": list(_named(_FAMILY_PARAMS, v))}), "family",
+        _FAMILY_NAMES, FAMILIES),
+    "RecalMap.identity": (lambda v: RecalMap.identity(v, 3), "family", _FAMILY_NAMES, FAMILIES),
+    "param_dim": (lambda v: param_dim(v, 3), "family", _FAMILY_NAMES, FAMILIES),
+    "PbrConfig.family": (lambda v: PbrConfig(family=v), "family", _FAMILY_NAMES, FAMILIES),
+    "PbrConfig.from_dict.family": (lambda v: PbrConfig.from_dict({"family": v}), "family",
+                                   _FAMILY_NAMES, FAMILIES),
+    "PbrConfig.objective": (lambda v: PbrConfig(objective=v), "objective",
+                            "brier, brier_plus_loss", ("brier", "brier_plus_loss")),
+    "MiscalibrationMap1D": (lambda v: MiscalibrationMap1D(v, _named(_MAP_1D_PARAMS, v)),
+                            "map kind", "identity, shift, sine, power", tuple(_MAP_1D_PARAMS)),
+    "MiscalibrationMapK": (lambda v: MiscalibrationMapK(v, _named(_MAP_K_PARAMS, v)),
+                           "map kind", "identity, temperature, mixture", tuple(_MAP_K_PARAMS)),
+    "spec.map": (lambda v: spec_from_dict(
+        _BINARY.to_dict() | {"map": {"kind": v, "params": list(_named(_MAP_1D_PARAMS, v))}}),
+        "map kind", "identity, shift, sine, power", tuple(_MAP_1D_PARAMS)),
+    "ConfidenceLaw": (lambda v: ConfidenceLaw(v, 0.55, 0.95, 2.0, 3.0), "confidence law",
+                      "uniform, beta", ("uniform", "beta")),
+    "spec.law": (lambda v: spec_from_dict(
+        _BINARY.to_dict() | {"law": _BINARY.to_dict()["law"] | {"kind": v, "a": 2.0, "b": 3.0}}),
+        "confidence law", "uniform, beta", ("uniform", "beta")),
+    "spec_from_dict": (lambda v: spec_from_dict(_named(_SPECS, v) | {"kind": v}), "spec kind",
+                       "binary, multiclass", tuple(_SPECS)),
+    "write_dump.fmt": (lambda v: _written(fmt=v), "dump format", "csv, jsonl, npz",
+                       ("csv", "jsonl", "npz")),
+    "write_dump.mode": (lambda v: _written(mode=v), "dump mode", "probs, logits",
+                        ("probs", "logits")),
+    "fit_method": (lambda v: fit_method(v, _TWO_ROWS, _FIT, (0.5,), 0), "method", _METHOD_NAMES,
+                   ("uncalibrated", "temperature", "pbr", "pbr_total")),
+    "compare_methods": (lambda v: compare_methods(
+        _MULTI, (v,), folds=2, n_re=20, n_te=20, cfg=_FIT, alpha_grid=(0.5,)).to_json(),
+        "method", _METHOD_NAMES, ("uncalibrated", "temperature", "pbr", "pbr_total")),
+    "replay": (lambda v: replay(ExperimentReport(**{
+        **_named(_REPORTS, v)().to_dict(), "kind": v})).to_json(), "report kind",
+        "convergence, klgap, compare", tuple(_REPORTS)),
+    "evaluate_bound": (lambda v: evaluate_bound(v, _inputs(num_classes=3)), "bound kind",
+                       _BOUND_KINDS, tuple(BoundKind)),
+    "optimize_lambda": (lambda v: optimize_lambda(v, _inputs(num_classes=3)), "bound kind",
+                        _BOUND_KINDS, tuple(BoundKind)),
+    "mc_validate_bound": (lambda v: mc_validate_bound(v, _BINARY, 4, 0.05, 3), "bound kind",
+                          _BOUND_KINDS, _BIAS_1D),
+    "BoundCertificate.from_dict": (lambda v: BoundCertificate.from_dict(
+        _CERTIFICATE | {"bound_kind": v}), "bound kind", ", ".join(_KIND_VALUES), _KIND_VALUES),
+}
+
+
+def _bad_names(good):
+    """Values that are not one of the names, made from the valid name good."""
+    text = getattr(good, "value", good)
+    bad = {"unknown": "magic", "list": [good], "dict": {"name": good}, "none": None,
+           "array-1": np.array([text]), "array-2": np.array([text, "magic"])}
+    if isinstance(good, BoundKind):  # its string value where a BoundKind is due
+        bad["string-value"] = text
+    elif good in _KIND_VALUES:  # a BoundKind where its string value is due
+        bad["enum-member"] = BoundKind(good)
+    return bad
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, bad, rf"^unknown {what} {re.escape(repr(bad))}; "
+                            rf"choose from {re.escape(listed)}$", id=f"{b}-{kind}")
+    for b, (call, what, listed, names) in CHOICES.items()
+    for kind, bad in _bad_names(names[0]).items()
+    if (b, kind) != ("write_dump.fmt", "none")])  # no format is the one the suffix names
+def test_every_name_boundary_refuses_a_bad_name_and_lists_the_choices(call, value, message):
+    with pytest.raises(ValidationError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("b, name", [
+    pytest.param(b, name, id=f"{b}-{name}") for b in CHOICES for name in CHOICES[b][3]])
+def test_every_name_boundary_builds_each_name_alike_as_a_numpy_string(b, name):
+    call = CHOICES[b][0]
+    built = call(name)
+    if isinstance(name, str):
+        assert _bits(call(np.str_(name))) == _bits(built)
+
+
+def test_name_rule_keeps_a_name_and_lists_the_choices_as_written():
+    assert _choice("b", "letter", ("a", "b")) == "b"
+    assert _choice(BoundKind.GenRecal, "bound kind", tuple(BoundKind)) is BoundKind.GenRecal
+    with pytest.raises(ValidationError, match=r"^unknown letter 'c'; choose from a, b$"):
+        _choice("c", "letter", ("a", "b"))
+    with pytest.raises(ValidationError,
+                       match=r"^unknown bound kind 'gen_recal'; choose from BoundKind\.Total"):
+        _choice("gen_recal", "bound kind", tuple(BoundKind))
+

@@ -470,6 +470,17 @@ def test_npz_errors_are_validation_errors(tmp_path):
         load_dump(damaged)
 
 
+@pytest.mark.parametrize("member", ["probs", "labels"])
+def test_npz_member_that_needs_pickle_is_named(tmp_path, member):
+    arrays = {"probs": np.array([[0.6, 0.4], [0.5, 0.5]]), "labels": np.array([0, 1])}
+    arrays[member] = arrays[member].astype(object)
+    p = tmp_path / "object.npz"
+    np.savez(p, **arrays)
+    with pytest.raises(ValidationError,
+                       match=rf"^{p}: '{member}': Object arrays cannot be loaded when allow_pickle"):
+        load_dump(p)
+
+
 # ---------------------------------------------------------------- stats
 
 
@@ -810,6 +821,20 @@ def test_klgap_on_dump_records_path_and_replays(tmp_path, gen):
         replay(inline.to_dict())
 
 
+@pytest.mark.parametrize("source, message", [
+    ({}, r"^report source must hold exactly one of spec, dump or inline, got \[\]$"),
+    ({"spec": MULTI_SPEC.to_dict(), "inline": {"n": 120, "num_classes": 3}},
+     r"^report source must hold exactly one of spec, dump or inline, got \['inline', 'spec'\]$"),
+    ({"dump": ""}, r"^cannot infer dump format from ''$"),
+    ({"inline": {"n": 120, "num_classes": 3}},
+     r"^report source was an in-memory set; cannot replay$"),
+])
+def test_replay_reads_exactly_one_source(source, message):
+    report = make_report("compare", {"source": source, "methods": ["uncalibrated"]}, [], {})
+    with pytest.raises(ValidationError, match=message):
+        replay(report)
+
+
 def test_compare_methods_rejects_explicit_zero_split(gen):
     dump = random_prediction_set(gen, 200, 3)
     for source in (MULTI_SPEC, dump):
@@ -822,6 +847,13 @@ def test_compare_methods_rejects_explicit_zero_split(gen):
 def test_compare_methods_rejects_unknown_method():
     with pytest.raises(ValidationError):
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))
+
+
+@pytest.mark.parametrize("methods", ["pbr", None, 5])
+def test_compare_methods_refuses_methods_that_are_not_a_list(methods):
+    with pytest.raises(ValidationError,
+                       match=rf"^methods must be a list of names, got {methods!r}$"):
+        compare_methods(MULTI_SPEC, methods=methods)
 
 
 def test_compare_methods_rejects_a_repeated_method():
