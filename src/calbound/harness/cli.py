@@ -145,6 +145,7 @@ def _cmd_recalibrate(args) -> int:
         payload["kl"] = result.kl
         payload["final_objective"] = result.final_objective
         payload["steps"] = result.steps
+        payload["stop_reason"] = result.stop_reason
         payload["config"] = result.cfg.to_dict()
     _emit(payload, args.out)
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 import warnings
 import zipfile
@@ -249,6 +250,10 @@ def load_dump(path) -> PredictionDump:
     The suffix picks the format; the header (CSV) or the keys (JSON lines,
     npz) say whether the file holds probabilities or logits.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"dump path must be a str or path-like, got {path!r}")
+    if os.fspath(path) == "":  # Path("") would name the working directory
+        raise ValidationError("dump path is empty")
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such dump: {path}")

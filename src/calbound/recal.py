@@ -6,13 +6,16 @@ families are supported: a scalar temperature, a per-class scale-and-offset,
 and a full affine transform of the log-probabilities.
 
 Training follows a PAC-Bayes recipe: fit a diagonal Gaussian posterior over
-the map parameters by first-order descent on
+the map parameters by minimizing
 
     mean_j Brier(map(v_j) applied to data) + alpha * KL(posterior || prior) / n
 
 with v_j = mu + sigma * xi_j reparameterized draws, optionally adding the
-cross-entropy loss to the Brier term. The returned point map evaluates the
-posterior at the mean of j_final fresh samples.
+cross-entropy loss to the Brier term. The draws xi are one (mc_samples, d)
+matrix fixed for the whole fit, so the objective is a deterministic function of
+(mu, log sigma), and a quasi-Newton method (L-BFGS with Armijo backtracking)
+minimizes it. The returned point map evaluates the posterior at the mean of
+j_final fresh samples.
 
 The temperature family is carried internally as log(t) so that Gaussian
 posteriors cannot leave the valid domain; constructors and reports still speak
@@ -26,9 +29,10 @@ long one, so every softmax and per-row sum over K runs with the n rows as the
 contiguous inner loop. Public functions still take and return (n, K)
 probability rows.
 
-Past the scores, a step writes each (J, K, n) array once: the softmax overwrites
-the scores, and the residual, a copy of the probabilities, becomes the gradient
-with respect to the scores in place. Sums and chain rules are contractions in
+Past the scores, an evaluation writes each (J, K, n) array once: the softmax
+overwrites the scores, and the residual, a copy of the probabilities, becomes the
+gradient with respect to the scores in place (the cross-entropy objective adds one
+masked copy of the residual). Sums and chain rules are contractions in
 numpy's own ``einsum`` (no BLAS, so no dependence on the BLAS thread count; only
 the affine family's matmuls use BLAS), and the factors 2/n and 1/n scale the
 small (J, d) gradient, never a (J, K, n) array.
@@ -37,30 +41,32 @@ A family is one ``_FAMILIES`` row: identity vector, whose size is the parameter
 count, scores in that layout and their chain rule back to the parameters. Nothing
 else names a family, so a new one (a Gaussian process, say) adds a row and no branch.
 
-A training step does only its arithmetic. What a fit holds fixed (that layout,
-the prior's mean and variance, the family row, J, K and n) is built once, and
-the loop carries bare mu and log_sigma arrays. Step i draws from child stream i
-of the noise root through :meth:`Rng.stream_generators`, one Philox re-keyed per
-step.
+An objective evaluation does only its arithmetic. What a fit holds fixed (that
+layout, the prior's mean and variance, the family row, the draws, J, K and n) is
+built once, and the optimizer carries one bare vector x = (mu, log_sigma).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import (PredictionSet, Rng, ValidationError, _array, _choice, _count, _keys, _real,
-                   _seed, log_probs, row_sums, softmax)
+from .core import (PROB_FLOOR, PredictionSet, Rng, ValidationError, _array, _choice, _count,
+                   _keys, _real, _seed, log_probs, row_sums, softmax)
 
-# Stopping rule: quit when the best objective has not improved by more than
-# _TOL for _PATIENCE consecutive steps.
-_TOL = 1e-8
-_PATIENCE = 50
+# L-BFGS: curvature pairs kept, Armijo constant, halvings before a line search gives up,
+# and the two stops (max |gradient| below _GRAD_TOL, a relative fall of at most _FALL_TOL).
+_MEMORY = 10
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_GRAD_TOL = 1e-6
+_FALL_TOL = 1e-9
 
 
 class _Family(NamedTuple):
@@ -262,7 +268,13 @@ class GaussianPosterior:
 
 @dataclass(frozen=True)
 class PbrConfig:
-    """Knobs for the variational fit; defaults suit desk-scale experiments."""
+    """Knobs for the variational fit; defaults suit desk-scale experiments.
+
+    mc_samples is the number of posterior draws in the fixed draw matrix the
+    objective averages over, max_iters caps the optimizer's iterations, and
+    j_final is the number of fresh draws the returned map averages. step_size
+    and step_decay are checked and recorded but not read by the fit.
+    """
 
     family: str = "temperature"
     alpha: float = 0.25
@@ -319,7 +331,7 @@ class _Fit(NamedTuple):
     prior_mu: np.ndarray
     prior_var: np.ndarray
     family: _Family
-    j: int  # draws per step
+    j: int  # draws per evaluation
     k: int
     n: int
 
@@ -337,7 +349,9 @@ def _step(
 
     The residual p - onehot is a copy of p with 1 taken off each label cell, and
     (resid - <p, resid>) * p, the Brier gradient with respect to the scores over 2/n,
-    overwrites it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
+    overwrites it. The cross-entropy's gradient is the residual itself, except where the
+    label probability is below PROB_FLOOR: the floored loss is flat there. The KL is
+    _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
     """
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
@@ -350,8 +364,9 @@ def _step(
     inner = np.einsum("jkn,jkn->jn", p, resid)
     g_loss = 0.0
     if cfg.objective == "brier_plus_loss":
-        value -= np.add.reduce(log_probs(p.reshape(fit.j, -1)[:, fit.label_at]), axis=None)
-        g_loss = fit.family.grad(resid, fit.zt, vs)
+        picked = p.reshape(fit.j, -1)[:, fit.label_at]
+        value -= np.add.reduce(log_probs(picked), axis=None)
+        g_loss = fit.family.grad(resid * (picked >= PROB_FLOOR)[:, None, :], fit.zt, vs)
     resid -= inner[:, None, :]
     resid *= p
     g_vs = (2.0 * fit.family.grad(resid, fit.zt, vs) + g_loss) / fit.n
@@ -395,14 +410,82 @@ def pbr_gradient(
     return np.concatenate(_checked_step(posterior, prior, data, cfg, rng)[3:])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return np.einsum("i,i->", a, b)  # not BLAS's ddot, whose summing order varies by CPU
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H g from the stored (s, y, 1 / s.y) pairs, oldest first."""
+    q = g.copy()
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        coefs.append(rho * _dot(s, q))
+        q -= coefs[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= _dot(s, y) / _dot(y, y)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        q += (a - rho * _dot(y, q)) * s
+    return -q
+
+
+def _lbfgs(f: Callable, x: np.ndarray, max_iters: int) -> tuple:
+    """Minimize f from x by L-BFGS with Armijo backtracking.
+
+    f(x) returns (value, gradient, row). Each line search starts at the step 1,
+    or min(1, 1 / max|g|) along -g while no curvature pair is kept, and halves it
+    until the trial is finite and falls enough. Floating-point warnings are off
+    throughout: a trial may overflow, and the search rejects it. Each iteration
+    appends (value, *row, max|g|, step) at the point it accepts. Returns that
+    point, its value, the stop reason and the rows.
+    """
+    with np.errstate(all="ignore"):
+        value, g, _ = f(x)
+        if not (math.isfinite(value) and np.isfinite(g).all()):
+            raise RuntimeError(f"objective is not finite at the start ({value})")
+        pairs, rows = deque(maxlen=_MEMORY), []
+        g_max = np.abs(g).max()
+        for _ in range(max_iters):
+            if g_max < _GRAD_TOL:
+                return x, value, "converged", rows
+            d = _two_loop(g, pairs)
+            slope = _dot(g, d)
+            if not slope < 0.0:  # rounding has spoilt the curvature pairs; restart from -g
+                pairs.clear()
+                d, slope = -g, -_dot(g, g)
+            step = 1.0 if pairs else min(1.0, 1.0 / g_max)
+            for _ in range(_HALVINGS):
+                trial = x + step * d
+                new, g_new, row = f(trial)
+                if (math.isfinite(new) and new <= value + step * (_ARMIJO * slope)
+                        and np.isfinite(g_new).all()):
+                    break
+                step /= 2.0
+            else:
+                return x, value, "line_search_failed", rows
+            s, y = trial - x, g_new - g
+            sy = _dot(s, y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+            stalled = value - new <= _FALL_TOL * abs(value)
+            x, value, g, g_max = trial, new, g_new, np.abs(g_new).max()
+            rows.append((value, *row, g_max, step))
+            if stalled:
+                return x, value, "stalled", rows
+    return x, value, "converged" if g_max < _GRAD_TOL else "max_iters", rows
+
+
 @dataclass(frozen=True)
 class PbrResult:
     """Outcome of :func:`train_pbr`, with the config it was fitted with.
 
-    stop_reason is "patience" when the best objective stopped improving and
-    "max_iters" when the step budget ran out; best_step is the 0-based step
-    whose objective last improved the best value by more than the tolerance.
-    The read-only traces hold each step's objective, KL and mean posterior sigma.
+    steps counts the optimizer's iterations. stop_reason is "converged" when
+    max |gradient| fell below 1e-6, "stalled" when an iteration lowered the
+    objective by at most 1e-9 relative, "line_search_failed" when no halved
+    step lowered it enough, and "max_iters" when the iteration budget ran out.
+    The read-only traces hold one value per iteration, at the point it
+    accepted: the objective, the KL, the mean posterior sigma, max |gradient|
+    and the accepted step length.
     """
 
     posterior: GaussianPosterior
@@ -411,11 +494,12 @@ class PbrResult:
     final_objective: float
     steps: int
     stop_reason: str
-    best_step: int
     cfg: PbrConfig
     trace_objective: np.ndarray = field(repr=False)
     trace_kl: np.ndarray = field(repr=False)
     trace_mean_sigma: np.ndarray = field(repr=False)
+    trace_grad_norm: np.ndarray = field(repr=False)
+    trace_step: np.ndarray = field(repr=False)
 
     @property
     def kl(self) -> float:
@@ -423,56 +507,31 @@ class PbrResult:
 
 
 def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
-    """Fit the posterior by plain gradient descent with geometric step decay.
+    """Fit the posterior by L-BFGS on the objective under one fixed draw matrix.
 
-    Deterministic given (data, cfg): per-step noise comes from child streams
-    of cfg.seed, and the returned map evaluates the family at the mean of
-    j_final fresh posterior samples.
-
-    The result holds the last iterate, not the best one: the posterior is
-    where descent stopped, and final_objective is the Monte Carlo objective
-    of the last step taken. On a patience stop that is the returned
-    posterior's own objective; on a max_iters stop the posterior has taken
-    that step's update as well. Each step's objective uses fresh draws, so the
-    lowest value seen (at best_step) is partly noise and is not returned.
+    Deterministic given (data, cfg): the cfg.mc_samples draws come from stream 0
+    of cfg.seed, the fit starts at the prior, and the returned map evaluates the
+    family at the mean of j_final posterior samples from stream 1. The result
+    holds the last accepted point; final_objective is its objective, which is
+    trace_objective[-1] whenever the fit took a step.
     """
     prior = _default_prior(cfg, data.num_classes)
     fit = _fit_constants(data, prior, cfg)
-    mu, log_sigma = prior.mu, prior.log_sigma
-    noise = Rng(cfg.seed).stream(0).stream_generators(range(cfg.max_iters))
+    d = prior.dim
+    xi = _draws(Rng(cfg.seed).stream(0), fit.j, d)
 
-    best = math.inf
-    best_step = 0
-    value = math.inf
-    steps = 0
-    stop_reason = "max_iters"
-    trace = []
-    for i, draws in enumerate(noise):
-        xi = draws.standard_normal((fit.j, mu.size))
-        value, kl, sigma, g_mu, g_log_sigma = _step(mu, log_sigma, fit, cfg, xi)
-        if not math.isfinite(value):
-            raise RuntimeError(
-                f"objective became non-finite at step {i} (family={cfg.family}, "
-                f"alpha={cfg.alpha}, step_size={cfg.step_size})"
-            )
-        trace.append((value, kl, np.add.reduce(sigma) / sigma.size))
-        steps = i + 1
-        if value < best - _TOL:
-            best = value
-            best_step = i
-        elif i - best_step >= _PATIENCE:
-            stop_reason = "patience"
-            break
-        lr = cfg.step_size * cfg.step_decay**i
-        mu = mu - lr * g_mu
-        log_sigma = log_sigma - lr * g_log_sigma
+    def objective(x):
+        value, kl, sigma, g_mu, g_log_sigma = _step(x[:d], x[d:], fit, cfg, xi)
+        return value, np.concatenate([g_mu, g_log_sigma]), (kl, np.add.reduce(sigma) / d)
 
-    posterior = GaussianPosterior(mu, log_sigma)
+    x, value, stop_reason, rows = _lbfgs(
+        objective, np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
+    posterior = GaussianPosterior(x[:d], x[d:])
     final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
-    traces = np.array(trace, dtype=float).T.copy()
+    traces = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
     traces.setflags(write=False)
-    return PbrResult(posterior, fitted, prior, float(value), steps, stop_reason, best_step, cfg,
+    return PbrResult(posterior, fitted, prior, float(value), len(rows), stop_reason, cfg,
                      *traces)
 
 

@@ -293,6 +293,8 @@ def test_recalibrate_pbr_prints_a_direct_fit(tmp_path, gen, capsys, method, obje
     assert payload["kl"] == result.kl
     assert payload["final_objective"] == result.final_objective
     assert payload["steps"] == result.steps
+    assert payload["stop_reason"] == result.stop_reason
+    assert payload["stop_reason"] in ("converged", "stalled", "line_search_failed", "max_iters")
     assert payload["config"] == cfg.to_dict()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import json
 import math
 import tracemalloc
@@ -198,6 +199,17 @@ def test_unknown_suffix_is_refused(tmp_path):
 def test_missing_file_is_validation_error(tmp_path):
     with pytest.raises(ValidationError):
         load_dump(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", r"^dump path is empty$"),
+    (5, r"^dump path must be a str or path-like, got 5$"),
+    (None, r"^dump path must be a str or path-like, got None$"),
+    (b"d.csv", r"^dump path must be a str or path-like, got b'd.csv'$"),
+])
+def test_a_dump_path_that_names_no_file_is_refused(path, message):
+    with pytest.raises(ValidationError, match=message):
+        load_dump(path)
 
 
 # A fixed 3x3 set and the exact bytes each text format holds for it.
@@ -562,7 +574,7 @@ def test_klgap_report_is_pinned():
     # a change to the fits or to either statistic moves it.
     rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5, 1.0), replicates=2, n_re=60)
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
-    assert digest == "e54dac028fd35de364f9cb36f4a883fd1bd114689954d9c68f817e5132415f93"
+    assert digest == "df476aec251f9722f37c868ddc1dd042ddd8a37463317c8880cd44745718ffb0"
 
 
 def test_loglog_slope_recovers_exact_power_law():
@@ -619,6 +631,7 @@ def test_report_cells_csv_takes_union_of_keys():
 BIN_SPEC = BinarySpec(
     ConfidenceLaw.uniform(0.55, 0.95), MiscalibrationMap1D.sine(0.15, 2.0), 100, Rng(3)
 )
+EXAMPLE_DUMP = importlib.resources.files("calbound") / "data" / "example_logits.csv"
 MULTI_SPEC = MulticlassSpec(3, (1.0, 1.0, 1.0), MiscalibrationMapK.mixture(0.2), 100, Rng(4))
 
 
@@ -825,7 +838,9 @@ def test_klgap_on_dump_records_path_and_replays(tmp_path, gen):
     ({}, r"^report source must hold exactly one of spec, dump or inline, got \[\]$"),
     ({"spec": MULTI_SPEC.to_dict(), "inline": {"n": 120, "num_classes": 3}},
      r"^report source must hold exactly one of spec, dump or inline, got \['inline', 'spec'\]$"),
-    ({"dump": ""}, r"^cannot infer dump format from ''$"),
+    ({"dump": ""}, r"^dump path is empty$"),
+    ({"dump": 5}, r"^dump path must be a str or path-like, got 5$"),
+    ({"dump": ["d.csv"]}, r"^dump path must be a str or path-like, got \['d.csv'\]$"),
     ({"inline": {"n": 120, "num_classes": 3}},
      r"^report source was an in-memory set; cannot replay$"),
 ])
@@ -833,6 +848,26 @@ def test_replay_reads_exactly_one_source(source, message):
     report = make_report("compare", {"source": source, "methods": ["uncalibrated"]}, [], {})
     with pytest.raises(ValidationError, match=message):
         replay(report)
+
+
+@pytest.mark.parametrize("source, family", [
+    ("dump", "vector_scale"), ("spec", "vector_scale"), ("spec", "affine"),
+])
+def test_pbr_fits_beat_uncalibrated_on_held_out_ece(source, family):
+    # The bundled dump (n_re = 100, n_te = 400) and a 10-class spec overconfident
+    # by t = 2 (n_re = 1000, n_te = 5000), 3 folds, alpha 0.25. Affine on the dump
+    # is left out: with the default prior it overfits 100 rows.
+    if source == "dump":
+        source, split = load_dump(str(EXAMPLE_DUMP)), {}
+    else:
+        source = MulticlassSpec(10, (0.3,) * 10, MiscalibrationMapK.temperature(2.0), 1000,
+                                Rng(0))
+        split = {"n_re": 1000, "n_te": 5000}
+    rep = compare_methods(source, methods=("uncalibrated", "pbr", "pbr_total"), folds=3,
+                          cfg=PbrConfig(family=family), alpha_grid=(0.25,), seed=0, **split)
+    ece = {m: stats["ece"]["mean"] for m, stats in rep.summary["by_method"].items()}
+    assert ece["pbr"] < ece["uncalibrated"]
+    assert ece["pbr_total"] < ece["uncalibrated"]
 
 
 def test_compare_methods_rejects_explicit_zero_split(gen):
