@@ -1,5 +1,5 @@
 """Shared value types (prediction sets, seeded RNG streams), the floored log and softmax,
-and the rules every boundary checks: a count, a finite real, an array, a name and an object's keys.
+and the rules every boundary checks: a count, a finite real, an array, a name, keys and a type.
 
 :meth:`PredictionSet.from_probs` is the one checked constructor: it takes
 input from outside the package (loaded dumps, user maps, user code). It
@@ -115,6 +115,13 @@ def _keys(d, what: str, required=(), optional=()) -> dict:
         if key not in required and key not in optional:
             raise ValidationError(f"unknown {what} key {key!r}")
     return d
+
+
+def _optional(value, what: str, cls):
+    """value, when it is None or a cls; anything else is a ValidationError that names what."""
+    if value is None or isinstance(value, cls):
+        return value
+    raise ValidationError(f"{what} must be a {cls.__name__} or None, got {type(value).__name__}")
 
 
 def _splitmix64(x: int) -> int:

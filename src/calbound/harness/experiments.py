@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..bounds import _chunks
-from ..core import PredictionSet, Rng, ValidationError, _choice, _count, _keys, _real, _seed
+from ..core import (PredictionSet, Rng, ValidationError, _choice, _count, _keys, _optional, _real,
+                    _seed)
 from ..ece import (_ece_full_k_sets, _ece_top_label_sets, ece_gap, ece_top_label, optimal_bins_1d,
                    optimal_bins_per_dim)
 from ..recal import (
@@ -121,9 +122,7 @@ def convergence_experiment(
     multiclass specs use the Monte Carlo oracle and the full L1 estimator
     with bin_rule counting bins per dimension.
     """
-    n_grid = [_count(n, "n_grid entry") for n in n_grid]
-    if len(n_grid) < 4:
-        raise ValidationError("n_grid needs at least 4 points")
+    n_grid = [_count(n, "n_grid entry") for n in _sequence(n_grid, "n_grid", 4)]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValidationError("n_grid must be strictly ascending")
     if n_grid[-1] < _MIN_SPAN * n_grid[0]:
@@ -199,11 +198,18 @@ def _split_source(
     return source.subset(order[:n_re]), source.subset(order[n_re : n_re + n_te])
 
 
+def _sequence(value, what: str, minimum: int):
+    """value, when it is a list, a tuple or a 1-D array of at least minimum entries."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise ValidationError(f"{what} must be a list, tuple or 1-D array, got {value!r}")
+    if len(value) < minimum:
+        raise ValidationError(f"{what} needs at least {minimum} value{'s' * (minimum > 1)}")
+    return value
+
+
 def _alpha_grid(alpha_grid: Sequence[float], minimum: int) -> list[float]:
     """The grid's KL weights as floats, each finite and >= 0; at least minimum of them."""
-    if len(alpha_grid) < minimum:
-        raise ValidationError(f"alpha grid needs at least {minimum} value{'s' * (minimum > 1)}")
-    return [_real(a, "alpha", ">= 0") for a in alpha_grid]
+    return [_real(a, "alpha", ">= 0") for a in _sequence(alpha_grid, "alpha grid", minimum)]
 
 
 def _fit_at_alpha(
@@ -266,7 +272,7 @@ def kl_gap_experiment(
     alpha_grid = _alpha_grid(alpha_grid, 2)
     replicates, n_re = _count(replicates, "replicates"), _count(n_re, "n_re")
     seed = _seed(seed, "seed")
-    cfg = cfg or PbrConfig()
+    cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     cfgs = [replace(cfg, alpha=a) for a in alpha_grid]
     bins = optimal_bins_1d(n_re)
 
@@ -346,15 +352,11 @@ def compare_methods(
     source, source_config = _as_source(source)
     folds = _count(folds, "folds", 2)
     seed = _seed(seed, "seed")
-    if isinstance(methods, str) or not hasattr(methods, "__iter__"):
-        raise ValidationError(f"methods must be a list of names, got {methods!r}")
-    methods = [_choice(m, "method", METHODS) for m in methods]
+    methods = [_choice(m, "method", METHODS) for m in _sequence(methods, "methods", 1)]
     if len(set(methods)) < len(methods):
         raise ValidationError(f"methods repeat: {list(methods)}")
-    if not methods:
-        raise ValidationError("need at least one method")
     alpha_grid = _alpha_grid(alpha_grid, 1)  # checked whatever the methods, before any cell
-    cfg = cfg or PbrConfig()
+    cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
 
     if isinstance(source, (BinarySpec, MulticlassSpec)):
         n_re = 1000 if n_re is None else n_re

@@ -15,7 +15,8 @@ cross-entropy loss to the Brier term. The draws xi are one (mc_samples, d)
 matrix fixed for the whole fit, so the objective is a deterministic function of
 (mu, log sigma), and a quasi-Newton method (L-BFGS with Armijo backtracking)
 minimizes it. The returned point map evaluates the posterior at the mean of
-j_final fresh samples.
+j_final fresh samples. Temperature scaling (Guo et al., ICML 2017) is the point
+fit of the temperature family under the cross-entropy, by the same L-BFGS.
 
 The temperature family is carried internally as log(t) so that Gaussian
 posteriors cannot leave the valid domain; constructors and reports still speak
@@ -42,8 +43,8 @@ count, scores in that layout and their chain rule back to the parameters. Nothin
 else names a family, so a new one (a Gaussian process, say) adds a row and no branch.
 
 An objective evaluation does only its arithmetic. What a fit holds fixed (that
-layout, the prior's mean and variance, the family row, the draws, J, K and n) is
-built once, and the optimizer carries one bare vector x = (mu, log_sigma).
+layout, the prior's mean and variance, the family row, the draws, J, K, n and alpha)
+is built once, and the optimizer carries one bare vector x = (mu, log_sigma).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
 from .core import (PROB_FLOOR, PredictionSet, Rng, ValidationError, _array, _choice, _count,
-                   _keys, _real, _seed, log_probs, row_sums, softmax)
+                   _keys, _optional, _real, _seed, log_probs, row_sums, softmax)
 
 # L-BFGS: curvature pairs kept, Armijo constant, halvings before a line search gives up,
 # and the two stops (max |gradient| below _GRAD_TOL, a relative fall of at most _FALL_TOL).
@@ -67,6 +68,8 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 _GRAD_TOL = 1e-6
 _FALL_TOL = 1e-9
+
+_LOG_T_RANGE = (-5.0, 5.0)  # temperature scaling clips log(t) to it
 
 
 class _Family(NamedTuple):
@@ -297,6 +300,7 @@ class PbrConfig:
         object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
         object.__setattr__(self, "seed", _seed(self.seed, "seed"))
         _choice(self.objective, "objective", ("brier", "brier_plus_loss"))
+        _optional(self.prior, "prior", GaussianPosterior)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -324,7 +328,7 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
 
 
 class _Fit(NamedTuple):
-    """Per-fit constants: the data in the class-major layout, the prior and the family row."""
+    """Per-fit constants: the class-major data, the prior, the family row and the objective."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
     label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
@@ -334,17 +338,18 @@ class _Fit(NamedTuple):
     j: int  # draws per evaluation
     k: int
     n: int
+    alpha: float
+    loss: bool  # brier_plus_loss: the cross-entropy joins the Brier term
 
 
 def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
     return _Fit(zt, data.labels * data.n + np.arange(data.n), prior.mu, prior.sigma**2,
-                _FAMILIES[cfg.family], cfg.mc_samples, data.num_classes, data.n)
+                _FAMILIES[cfg.family], cfg.mc_samples, data.num_classes, data.n, cfg.alpha,
+                cfg.objective == "brier_plus_loss")
 
 
-def _step(
-    mu: np.ndarray, log_sigma: np.ndarray, fit: _Fit, cfg: PbrConfig, xi: np.ndarray
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+def _step(mu: np.ndarray, log_sigma: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
     """Objective, its KL, sigma and the exact gradient over (mu, log_sigma) for fixed draws.
 
     The residual p - onehot is a copy of p with 1 taken off each label cell, and
@@ -363,7 +368,7 @@ def _step(
     value = np.einsum("jkn,jkn->", resid, resid)
     inner = np.einsum("jkn,jkn->jn", p, resid)
     g_loss = 0.0
-    if cfg.objective == "brier_plus_loss":
+    if fit.loss:
         picked = p.reshape(fit.j, -1)[:, fit.label_at]
         value -= np.add.reduce(log_probs(picked), axis=None)
         g_loss = fit.family.grad(resid * (picked >= PROB_FLOOR)[:, None, :], fit.zt, vs)
@@ -375,17 +380,17 @@ def _step(
 
     var, var_p = sigma**2, fit.prior_var
     kl = _kl_gaussian_diag(mu, var, fit.prior_mu, var_p)
-    value = float(value / (fit.n * fit.j) + cfg.alpha * kl / fit.n)
+    value = float(value / (fit.n * fit.j) + fit.alpha * kl / fit.n)
 
-    g_mu = g_mu + cfg.alpha / fit.n * (mu - fit.prior_mu) / var_p
-    g_log_sigma = g_log_sigma + cfg.alpha / fit.n * (var / var_p - 1.0)
+    g_mu = g_mu + fit.alpha / fit.n * (mu - fit.prior_mu) / var_p
+    g_log_sigma = g_log_sigma + fit.alpha / fit.n * (var / var_p - 1.0)
     return value, kl, sigma, g_mu, g_log_sigma
 
 
 def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
     posterior.kl_to(prior)  # kl_gaussian_diag checks shapes, means and variances
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _step(posterior.mu, posterior.log_sigma, _fit_constants(data, prior, cfg), cfg, xi)
+    return _step(posterior.mu, posterior.log_sigma, _fit_constants(data, prior, cfg), xi)
 
 
 def pbr_objective(
@@ -521,7 +526,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     xi = _draws(Rng(cfg.seed).stream(0), fit.j, d)
 
     def objective(x):
-        value, kl, sigma, g_mu, g_log_sigma = _step(x[:d], x[d:], fit, cfg, xi)
+        value, kl, sigma, g_mu, g_log_sigma = _step(x[:d], x[d:], fit, xi)
         return value, np.concatenate([g_mu, g_log_sigma]), (kl, np.add.reduce(sigma) / d)
 
     x, value, stop_reason, rows = _lbfgs(
@@ -535,37 +540,30 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
                      *traces)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section search bracket for log(t), and the bracket width where it stops.
-_LOG_T_RANGE = (-5.0, 5.0)
-_LOG_T_TOL = 1e-6
-
-
 def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
-    """Classic single-temperature fit minimizing the cross-entropy.
+    """Temperature scaling: the point fit of the temperature family under the cross-entropy.
 
-    Golden-section search over log(t); data whose labels are all one class
-    has no interior optimum, so it falls back to t = 1 with a warning.
+    train_pbr's L-BFGS minimizes the mean -log softmax(z / t)[label], z the floored
+    log-probabilities, over log(t) from 0, clipped to _LOG_T_RANGE, [-5, 5]. That log is not
+    floored: the floor's kink would stall the fit at t = 1 on saturated rows. Labels all of
+    one class fall back to t = 1 with a warning.
     """
     if np.unique(data.labels).size < 2:
         warnings.warn("all labels identical; temperature fit falls back to t=1")
         return RecalMap.temperature(1.0, data.num_classes)
+    zt = np.ascontiguousarray(log_probs(data.probs).T)
+    label_at = data.labels * data.n + np.arange(data.n)
 
-    def nll(log_t):
-        m = RecalMap("temperature", data.num_classes, np.array([log_t]))
-        return softmax_cross_entropy(recalibrate_set(m, data))
+    def nll(v):  # a trial step may overflow exp(-v); _lbfgs rejects the non-finite value
+        s = np.exp(-v[0])
+        scores = zt * s
+        scores -= scores.max(axis=0)
+        resid = np.exp(scores)
+        norm = np.add.reduce(resid)
+        resid /= norm  # p, then p - onehot, whose contraction with zt is dNLL/ds
+        resid.reshape(-1)[label_at] -= 1.0
+        value = np.add.reduce(np.log(norm) - scores.reshape(-1)[label_at]) / data.n
+        return value, -s * np.einsum("kn,kn->", resid, zt)[None] / data.n, ()
 
-    lo, hi = _LOG_T_RANGE
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = nll(x1), nll(x2)
-    while hi - lo > _LOG_T_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = nll(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = nll(x2)
-    return RecalMap("temperature", data.num_classes, np.array([(lo + hi) / 2.0]))
+    log_t = _lbfgs(nll, np.zeros(1), PbrConfig.max_iters)[0]
+    return RecalMap("temperature", data.num_classes, np.clip(log_t, *_LOG_T_RANGE))

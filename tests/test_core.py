@@ -781,6 +781,29 @@ CHOICES = {
 }
 
 
+# Each public boundary that takes an object of one type or None: (call, its name in
+# messages, a valid object). Each feeds call v in place of the object.
+OPTIONALS = {
+    "PbrConfig.prior": (lambda v: PbrConfig(prior=v), "prior", GaussianPosterior.at(np.zeros(1))),
+    "klgap.cfg": (lambda v: kl_gap_experiment(_MULTI, (0.0, 1.0), replicates=1, n_re=20, cfg=v),
+                  "cfg", _FIT),
+    "compare.cfg": (lambda v: compare_methods(_MULTI, ("temperature",), folds=2, n_re=20,
+                                              n_te=20, cfg=v), "cfg", _FIT),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, bad, rf"^{what} must be a {type(good).__name__} or None, "
+                            rf"got {type(bad).__name__}$", id=f"{b}-{kind}")
+    for b, (call, what, good) in OPTIONALS.items()
+    for kind, bad in {"empty-dict": {}, "string": "x", "its-dict": good.to_dict(),
+                      "other-type": _TWO_ROWS}.items()])
+def test_every_typed_boundary_refuses_another_type_by_name(call, value, message):
+    # the experiments refuse it before any cell, which would raise ExperimentCellError
+    with pytest.raises(ValidationError, match=message):
+        call(value)
+
+
 def _bad_names(good):
     """Values that are not one of the names, made from the valid name good."""
     text = getattr(good, "value", good)

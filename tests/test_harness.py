@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import zipfile
@@ -713,6 +714,9 @@ def test_convergence_validates_grid():
         convergence_experiment(BIN_SPEC, [200, 400, 800, 1000], seeds=20)  # span < 10^1.5
     with pytest.raises(ValidationError):
         convergence_experiment(BIN_SPEC, GRID, seeds=19)  # too few seeds
+    for grid in (5, None, np.array(GRID)[None]):
+        with pytest.raises(ValidationError, match="^n_grid must be a list, tuple or 1-D array"):
+            convergence_experiment(BIN_SPEC, grid, seeds=20)
 
 
 @pytest.mark.parametrize("spec", [BIN_SPEC, MULTI_SPEC], ids=["binary", "multiclass"])
@@ -884,10 +888,12 @@ def test_compare_methods_rejects_unknown_method():
         compare_methods(MULTI_SPEC, methods=("uncalibrated", "magic"))
 
 
-@pytest.mark.parametrize("methods", ["pbr", None, 5])
+@pytest.mark.parametrize("methods", ["pbr", None, 5, {"pbr"}, ()])
 def test_compare_methods_refuses_methods_that_are_not_a_list(methods):
-    with pytest.raises(ValidationError,
-                       match=rf"^methods must be a list of names, got {methods!r}$"):
+    # a set has no order to give the cells, so it is refused with the others
+    message = ("^methods needs at least 1 value$" if methods == () else
+               rf"^methods must be a list, tuple or 1-D array, got {re.escape(repr(methods))}$")
+    with pytest.raises(ValidationError, match=message):
         compare_methods(MULTI_SPEC, methods=methods)
 
 
@@ -905,6 +911,9 @@ def test_compare_methods_rejects_a_repeated_method():
     pytest.param(("0.5", 1.0), "alpha must be finite", id="string"),
     pytest.param((True, 1.0), "alpha must be finite", id="bool"),
     pytest.param((), "alpha grid needs at least", id="empty"),
+    pytest.param(0.5, r"^alpha grid must be a list, tuple or 1-D array, got 0.5$", id="float"),
+    pytest.param(None, r"^alpha grid must be a list, tuple or 1-D array, got None$", id="none"),
+    pytest.param(np.zeros((1, 2)), "alpha grid must be a list, tuple or 1-D array", id="2-d"),
 ])
 @pytest.mark.parametrize("experiment", ["klgap", "compare", "compare-no-pbr"])
 def test_bad_alpha_grid_fails_before_any_cell(monkeypatch, experiment, grid, match):

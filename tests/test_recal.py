@@ -1,12 +1,16 @@
+import importlib.resources
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from calbound import (
     GaussianPosterior,
+    MiscalibrationMapK,
+    MulticlassSpec,
     PbrConfig,
     PredictionSet,
     RecalMap,
@@ -23,6 +27,8 @@ from calbound import (
 )
 from calbound.core import PROB_FLOOR, log_probs, softmax
 import calbound.recal as recal
+from calbound.harness import load_dump
+from calbound.harness.experiments import _split_source
 from calbound.recal import _FAMILIES, FAMILIES, _lbfgs, identity_params, param_dim
 from tests.conftest import random_prediction_set
 
@@ -524,9 +530,9 @@ def test_train_pbr_stops_where_the_row_major_loop_stops(gen, family, objective):
 def test_train_pbr_evaluates_every_point_at_one_fixed_draw_matrix(gen, monkeypatch, seed):
     draws = []
 
-    def record(mu, log_sigma, fit, cfg, xi):
+    def record(mu, log_sigma, fit, xi):
         draws.append(xi.copy())
-        return real_step(mu, log_sigma, fit, cfg, xi)
+        return real_step(mu, log_sigma, fit, xi)
 
     real_step = recal._step
     monkeypatch.setattr(recal, "_step", record)
@@ -575,7 +581,7 @@ def test_train_pbr_reports_why_it_stopped(gen):
 
 def test_train_pbr_reports_a_line_search_that_finds_no_fall(gen, monkeypatch):
     # a stand-in objective whose gradient points uphill: no halved step lowers it
-    def uphill(mu, log_sigma, fit, cfg, xi):
+    def uphill(mu, log_sigma, fit, xi):
         value = float(np.sum(mu**2) + np.sum(log_sigma**2))
         return value, 0.0, np.exp(log_sigma), -2.0 * mu - 1.0, -2.0 * log_sigma - 1.0
 
@@ -696,18 +702,127 @@ def test_train_pbr_zero_alpha_ignores_prior(gen):
     assert res.final_objective <= brier_score(data) + 0.05
 
 
-def test_temperature_scaling_recovers_distortion():
+def _sharpened():
+    """Calibrated 3-class reports squared and renormalized: overconfident by t = 2."""
     gen = np.random.default_rng(42)
     probs = gen.dirichlet(np.ones(3), 4000)
     u = gen.uniform(size=4000)
     labels = np.minimum((u[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
-    # report sharpened probabilities; the fit should undo the sharpening
     sharp = probs ** 2.0
     sharp /= sharp.sum(axis=1, keepdims=True)
-    data = PredictionSet.from_probs(sharp, labels)
+    return PredictionSet.from_probs(sharp, labels)
+
+
+def test_temperature_scaling_recovers_distortion():
+    # the fit should undo the sharpening
+    data = _sharpened()
     m = temperature_scaling_fit(data)
     assert 1.6 <= m.t <= 2.4
     assert softmax_cross_entropy(recalibrate_set(m, data)) <= softmax_cross_entropy(data)
+
+
+def _reference_temperature_fit(data):
+    """Temperature scaling by golden-section search over log(t) in [-5, 5], down to a
+    bracket 1e-6 wide; a tie keeps the lower half."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def nll(log_t):
+        return _nll(RecalMap("temperature", data.num_classes, np.array([log_t])), data)
+
+    lo, hi = -5.0, 5.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = nll(x1), nll(x2)
+    while hi - lo > 1e-6:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = nll(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = nll(x2)
+    return RecalMap("temperature", data.num_classes, np.array([(lo + hi) / 2.0]))
+
+
+def _nll(recal_map, data):
+    return softmax_cross_entropy(recalibrate_set(recal_map, data))
+
+
+def _dump_fold(fold):
+    """compare_methods' fit set of fold on the bundled dump: 100 of its 500 rows."""
+    dump = load_dump(str(importlib.resources.files("calbound") / "data" / "example_logits.csv"))
+    return _split_source(dump.data, 100, 400, fold, 0)[0]
+
+
+def _spec_fold(fold):
+    """A fit set of 1000 rows from a 5-class spec overconfident by t = 2."""
+    spec = MulticlassSpec(5, (1.0,) * 5, MiscalibrationMapK.temperature(2.0), 1000, Rng(6, 0))
+    return _split_source(spec, 1000, 1000, fold, 0)[0]
+
+
+def _one_hot(n, k, wrong):
+    """n one-hot rows over k classes, a share wrong of them labelled another class: every
+    label probability is 1 or 0, at or below PROB_FLOOR."""
+    gen = np.random.default_rng(3)
+    top = gen.integers(0, k, n)
+    labels = top.copy()
+    moved = np.arange(n) < round(wrong * n)
+    labels[moved] = (top[moved] + gen.integers(1, k, moved.sum())) % k
+    return PredictionSet.from_probs(np.eye(k)[top], labels)
+
+
+TEMPERATURE_SETS = {
+    **{f"dump-fold-{f}": partial(_dump_fold, f) for f in range(3)},
+    **{f"spec-fold-{f}": partial(_spec_fold, f) for f in range(3)},
+    "sharpened": _sharpened,
+    "one-hot-20%-wrong": partial(_one_hot, 200, 10, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", TEMPERATURE_SETS)
+def test_temperature_scaling_matches_the_golden_section_reference(monkeypatch, name):
+    evaluations = []
+
+    def counted(f, x, max_iters):
+        def objective(x):
+            evaluations.append(None)
+            return f(x)
+
+        return real_lbfgs(objective, x, max_iters)
+
+    real_lbfgs = recal._lbfgs
+    monkeypatch.setattr(recal, "_lbfgs", counted)
+    data = TEMPERATURE_SETS[name]()
+    fitted, reference = temperature_scaling_fit(data), _reference_temperature_fit(data)
+    assert abs(fitted.params[0] - reference.params[0]) <= 1e-5
+    assert _nll(fitted, data) <= _nll(reference, data) + 1e-12
+    assert len(evaluations) <= 20  # the search made 36; the fit makes 6 to 8
+
+
+def _confident(right: bool):
+    """50 Dirichlet rows over 3 classes, each labelled its top class or the next one."""
+    probs = np.random.default_rng(7).dirichlet(np.ones(3), 50)
+    return PredictionSet.from_probs(probs, (probs.argmax(axis=1) + (not right)) % 3)
+
+
+def test_temperature_scaling_at_the_edges_of_the_range():
+    # Flat NLL: the gradient is 0 at the start, so the fit stays at t = 1 (the search's
+    # ties went low, to the bracket's floor).
+    flat = PredictionSet.from_probs(np.full((6, 3), 1.0 / 3.0), [0, 1, 2, 0, 1, 2])
+    assert temperature_scaling_fit(flat).t == 1.0
+    assert _reference_temperature_fit(flat).t < math.exp(-4.99)
+
+    # Every prediction right: the NLL falls as t -> 0, flatter and flatter, and the fit
+    # stops at the floor e^-5 or short of it, where |dNLL/dlog t| < 1e-6.
+    right = _confident(True)
+    fitted = temperature_scaling_fit(right)
+    assert math.exp(-5.0) <= fitted.t < 1.0
+    assert abs(_nll(fitted, right) - _nll(_reference_temperature_fit(right), right)) <= 1e-8
+
+    # Every prediction wrong: the NLL falls as t -> inf, and the fit is clipped to e^5,
+    # also where every label probability is 0, on the floor.
+    assert temperature_scaling_fit(_confident(False)).t == math.exp(5.0)
+    assert temperature_scaling_fit(_one_hot(50, 10, 1.0)).t == math.exp(5.0)
 
 
 def test_temperature_scaling_single_class_falls_back():
