@@ -160,7 +160,7 @@ class Rng:
 
     def stream(self, index: int) -> "Rng":
         """Derive an independent child stream for an index: an int or numpy integer, not a bool."""
-        if type(index) is not int:  # the per-step call with an int stays off the check
+        if type(index) is not int:  # stream_generators' call, once per draw, stays off the check
             index = _seed(index, "stream index")
         mixed = _splitmix64((self.stream_id & _MASK64) ^ _splitmix64(index & _MASK64))
         return Rng(self.master_seed, mixed)
@@ -193,10 +193,18 @@ def softmax(scores: np.ndarray, axis: int = -1, *, out: np.ndarray | None = None
 
     The result goes to ``out`` when given, which may be ``scores`` itself.
     """
-    e = np.subtract(scores, scores.max(axis=axis, keepdims=True), out=out)
+    return _softmax_parts(scores, axis, out)[0]
+
+
+def _softmax_parts(scores: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
+    """softmax, with the maximum it shifts by and the sum it divides by, each keeping the axis:
+    log softmax = scores - max - log(sum), finite also where the softmax underflows to 0."""
+    top = scores.max(axis=axis, keepdims=True)
+    e = np.subtract(scores, top, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    norm = e.sum(axis=axis, keepdims=True)
+    e /= norm
+    return e, top, norm
 
 
 def row_sums(a: np.ndarray) -> np.ndarray:

@@ -128,7 +128,7 @@ def convergence_experiment(
     if n_grid[-1] < _MIN_SPAN * n_grid[0]:
         raise ValidationError("n_grid must span at least 1.5 decades")
     seeds = _count(seeds, "seeds per n", 20)
-    if bin_rule != "optimal":
+    if not (isinstance(bin_rule, str) and bin_rule == "optimal"):
         bin_rule = _count(bin_rule, "bin rule")
     workers = _count(workers, "workers")
     oracle_samples = _count(oracle_samples, "oracle sample count", 2)
@@ -235,14 +235,16 @@ def _fit_pbr_with_alpha_selection(
 
 
 def fit_method(
-    method: str, data_re: PredictionSet, cfg: PbrConfig, alpha_grid: Sequence[float],
+    method: str, data_re: PredictionSet, cfg: Optional[PbrConfig], alpha_grid: Sequence[float],
     seed: int, split: int = 0,
 ) -> tuple[RecalMap, Optional[PbrResult]]:
     """Fit one of METHODS to data_re; a PBR method also returns the fit it chose.
 
-    A PBR method sweeps cfg over alpha_grid with the method's own objective.
+    A PBR method sweeps cfg (None for the default PbrConfig) over alpha_grid with the method's
+    own objective.
     """
     method = _choice(method, "method", METHODS)
+    cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     if method == "uncalibrated":
         return RecalMap.identity("temperature", data_re.num_classes), None
     if method == "temperature":

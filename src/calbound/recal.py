@@ -10,13 +10,14 @@ the map parameters by minimizing
 
     mean_j Brier(map(v_j) applied to data) + alpha * KL(posterior || prior) / n
 
-with v_j = mu + sigma * xi_j reparameterized draws, optionally adding the
-cross-entropy loss to the Brier term. The draws xi are one (mc_samples, d)
-matrix fixed for the whole fit, so the objective is a deterministic function of
-(mu, log sigma), and a quasi-Newton method (L-BFGS with Armijo backtracking)
-minimizes it. The returned point map evaluates the posterior at the mean of
-j_final fresh samples. Temperature scaling (Guo et al., ICML 2017) is the point
-fit of the temperature family under the cross-entropy, by the same L-BFGS.
+with v_j = mu + sigma * xi_j reparameterized draws, optionally adding the cross-entropy
+-log p[label], in log-sum-exp form and not floored (only the input logs are), to the Brier
+term. The draws xi are one (mc_samples, d) matrix fixed for the whole fit, so the objective
+is a deterministic function of (mu, log sigma), and a quasi-Newton method (L-BFGS with
+Armijo backtracking) minimizes it. The returned point map evaluates the posterior at the
+mean of j_final fresh samples.
+Temperature scaling (Guo et al., ICML 2017) is the point fit of the temperature family under
+that cross-entropy, by the same L-BFGS.
 
 The temperature family is carried internally as log(t) so that Gaussian
 posteriors cannot leave the valid domain; constructors and reports still speak
@@ -32,8 +33,8 @@ probability rows.
 
 Past the scores, an evaluation writes each (J, K, n) array once: the softmax
 overwrites the scores, and the residual, a copy of the probabilities, becomes the
-gradient with respect to the scores in place (the cross-entropy objective adds one
-masked copy of the residual). Sums and chain rules are contractions in
+gradient with respect to the scores in place (the cross-entropy's gradient is the
+residual itself, contracted before that). Sums and chain rules are contractions in
 numpy's own ``einsum`` (no BLAS, so no dependence on the BLAS thread count; only
 the affine family's matmuls use BLAS), and the factors 2/n and 1/n scale the
 small (J, d) gradient, never a (J, K, n) array.
@@ -53,13 +54,14 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bounds import _kl_gaussian_diag, kl_gaussian_diag
-from .core import (PROB_FLOOR, PredictionSet, Rng, ValidationError, _array, _choice, _count,
-                   _keys, _optional, _real, _seed, log_probs, row_sums, softmax)
+from .core import (PredictionSet, Rng, ValidationError, _array, _choice, _count, _keys,
+                   _optional, _real, _seed, _softmax_parts, log_probs, row_sums, softmax)
 
 # L-BFGS: curvature pairs kept, Armijo constant, halvings before a line search gives up,
 # and the two stops (max |gradient| below _GRAD_TOL, a relative fall of at most _FALL_TOL).
@@ -219,7 +221,7 @@ def brier_score(data: PredictionSet) -> float:
 
 
 def softmax_cross_entropy(data: PredictionSet) -> float:
-    """Mean negative floored log-probability of the label."""
+    """Mean -log of the label probability floored at 1e-12 (core.log_probs): at most 27.63."""
     picked = data.probs[np.arange(data.n), data.labels]
     return float(-np.mean(log_probs(picked)))
 
@@ -349,29 +351,35 @@ def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig
                 cfg.objective == "brier_plus_loss")
 
 
-def _step(mu: np.ndarray, log_sigma: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
-    """Objective, its KL, sigma and the exact gradient over (mu, log_sigma) for fixed draws.
+def _softmax_xent(scores: np.ndarray, label_at: np.ndarray) -> tuple:
+    """core.softmax over the classes of (J, K, n) scores, in place, and the summed cross-entropy
+    -log p[label] = log sum exp(s - max) - (s[label] - max): not floored, and finite wherever
+    the scores are, also where p[label] underflows to 0."""
+    picked = scores.reshape(len(scores), -1)[:, label_at]
+    p, top, norm = _softmax_parts(scores, 1, scores)
+    return p, np.add.reduce(np.log(norm[:, 0]) - (picked - top[:, 0]), axis=None)
 
-    The residual p - onehot is a copy of p with 1 taken off each label cell, and
-    (resid - <p, resid>) * p, the Brier gradient with respect to the scores over 2/n,
-    overwrites it. The cross-entropy's gradient is the residual itself, except where the
-    label probability is below PROB_FLOOR: the floored loss is flat there. The KL is
-    _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
+
+def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
+    """Objective, exact gradient and row (KL, mean sigma) at x = (mu, log_sigma), for _lbfgs.
+
+    The residual p - onehot, a copy of p with 1 taken off each label cell, is the gradient of
+    the cross-entropy -log p[label] with respect to the scores; then (resid - <p, resid>) * p,
+    the Brier gradient over 2/n, overwrites it. The KL is _kl_gaussian_diag, which skips
+    kl_gaussian_diag's checks.
     """
+    mu, log_sigma = np.split(x, 2)
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
     scores = fit.family.scores(vs, fit.zt, fit.k)
-    p = softmax(scores, axis=1, out=scores)
+    p, xent = (_softmax_xent(scores, fit.label_at) if fit.loss
+               else (softmax(scores, axis=1, out=scores), 0.0))
 
     resid = p.copy()
     resid.reshape(fit.j, -1)[:, fit.label_at] -= 1.0
-    value = np.einsum("jkn,jkn->", resid, resid)
+    value = np.einsum("jkn,jkn->", resid, resid) + xent
     inner = np.einsum("jkn,jkn->jn", p, resid)
-    g_loss = 0.0
-    if fit.loss:
-        picked = p.reshape(fit.j, -1)[:, fit.label_at]
-        value -= np.add.reduce(log_probs(picked), axis=None)
-        g_loss = fit.family.grad(resid * (picked >= PROB_FLOOR)[:, None, :], fit.zt, vs)
+    g_loss = fit.family.grad(resid, fit.zt, vs) if fit.loss else 0.0
     resid -= inner[:, None, :]
     resid *= p
     g_vs = (2.0 * fit.family.grad(resid, fit.zt, vs) + g_loss) / fit.n
@@ -384,13 +392,14 @@ def _step(mu: np.ndarray, log_sigma: np.ndarray, fit: _Fit, xi: np.ndarray) -> t
 
     g_mu = g_mu + fit.alpha / fit.n * (mu - fit.prior_mu) / var_p
     g_log_sigma = g_log_sigma + fit.alpha / fit.n * (var / var_p - 1.0)
-    return value, kl, sigma, g_mu, g_log_sigma
+    return value, np.concatenate([g_mu, g_log_sigma]), (kl, np.add.reduce(sigma) / sigma.size)
 
 
 def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
     posterior.kl_to(prior)  # kl_gaussian_diag checks shapes, means and variances
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _step(posterior.mu, posterior.log_sigma, _fit_constants(data, prior, cfg), xi)
+    return _step(np.concatenate([posterior.mu, posterior.log_sigma]),
+                 _fit_constants(data, prior, cfg), xi)
 
 
 def pbr_objective(
@@ -412,7 +421,7 @@ def pbr_gradient(
     rng: Rng,
 ) -> np.ndarray:
     """Exact gradient of :func:`pbr_objective` as concat(d/dmu, d/dlog_sigma)."""
-    return np.concatenate(_checked_step(posterior, prior, data, cfg, rng)[3:])
+    return _checked_step(posterior, prior, data, cfg, rng)[1]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -522,48 +531,33 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     """
     prior = _default_prior(cfg, data.num_classes)
     fit = _fit_constants(data, prior, cfg)
-    d = prior.dim
-    xi = _draws(Rng(cfg.seed).stream(0), fit.j, d)
-
-    def objective(x):
-        value, kl, sigma, g_mu, g_log_sigma = _step(x[:d], x[d:], fit, xi)
-        return value, np.concatenate([g_mu, g_log_sigma]), (kl, np.add.reduce(sigma) / d)
-
-    x, value, stop_reason, rows = _lbfgs(
-        objective, np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
-    posterior = GaussianPosterior(x[:d], x[d:])
+    xi = _draws(Rng(cfg.seed).stream(0), fit.j, prior.dim)
+    x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit, xi=xi),
+                                         np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
+    posterior = GaussianPosterior(*np.split(x, 2))
     final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
     traces = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
     traces.setflags(write=False)
-    return PbrResult(posterior, fitted, prior, float(value), len(rows), stop_reason, cfg,
-                     *traces)
+    return PbrResult(posterior, fitted, prior, float(value), len(rows), stop_reason, cfg, *traces)
 
 
 def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
     """Temperature scaling: the point fit of the temperature family under the cross-entropy.
 
-    train_pbr's L-BFGS minimizes the mean -log softmax(z / t)[label], z the floored
-    log-probabilities, over log(t) from 0, clipped to _LOG_T_RANGE, [-5, 5]. That log is not
-    floored: the floor's kink would stall the fit at t = 1 on saturated rows. Labels all of
-    one class fall back to t = 1 with a warning.
+    _lbfgs minimizes the mean cross-entropy of _softmax_xent over log(t) from 0, with the
+    gradient p - onehot through the temperature family's chain rule, and the result is
+    clipped to _LOG_T_RANGE, [-5, 5]. Labels all of one class fall back to t = 1 with a warning.
     """
     if np.unique(data.labels).size < 2:
         warnings.warn("all labels identical; temperature fit falls back to t=1")
         return RecalMap.temperature(1.0, data.num_classes)
-    zt = np.ascontiguousarray(log_probs(data.probs).T)
-    label_at = data.labels * data.n + np.arange(data.n)
+    fit = _fit_constants(data, GaussianPosterior.at(np.zeros(1)), PbrConfig("temperature"))
 
     def nll(v):  # a trial step may overflow exp(-v); _lbfgs rejects the non-finite value
-        s = np.exp(-v[0])
-        scores = zt * s
-        scores -= scores.max(axis=0)
-        resid = np.exp(scores)
-        norm = np.add.reduce(resid)
-        resid /= norm  # p, then p - onehot, whose contraction with zt is dNLL/ds
-        resid.reshape(-1)[label_at] -= 1.0
-        value = np.add.reduce(np.log(norm) - scores.reshape(-1)[label_at]) / data.n
-        return value, -s * np.einsum("kn,kn->", resid, zt)[None] / data.n, ()
+        p, xent = _softmax_xent(fit.family.scores(v[None], fit.zt, fit.k), fit.label_at)
+        p.reshape(-1)[fit.label_at] -= 1.0
+        return xent / fit.n, fit.family.grad(p, fit.zt, v[None])[0] / fit.n, ()
 
     log_t = _lbfgs(nll, np.zeros(1), PbrConfig.max_iters)[0]
     return RecalMap("temperature", data.num_classes, np.clip(log_t, *_LOG_T_RANGE))

@@ -789,6 +789,7 @@ OPTIONALS = {
                   "cfg", _FIT),
     "compare.cfg": (lambda v: compare_methods(_MULTI, ("temperature",), folds=2, n_re=20,
                                               n_te=20, cfg=v), "cfg", _FIT),
+    "fit_method.cfg": (lambda v: fit_method("pbr", _TWO_ROWS, v, (0.5,), 0), "cfg", _FIT),
 }
 
 
@@ -802,6 +803,13 @@ def test_every_typed_boundary_refuses_another_type_by_name(call, value, message)
     # the experiments refuse it before any cell, which would raise ExperimentCellError
     with pytest.raises(ValidationError, match=message):
         call(value)
+
+
+def test_fit_method_fits_the_default_config_for_none():
+    fitted, result = fit_method("pbr", _TWO_ROWS, None, (0.5,), 0)
+    expect, expect_result = fit_method("pbr", _TWO_ROWS, PbrConfig(), (0.5,), 0)
+    assert np.array_equal(fitted.params, expect.params)
+    assert result.cfg == expect_result.cfg == PbrConfig(alpha=0.5)
 
 
 def _bad_names(good):

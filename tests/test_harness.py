@@ -726,7 +726,7 @@ def test_convergence_fixed_bin_rule_is_used_in_every_cell(spec):
     assert rep.config["bin_rule"] == 3
 
 
-@pytest.mark.parametrize("bin_rule", [0, -3, 2.7, "fixed"])
+@pytest.mark.parametrize("bin_rule", [0, -3, 2.7, "fixed", np.array(["optimal"])])
 def test_convergence_rejects_bad_bin_rule_before_any_cell(bin_rule):
     with pytest.raises(ValidationError, match="bin rule"):
         convergence_experiment(BIN_SPEC, GRID, seeds=20, bin_rule=bin_rule)

@@ -25,7 +25,7 @@ from calbound import (
     temperature_scaling_fit,
     train_pbr,
 )
-from calbound.core import PROB_FLOOR, log_probs, softmax
+from calbound.core import log_probs, softmax
 import calbound.recal as recal
 from calbound.harness import load_dump
 from calbound.harness.experiments import _split_source
@@ -45,6 +45,13 @@ def _row_major_scores(family, k, vs, z):
     return np.einsum("jkl,nl->jnk", mats, z) + b[:, None, :]
 
 
+def _label_log_probs(scores, labels):
+    """log softmax(scores)[label] of (J, n, K) scores, by log-sum-exp: finite where p underflows."""
+    shifted = scores - scores.max(axis=2, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    return log_p[:, np.arange(len(labels)), labels]
+
+
 def _row_major_objective_and_gradient(posterior, prior, data, cfg, xi):
     """Reference objective and (d/dmu, d/dlog_sigma) in the (J, n, K) layout."""
     k = data.num_classes
@@ -57,13 +64,12 @@ def _row_major_objective_and_gradient(posterior, prior, data, cfg, xi):
 
     resid = p - e[None, :, :]
     briers = (resid**2).sum(axis=2).mean(axis=1)
-    picked = p[:, np.arange(data.n), data.labels]
-    xents = -log_probs(picked).mean(axis=1)
+    xents = -_label_log_probs(scores, data.labels).mean(axis=1)
 
     inner = (p * resid).sum(axis=2, keepdims=True)
     g_scores = 2.0 * p * (resid - inner)
-    if cfg.objective == "brier_plus_loss":  # the floored loss is flat below PROB_FLOOR
-        g_scores = g_scores + resid * (picked >= PROB_FLOOR)[:, :, None]
+    if cfg.objective == "brier_plus_loss":
+        g_scores = g_scores + resid
     g_scores = g_scores / data.n
 
     if cfg.family == "temperature":
@@ -360,6 +366,42 @@ def test_loss_gradient_where_the_probability_floor_is_active():
     _assert_gradient_matches_finite_differences(data, "affine", "brier_plus_loss", post)
 
 
+def _one_hot_objectives(weight):
+    """One-hot rows over 10 classes, 20% wrong, a vector_scale posterior with every weight at
+    weight (sigma e^-3), its prior, and the configs of both objectives."""
+    data = _one_hot(50, 10, 0.2)
+    mu = RecalMap.vector_scale(np.full(10, weight), np.zeros(10)).params
+    post, prior = GaussianPosterior(mu, np.full(20, -3.0)), GaussianPosterior.at(np.zeros(20))
+    cfgs = [PbrConfig(family="vector_scale", mc_samples=3, objective=objective)
+            for objective in ("brier", "brier_plus_loss")]
+    return data, post, prior, cfgs
+
+
+@pytest.mark.parametrize("weight", [2.0, 40.0])
+def test_loss_is_the_unfloored_cross_entropy_on_one_hot_rows(weight):
+    # Weights 2 send a wrong row's label probability to about (1e-12)^2 = 1e-24, so its
+    # cross-entropy is about 55, not the floor's -log 1e-12 = 27.63; weights 40 send it to
+    # e^-1105, which underflows to 0, and the cross-entropy is still finite, about 1105.
+    data, post, prior, cfgs = _one_hot_objectives(weight)
+    brier, total = (pbr_objective(post, prior, data, cfg, Rng(4)) for cfg in cfgs)
+    vs = post.mu + post.sigma * Rng(4).generator().standard_normal((3, 20))
+    scores = log_probs(data.probs)[None] * vs[:, None, :10] + vs[:, None, 10:]
+    picked = _label_log_probs(scores, data.labels)
+    assert picked.min() < -25.0 * weight
+    assert total - brier == pytest.approx(-picked.mean(), rel=1e-12)
+    assert np.isfinite(pbr_gradient(post, prior, data, cfgs[1], Rng(4))).all()
+
+
+def test_train_pbr_learns_from_a_start_where_label_probabilities_underflow():
+    # A temperature prior at log t = -4 sends most start draws' wrong label probabilities on
+    # one-hot rows to 0 (27.63 / t > 745). The cross-entropy is finite there and its gradient
+    # raises t to about 7.7; a floored loss would be flat and the fit would stay at the start.
+    cfg = PbrConfig(objective="brier_plus_loss", prior=GaussianPosterior.at([-4.0]))
+    result = train_pbr(_one_hot(200, 10, 0.2), cfg)
+    assert np.isfinite(result.trace_objective).all() and result.steps > 0
+    assert 5.0 < result.map.t < 10.0
+
+
 def _reference_step(posterior, prior, data, cfg, xi):
     """The training step before its per-fit constants were hoisted: the class-major
     layout built per step, a posterior object per step, kl_to and ndarray.mean."""
@@ -369,7 +411,10 @@ def _reference_step(posterior, prior, data, cfg, xi):
     label_at = data.labels * data.n + np.arange(data.n)
     k, n = zt.shape
     family = _FAMILIES[cfg.family]
-    p = softmax(family.scores(vs, zt, k), axis=1)
+    scores = family.scores(vs, zt, k)
+    picked, top = scores.reshape(len(xi), -1)[:, label_at], scores.max(axis=1)
+    norm = np.exp(scores - top[:, None, :]).sum(axis=1)
+    p = softmax(scores, axis=1)
 
     resid = p.copy()
     resid.reshape(len(xi), -1)[:, label_at] -= 1.0
@@ -377,9 +422,8 @@ def _reference_step(posterior, prior, data, cfg, xi):
     inner = np.einsum("jkn,jkn->jn", p, resid)
     g_loss = 0.0
     if cfg.objective == "brier_plus_loss":
-        picked = p.reshape(len(xi), -1)[:, label_at]
-        value -= log_probs(picked).sum()
-        g_loss = family.grad(resid * (picked >= PROB_FLOOR)[:, None, :], zt, vs)
+        value += (np.log(norm) - (picked - top)).sum()
+        g_loss = family.grad(resid, zt, vs)
     g_vs = (2.0 * family.grad((resid - inner[:, None, :]) * p, zt, vs) + g_loss) / n
     g_mu = g_vs.mean(axis=0)
     g_log_sigma = (g_vs * xi).mean(axis=0) * sigma
@@ -530,9 +574,9 @@ def test_train_pbr_stops_where_the_row_major_loop_stops(gen, family, objective):
 def test_train_pbr_evaluates_every_point_at_one_fixed_draw_matrix(gen, monkeypatch, seed):
     draws = []
 
-    def record(mu, log_sigma, fit, xi):
+    def record(x, fit, xi):
         draws.append(xi.copy())
-        return real_step(mu, log_sigma, fit, xi)
+        return real_step(x, fit, xi)
 
     real_step = recal._step
     monkeypatch.setattr(recal, "_step", record)
@@ -581,9 +625,8 @@ def test_train_pbr_reports_why_it_stopped(gen):
 
 def test_train_pbr_reports_a_line_search_that_finds_no_fall(gen, monkeypatch):
     # a stand-in objective whose gradient points uphill: no halved step lowers it
-    def uphill(mu, log_sigma, fit, xi):
-        value = float(np.sum(mu**2) + np.sum(log_sigma**2))
-        return value, 0.0, np.exp(log_sigma), -2.0 * mu - 1.0, -2.0 * log_sigma - 1.0
+    def uphill(x, fit, xi):
+        return float(np.sum(x**2)), -2.0 * x - 1.0, (0.0, 1.0)
 
     monkeypatch.setattr(recal, "_step", uphill)
     res = train_pbr(random_prediction_set(gen, 20, 3), PbrConfig())
