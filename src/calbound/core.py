@@ -196,10 +196,12 @@ def softmax(scores: np.ndarray, axis: int = -1, *, out: np.ndarray | None = None
     return _softmax_parts(scores, axis, out)[0]
 
 
-def _softmax_parts(scores: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
-    """softmax, with the maximum it shifts by and the sum it divides by, each keeping the axis:
-    log softmax = scores - max - log(sum), finite also where the softmax underflows to 0."""
-    top = scores.max(axis=axis, keepdims=True)
+def _softmax_parts(scores: np.ndarray, axis: int, out: np.ndarray | None,
+                   top: np.ndarray | None = None) -> tuple:
+    """softmax, with the maximum it shifts by (written to ``top`` when given) and the sum it
+    divides by, each keeping the axis: log softmax = scores - max - log(sum), finite also where
+    the softmax underflows to 0."""
+    top = scores.max(axis=axis, keepdims=True, out=top)
     e = np.subtract(scores, top, out=out)
     np.exp(e, out=e)
     norm = e.sum(axis=axis, keepdims=True)

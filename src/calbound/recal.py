@@ -31,21 +31,25 @@ long one, so every softmax and per-row sum over K runs with the n rows as the
 contiguous inner loop. Public functions still take and return (n, K)
 probability rows.
 
-Past the scores, an evaluation writes each (J, K, n) array once: the softmax
-overwrites the scores, and the residual, a copy of the probabilities, becomes the
-gradient with respect to the scores in place (the cross-entropy's gradient is the
-residual itself, contracted before that). Sums and chain rules are contractions in
-numpy's own ``einsum`` (no BLAS, so no dependence on the BLAS thread count; only
-the affine family's matmuls use BLAS), and the factors 2/n and 1/n scale the
-small (J, d) gradient, never a (J, K, n) array.
+Each fit holds a workspace of two (J, K, n) arrays, and every (J, K, n) write of an
+evaluation lands there; no buffer outlives its fit or is shared between fits. The
+family writes the scores into the first, and the softmax overwrites them with the
+probabilities. The second holds the softmax's (J, n) maximum and the gathered
+s[label] while it is idle, then the residual p - onehot, taken against a (K, n) bool
+label mask, which becomes the gradient with respect to the scores in place (the
+cross-entropy's gradient is the residual itself, contracted before that). Sums and
+chain rules are contractions in numpy's own ``einsum`` (no BLAS, so no dependence on
+the BLAS thread count; only the affine family's matmuls use BLAS), and the factors
+2/n and 1/n scale the small (J, d) gradient, never a (J, K, n) array.
 
 A family is one ``_FAMILIES`` row: identity vector, whose size is the parameter
 count, scores in that layout and their chain rule back to the parameters. Nothing
 else names a family, so a new one (a Gaussian process, say) adds a row and no branch.
 
 An objective evaluation does only its arithmetic. What a fit holds fixed (that
-layout, the prior's mean and variance, the family row, the draws, J, K, n and alpha)
-is built once, and the optimizer carries one bare vector x = (mu, log_sigma).
+layout, the label mask, the prior's mean and variance, the family row, the draws, J,
+K, n and alpha) and its workspace are built once, and the optimizer carries one bare
+vector x = (mu, log_sigma).
 """
 
 from __future__ import annotations
@@ -75,9 +79,10 @@ _LOG_T_RANGE = (-5.0, 5.0)  # temperature scaling clips log(t) to it
 
 
 class _Family(NamedTuple):
-    """scores takes (J, d) draws, (K, n) log-probabilities and K to (J, K, n); grad contracts
-    dObjective/dscores, (J, K, n), with zt back to (J, d), given the draws, and is linear in
-    it, so the step scales the small result instead of the (J, K, n) array; t reads t off v."""
+    """scores takes (J, d) draws, (K, n) log-probabilities, K and an optional (J, K, n) out to
+    (J, K, n) scores, written to out when given; grad contracts dObjective/dscores, (J, K, n),
+    with zt back to (J, d), given the draws, and is linear in it, so the step scales the small
+    result instead of the (J, K, n) array; t reads t off v."""
 
     identity: Callable
     scores: Callable
@@ -92,18 +97,22 @@ def _with_offsets(g_weights: np.ndarray, g_scores: np.ndarray) -> np.ndarray:
 _FAMILIES = {
     "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -exp(-v) * z
         identity=lambda k: np.zeros(1),
-        scores=lambda vs, zt, k: zt[None, :, :] * np.exp(-vs[:, 0])[:, None, None],
+        scores=lambda vs, zt, k, out=None: np.multiply(zt, np.exp(-vs[:, 0])[:, None, None],
+                                                       out=out),
         grad=lambda g, zt, vs: (-np.exp(-vs[:, 0]) * np.einsum("jkn,kn->j", g, zt))[:, None],
         t=lambda v: math.exp(v[0]),
     ),
     "vector_scale": _Family(
         identity=lambda k: np.concatenate([np.ones(k), np.zeros(k)]),
-        scores=lambda vs, zt, k: zt[None, :, :] * vs[:, :k, None] + vs[:, k:, None],
+        scores=lambda vs, zt, k, out=None: np.add(np.multiply(zt, vs[:, :k, None], out=out),
+                                                  vs[:, k:, None], out=out),
         grad=lambda g, zt, vs: _with_offsets(np.einsum("jkn,kn->jk", g, zt), g),
     ),
     "affine": _Family(
         identity=lambda k: np.concatenate([np.eye(k).ravel(), np.zeros(k)]),
-        scores=lambda vs, zt, k: vs[:, : k * k].reshape(-1, k, k) @ zt + vs[:, k * k :, None],
+        scores=lambda vs, zt, k, out=None: np.add(
+            np.matmul(vs[:, : k * k].reshape(-1, k, k), zt, out=out), vs[:, k * k :, None],
+            out=out),
         grad=lambda g, zt, vs: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
     ),
 }
@@ -330,10 +339,12 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
 
 
 class _Fit(NamedTuple):
-    """Per-fit constants: the class-major data, the prior, the family row and the objective."""
+    """Per-fit constants and workspace: the class-major data, the prior, the family row, the
+    objective, and the two (J, K, n) arrays every evaluation writes in place."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
     label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
+    is_label: np.ndarray  # (K, n) bool, True at each row's label cell
     prior_mu: np.ndarray
     prior_var: np.ndarray
     family: _Family
@@ -342,41 +353,52 @@ class _Fit(NamedTuple):
     n: int
     alpha: float
     loss: bool  # brier_plus_loss: the cross-entropy joins the Brier term
+    scores: np.ndarray  # (J, K, n): the scores, then the probabilities
+    resid: np.ndarray  # (J, K, n): the max and s[label], then p - onehot, then the Brier gradient
 
 
 def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
-    return _Fit(zt, data.labels * data.n + np.arange(data.n), prior.mu, prior.sigma**2,
-                _FAMILIES[cfg.family], cfg.mc_samples, data.num_classes, data.n, cfg.alpha,
-                cfg.objective == "brier_plus_loss")
+    label_at = data.labels * data.n + np.arange(data.n)
+    is_label = np.zeros(zt.shape, dtype=bool)
+    is_label.reshape(-1)[label_at] = True
+    # One block for both arrays: glibc keeps a freed block of this size for the next fit,
+    # where it trimmed two of half the size and every fit faulted their pages in again.
+    return _Fit(zt, label_at, is_label, prior.mu, prior.sigma**2, _FAMILIES[cfg.family],
+                cfg.mc_samples, data.num_classes, data.n, cfg.alpha,
+                cfg.objective == "brier_plus_loss", *np.empty((2, cfg.mc_samples, *zt.shape)))
 
 
-def _softmax_xent(scores: np.ndarray, label_at: np.ndarray) -> tuple:
-    """core.softmax over the classes of (J, K, n) scores, in place, and the summed cross-entropy
-    -log p[label] = log sum exp(s - max) - (s[label] - max): not floored, and finite wherever
-    the scores are, also where p[label] underflows to 0."""
-    picked = scores.reshape(len(scores), -1)[:, label_at]
-    p, top, norm = _softmax_parts(scores, 1, scores)
-    return p, np.add.reduce(np.log(norm[:, 0]) - (picked - top[:, 0]), axis=None)
+def _softmax_xent(vs: np.ndarray, fit: _Fit) -> tuple:
+    """The probabilities at draws vs, in fit.scores, and, if fit.loss, the summed cross-entropy
+    -log p[label] = log sum exp(s - max) - (s[label] - max), else 0.0. The cross-entropy is not
+    floored, and is finite wherever the scores are, also where p[label] underflows to 0. The
+    softmax is core's, in place, and its (J, n) maximum and the gathered s[label] sit in the
+    idle fit.resid; its (J, n) sums, freed on return, take their log in place."""
+    scores = fit.family.scores(vs, fit.zt, fit.k, fit.scores)
+    picked, top = fit.resid.reshape(-1)[: 2 * fit.j * fit.n].reshape(2, fit.j, 1, fit.n)
+    if fit.loss:  # s[label], before the softmax overwrites it; mode "raise" would copy out
+        np.take(scores.reshape(fit.j, -1), fit.label_at, axis=1, mode="clip", out=picked[:, 0])
+    p, top, norm = _softmax_parts(scores, 1, scores, top)
+    if not fit.loss:
+        return p, 0.0
+    np.subtract(picked, top, out=picked)
+    log_norm = np.log(norm, out=norm)
+    return p, np.add.reduce(np.subtract(log_norm, picked, out=log_norm), axis=None)
 
 
 def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
     """Objective, exact gradient and row (KL, mean sigma) at x = (mu, log_sigma), for _lbfgs.
 
-    The residual p - onehot, a copy of p with 1 taken off each label cell, is the gradient of
-    the cross-entropy -log p[label] with respect to the scores; then (resid - <p, resid>) * p,
-    the Brier gradient over 2/n, overwrites it. The KL is _kl_gaussian_diag, which skips
-    kl_gaussian_diag's checks.
+    The residual p - onehot, in fit.resid, is the gradient of the cross-entropy -log p[label]
+    with respect to the scores; then (resid - <p, resid>) * p, the Brier gradient over 2/n,
+    overwrites it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
     """
-    mu, log_sigma = np.split(x, 2)
+    mu, log_sigma = x[: len(x) // 2], x[len(x) // 2 :]
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
-    scores = fit.family.scores(vs, fit.zt, fit.k)
-    p, xent = (_softmax_xent(scores, fit.label_at) if fit.loss
-               else (softmax(scores, axis=1, out=scores), 0.0))
-
-    resid = p.copy()
-    resid.reshape(fit.j, -1)[:, fit.label_at] -= 1.0
+    p, xent = _softmax_xent(vs, fit)
+    resid = np.subtract(p, fit.is_label, out=fit.resid)
     value = np.einsum("jkn,jkn->", resid, resid) + xent
     inner = np.einsum("jkn,jkn->jn", p, resid)
     g_loss = fit.family.grad(resid, fit.zt, vs) if fit.loss else 0.0
@@ -534,7 +556,7 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
     xi = _draws(Rng(cfg.seed).stream(0), fit.j, prior.dim)
     x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit, xi=xi),
                                          np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
-    posterior = GaussianPosterior(*np.split(x, 2))
+    posterior = GaussianPosterior(x[: prior.dim], x[prior.dim :])
     final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
     fitted = RecalMap(cfg.family, data.num_classes, final_v)
     traces = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
@@ -545,19 +567,21 @@ def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
 def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
     """Temperature scaling: the point fit of the temperature family under the cross-entropy.
 
-    _lbfgs minimizes the mean cross-entropy of _softmax_xent over log(t) from 0, with the
-    gradient p - onehot through the temperature family's chain rule, and the result is
-    clipped to _LOG_T_RANGE, [-5, 5]. Labels all of one class fall back to t = 1 with a warning.
+    _lbfgs minimizes the mean cross-entropy of _softmax_xent, in a one-draw fit with the loss on,
+    over log(t) from 0, with the gradient p - onehot through the temperature family's chain
+    rule, and the result is clipped to _LOG_T_RANGE, [-5, 5]. Labels all of one class fall back
+    to t = 1 with a warning.
     """
     if np.unique(data.labels).size < 2:
         warnings.warn("all labels identical; temperature fit falls back to t=1")
         return RecalMap.temperature(1.0, data.num_classes)
-    fit = _fit_constants(data, GaussianPosterior.at(np.zeros(1)), PbrConfig("temperature"))
+    fit = _fit_constants(data, GaussianPosterior.at(np.zeros(1)),
+                         PbrConfig("temperature", mc_samples=1, objective="brier_plus_loss"))
 
     def nll(v):  # a trial step may overflow exp(-v); _lbfgs rejects the non-finite value
-        p, xent = _softmax_xent(fit.family.scores(v[None], fit.zt, fit.k), fit.label_at)
-        p.reshape(-1)[fit.label_at] -= 1.0
-        return xent / fit.n, fit.family.grad(p, fit.zt, v[None])[0] / fit.n, ()
+        p, xent = _softmax_xent(v[None], fit)
+        resid = np.subtract(p, fit.is_label, out=fit.resid)
+        return xent / fit.n, fit.family.grad(resid, fit.zt, v[None])[0] / fit.n, ()
 
     log_t = _lbfgs(nll, np.zeros(1), PbrConfig.max_iters)[0]
     return RecalMap("temperature", data.num_classes, np.clip(log_t, *_LOG_T_RANGE))

@@ -1,7 +1,9 @@
 import importlib.resources
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -359,7 +361,7 @@ def test_gradient_matches_finite_differences(gen):
 
 def test_loss_gradient_where_the_probability_floor_is_active():
     # W = 20 I sends the first row's label probability to about 1e-25, below
-    # PROB_FLOOR, where the floored objective is flat in the scores.
+    # PROB_FLOOR; the objective is not floored, so its gradient still follows the scores there.
     data = PredictionSet.from_probs([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]], [1, 1])
     mu = RecalMap.affine(20.0 * np.eye(3), np.zeros(3)).params
     post = GaussianPosterior(mu, np.full(mu.size, -5.0))
@@ -586,6 +588,54 @@ def test_train_pbr_evaluates_every_point_at_one_fixed_draw_matrix(gen, monkeypat
     assert len(draws) > res.steps > 1  # the start, and at least one trial per iteration
     for xi in draws:
         assert np.array_equal(xi, expect)
+
+
+@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_warm_step_writes_its_arrays_into_the_fit_workspace(family, objective):
+    # The scores, probabilities and residual live in the fit's two (J, K, n) arrays, and the
+    # (J, n) maximum and s[label] in the idle residual one; a step that allocated them took
+    # 2.1 (J, K, n) arrays. What is left is one (J, n) array, 0.1 of one at K = 10.
+    j, k, n = 4, 10, 5000
+    data = random_prediction_set(np.random.default_rng(k), n, k)
+    cfg = PbrConfig(family=family, mc_samples=j, objective=objective)
+    prior = recal._default_prior(cfg, k)
+    fit = recal._fit_constants(data, prior, cfg)
+    xi = recal._draws(Rng(0).stream(0), j, prior.dim)
+    x = np.concatenate([prior.mu, prior.log_sigma])
+    first = recal._step(x, fit, xi)  # a first call may allocate numpy's own caches; keep that out
+    tracemalloc.start()
+    try:
+        again = recal._step(x, fit, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again[0] == first[0] and np.array_equal(again[1], first[1])
+    assert peak < 0.5 * (j * k * n * 8)
+
+
+def test_fits_run_side_by_side_in_threads_equal_the_serial_fits():
+    # Fits of one shape, so a buffer shared between fits would be written by both at once.
+    jobs = [(random_prediction_set(np.random.default_rng(seed), 2000, 5),
+             PbrConfig(family="vector_scale", objective=objective, seed=seed, max_iters=40))
+            for seed in (1, 2) for objective in ("brier", "brier_plus_loss")]
+    serial = [train_pbr(data, cfg) for data, cfg in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock between the fits often
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            side_by_side = list(pool.map(lambda job: train_pbr(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for alone, together in zip(serial, side_by_side):
+        assert together.final_objective == alone.final_objective
+        assert together.steps == alone.steps
+        for name in ("mu", "log_sigma"):
+            assert np.array_equal(getattr(together.posterior, name),
+                                  getattr(alone.posterior, name))
+        assert np.array_equal(together.map.params, alone.map.params)
+        for name in TRACES:
+            assert np.array_equal(getattr(together, name), getattr(alone, name))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
