@@ -68,7 +68,10 @@ def _as_source(source: Source) -> tuple[Union[BinarySpec, MulticlassSpec, Predic
         return source.data, {"dump": source.source}
     if isinstance(source, (BinarySpec, MulticlassSpec)):
         return source, {"spec": source.to_dict()}
-    return source, {"inline": {"n": source.n, "num_classes": source.num_classes}}
+    if isinstance(source, PredictionSet):
+        return source, {"inline": {"n": source.n, "num_classes": source.num_classes}}
+    raise ValidationError("source must be a BinarySpec, MulticlassSpec, PredictionSet or "
+                          f"PredictionDump, got {type(source).__name__}")
 
 
 class ExperimentCellError(RuntimeError):

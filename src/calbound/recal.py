@@ -14,8 +14,8 @@ with v_j = mu + sigma * xi_j reparameterized draws, optionally adding the cross-
 -log p[label], in log-sum-exp form and not floored (only the input logs are), to the Brier
 term. The draws xi are one (mc_samples, d) matrix fixed for the whole fit, so the objective
 is a deterministic function of (mu, log sigma), and a quasi-Newton method (L-BFGS with
-Armijo backtracking) minimizes it. The returned point map evaluates the posterior at the
-mean of j_final fresh samples.
+Armijo backtracking) minimizes it. The returned point map is the family at the posterior
+mean mu.
 Temperature scaling (Guo et al., ICML 2017) is the point fit of the temperature family under
 that cross-entropy, by the same L-BFGS.
 
@@ -208,7 +208,7 @@ class RecalMap:
 
 def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
     """Apply a map to a 2-D batch of probability rows."""
-    probs = _array(probs, "probs", 2)
+    probs = _array(probs, "probs", 2, finite=True)
     if probs.shape[1] != recal_map.num_classes:
         raise ValidationError(
             f"map expects {recal_map.num_classes} classes, got {probs.shape[1]}"
@@ -266,9 +266,6 @@ class GaussianPosterior:
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma)
 
-    def sample(self, rng: Rng, count: int) -> np.ndarray:
-        return self.mu[None, :] + self.sigma[None, :] * _draws(rng, count, self.dim)
-
     def kl_to(self, prior: "GaussianPosterior") -> float:
         return kl_gaussian_diag(self.mu, self.sigma**2, prior.mu, prior.sigma**2)
 
@@ -285,15 +282,14 @@ class PbrConfig:
     """Knobs for the variational fit; defaults suit desk-scale experiments.
 
     mc_samples is the number of posterior draws in the fixed draw matrix the
-    objective averages over, max_iters caps the optimizer's iterations, and
-    j_final is the number of fresh draws the returned map averages. step_size
-    and step_decay are checked and recorded but not read by the fit.
+    objective averages over, and max_iters caps the optimizer's iterations. The
+    returned map is the family at the posterior mean, so no other draw is taken.
+    step_size and step_decay are checked and recorded but not read by the fit.
     """
 
     family: str = "temperature"
     alpha: float = 0.25
     mc_samples: int = 4
-    j_final: int = 100
     step_size: float = 0.2
     step_decay: float = 0.995
     max_iters: int = 300
@@ -305,7 +301,6 @@ class PbrConfig:
         _family(self.family)  # rejects an unknown family
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", ">= 0"))
         object.__setattr__(self, "mc_samples", _count(self.mc_samples, "mc_samples"))
-        object.__setattr__(self, "j_final", _count(self.j_final, "j_final"))
         object.__setattr__(self, "step_size", _real(self.step_size, "step size", "> 0"))
         object.__setattr__(self, "step_decay", _real(self.step_decay, "step decay", "> 0", "<= 1"))
         object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
@@ -542,26 +537,25 @@ class PbrResult:
         return self.posterior.kl_to(self.prior)
 
 
-def train_pbr(data: PredictionSet, cfg: PbrConfig) -> PbrResult:
+def train_pbr(data: PredictionSet, cfg: Optional[PbrConfig]) -> PbrResult:
     """Fit the posterior by L-BFGS on the objective under one fixed draw matrix.
 
-    Deterministic given (data, cfg): the cfg.mc_samples draws come from stream 0
-    of cfg.seed, the fit starts at the prior, and the returned map evaluates the
-    family at the mean of j_final posterior samples from stream 1. The result
-    holds the last accepted point; final_objective is its objective, which is
-    trace_objective[-1] whenever the fit took a step.
+    Deterministic given (data, cfg), where None means PbrConfig(): the cfg.mc_samples draws
+    come from stream 0 of cfg.seed, the fit starts at the prior, and the returned map is the
+    family at the posterior mean mu. The result holds the last accepted point; final_objective
+    is its objective, which is trace_objective[-1] whenever the fit took a step.
     """
+    cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     prior = _default_prior(cfg, data.num_classes)
     fit = _fit_constants(data, prior, cfg)
     xi = _draws(Rng(cfg.seed).stream(0), fit.j, prior.dim)
     x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit, xi=xi),
                                          np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
     posterior = GaussianPosterior(x[: prior.dim], x[prior.dim :])
-    final_v = posterior.sample(Rng(cfg.seed).stream(1), cfg.j_final).mean(axis=0)
-    fitted = RecalMap(cfg.family, data.num_classes, final_v)
     traces = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
     traces.setflags(write=False)
-    return PbrResult(posterior, fitted, prior, float(value), len(rows), stop_reason, cfg, *traces)
+    return PbrResult(posterior, RecalMap(cfg.family, data.num_classes, posterior.mu), prior,
+                     float(value), len(rows), stop_reason, cfg, *traces)
 
 
 def temperature_scaling_fit(data: PredictionSet) -> RecalMap:

@@ -35,6 +35,7 @@ from calbound import (
     optimal_bins_1d,
     optimal_bins_per_dim,
     recalibrate_set,
+    train_pbr,
     true_ce_k,
     validate_prediction_set,
 )
@@ -319,7 +320,6 @@ COUNTS = {
     "RecalMap.from_dict.num_classes": lambda v: RecalMap.from_dict(
         {"family": "temperature", "num_classes": v, "params": [0.0]}),
     "PbrConfig.mc_samples": lambda v: PbrConfig(mc_samples=v),
-    "PbrConfig.j_final": lambda v: PbrConfig(j_final=v),
     "PbrConfig.max_iters": lambda v: PbrConfig(max_iters=v),
     "BinarySpec.n": lambda v: BinarySpec(_BINARY.law, _BINARY.map, v, Rng(1)),
     "MulticlassSpec.num_classes": lambda v: MulticlassSpec(
@@ -492,8 +492,8 @@ def _value_types(i, r):
                         MiscalibrationMap1D.sine(r(0.0625), r(2.0)), i(50), Rng(i(1), i(2)))
     multi = MulticlassSpec(i(3), (r(1.0), r(0.5), r(2.0)), MiscalibrationMapK.mixture(r(0.25)),
                            i(50), Rng(i(3)))
-    cfg = PbrConfig(alpha=r(0.5), mc_samples=i(2), j_final=i(5), step_size=r(0.25),
-                    step_decay=r(0.5), max_iters=i(3), seed=i(4))
+    cfg = PbrConfig(alpha=r(0.5), mc_samples=i(2), step_size=r(0.25), step_decay=r(0.5),
+                    max_iters=i(3), seed=i(4))
     inputs = BoundInputs(n=i(1000), num_bins=i(10), epsilon=r(0.0625), lipschitz=r(1.5),
                          lam=r(8.0), kl=r(0.5), num_classes=i(3))
     grid = [i(100), i(300), i(1000), i(3200)]
@@ -580,7 +580,7 @@ ARRAYS = {
     "RecalMap.affine.offsets": (lambda v: RecalMap.affine(np.eye(2), v), "offsets", [0, 1], 1,
                                 False),
     "apply_recal": (lambda v: apply_recal(RecalMap.vector_scale([1, 2], [0, 1]), v), "probs",
-                    _ONE_HOT, 2, False),
+                    _ONE_HOT, 2, True),
     "GaussianPosterior.mu": (lambda v: GaussianPosterior(v, np.zeros(2)), "mu", [1, 2], 1, False),
     "GaussianPosterior.log_sigma": (lambda v: GaussianPosterior(np.zeros(2), v), "log_sigma",
                                     [0, 1], 1, False),
@@ -713,7 +713,7 @@ def _written(fmt="csv", mode="probs"):
         return path.read_bytes()
 
 
-_FIT = PbrConfig(mc_samples=1, j_final=2, max_iters=2)
+_FIT = PbrConfig(mc_samples=1, max_iters=2)
 _FAMILY_PARAMS = {f: identity_params(f, 2) for f in FAMILIES}
 _MAP_1D_PARAMS = {"identity": (), "shift": (0.05,), "sine": (0.05, 2.0), "power": (2.0,)}
 _MAP_K_PARAMS = {"identity": (), "temperature": (2.0,), "mixture": (0.2,)}
@@ -790,6 +790,7 @@ OPTIONALS = {
     "compare.cfg": (lambda v: compare_methods(_MULTI, ("temperature",), folds=2, n_re=20,
                                               n_te=20, cfg=v), "cfg", _FIT),
     "fit_method.cfg": (lambda v: fit_method("pbr", _TWO_ROWS, v, (0.5,), 0), "cfg", _FIT),
+    "train_pbr.cfg": (lambda v: train_pbr(_TWO_ROWS, v), "cfg", _FIT),
 }
 
 
@@ -810,6 +811,26 @@ def test_fit_method_fits_the_default_config_for_none():
     expect, expect_result = fit_method("pbr", _TWO_ROWS, PbrConfig(), (0.5,), 0)
     assert np.array_equal(fitted.params, expect.params)
     assert result.cfg == expect_result.cfg == PbrConfig(alpha=0.5)
+
+
+def test_train_pbr_fits_the_default_config_for_none():
+    result, expect = train_pbr(_TWO_ROWS, None), train_pbr(_TWO_ROWS, PbrConfig())
+    assert result.cfg == expect.cfg == PbrConfig()
+    assert np.array_equal(result.posterior.mu, expect.posterior.mu)
+    assert np.array_equal(result.map.params, expect.map.params)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda v: kl_gap_experiment(v, (0.0, 1.0), replicates=1, n_re=20, cfg=_FIT),
+    lambda v: compare_methods(v, ("temperature",), folds=2, n_re=20, n_te=20),
+], ids=["klgap", "compare"])
+@pytest.mark.parametrize("source", [np.eye(2), {"probs": _ONE_HOT}, "spec.json"],
+                         ids=["array", "dict", "str"])
+def test_experiments_refuse_a_source_of_another_type_by_name(experiment, source):
+    message = (r"^source must be a BinarySpec, MulticlassSpec, PredictionSet or PredictionDump, "
+               rf"got {type(source).__name__}$")
+    with pytest.raises(ValidationError, match=message):
+        experiment(source)
 
 
 def _bad_names(good):

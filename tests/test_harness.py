@@ -575,7 +575,7 @@ def test_klgap_report_is_pinned():
     # a change to the fits or to either statistic moves it.
     rep = kl_gap_experiment(MULTI_SPEC, alpha_grid=(0.0, 0.5, 1.0), replicates=2, n_re=60)
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
-    assert digest == "df476aec251f9722f37c868ddc1dd042ddd8a37463317c8880cd44745718ffb0"
+    assert digest == "1296cd580f1a33682f947807cb5eec4d37788eea66cdeeafe1ae5294c7f99dc6"
 
 
 def test_loglog_slope_recovers_exact_power_law():
