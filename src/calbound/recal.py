@@ -16,8 +16,8 @@ term. The draws xi are one (mc_samples, d) matrix fixed for the whole fit, so th
 is a deterministic function of (mu, log sigma), and a quasi-Newton method (L-BFGS with
 Armijo backtracking) minimizes it. The returned point map is the family at the posterior
 mean mu.
-Temperature scaling (Guo et al., ICML 2017) is the point fit of the temperature family under
-that cross-entropy, by the same L-BFGS.
+Temperature scaling (Guo et al., ICML 2017) is the same fit of the temperature family with
+the Brier term weighed 0, one draw xi = 0 and alpha = 0, where only log(t) moves.
 
 The temperature family is carried internally as log(t) so that Gaussian
 posteriors cannot leave the valid domain; constructors and reports still speak
@@ -36,8 +36,8 @@ evaluation lands there; no buffer outlives its fit or is shared between fits. Th
 family writes the scores into the first, and the softmax overwrites them with the
 probabilities. The second holds the softmax's (J, n) maximum and the gathered
 s[label] while it is idle, then the residual p - onehot, taken against a (K, n) bool
-label mask, which becomes the gradient with respect to the scores in place (the
-cross-entropy's gradient is the residual itself, contracted before that). Sums and
+label mask: the cross-entropy's gradient with respect to the scores, contracted when
+that term is on, then overwritten in place by the Brier one. Sums and
 chain rules are contractions in numpy's own ``einsum`` (no BLAS, so no dependence on
 the BLAS thread count; only the affine family's matmuls use BLAS), and the factors
 2/n and 1/n scale the small (J, d) gradient, never a (J, K, n) array.
@@ -47,9 +47,9 @@ count, scores in that layout and their chain rule back to the parameters. Nothin
 else names a family, so a new one (a Gaussian process, say) adds a row and no branch.
 
 An objective evaluation does only its arithmetic. What a fit holds fixed (that
-layout, the label mask, the prior's mean and variance, the family row, the draws, J,
-K, n and alpha) and its workspace are built once, and the optimizer carries one bare
-vector x = (mu, log_sigma).
+layout, the label mask, the prior's mean and variance, the family and weight rows, the
+draws, J, K, n and alpha) and its workspace are built once, and the optimizer carries one
+bare vector x = (mu, log_sigma).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -76,6 +76,9 @@ _GRAD_TOL = 1e-6
 _FALL_TOL = 1e-9
 
 _LOG_T_RANGE = (-5.0, 5.0)  # temperature scaling clips log(t) to it
+
+# Each objective's weights of (Brier, cross-entropy); temperature scaling fits at (0, 1).
+_OBJECTIVES = {"brier": (1.0, 0.0), "brier_plus_loss": (1.0, 1.0)}
 
 
 class _Family(NamedTuple):
@@ -305,7 +308,7 @@ class PbrConfig:
         object.__setattr__(self, "step_decay", _real(self.step_decay, "step decay", "> 0", "<= 1"))
         object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
         object.__setattr__(self, "seed", _seed(self.seed, "seed"))
-        _choice(self.objective, "objective", ("brier", "brier_plus_loss"))
+        _choice(self.objective, "objective", tuple(_OBJECTIVES))
         _optional(self.prior, "prior", GaussianPosterior)
 
     def to_dict(self) -> dict:
@@ -335,7 +338,8 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
 
 class _Fit(NamedTuple):
     """Per-fit constants and workspace: the class-major data, the prior, the family row, the
-    objective, and the two (J, K, n) arrays every evaluation writes in place."""
+    objective's weights w_brier and w_xent of its Brier and cross-entropy terms (a w_xent of 0
+    skips the cross-entropy), and the two (J, K, n) arrays every evaluation writes in place."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
     label_at: np.ndarray  # flat index of each row's label cell in a (K, n) array
@@ -347,59 +351,55 @@ class _Fit(NamedTuple):
     k: int
     n: int
     alpha: float
-    loss: bool  # brier_plus_loss: the cross-entropy joins the Brier term
+    w_brier: float
+    w_xent: float
     scores: np.ndarray  # (J, K, n): the scores, then the probabilities
     resid: np.ndarray  # (J, K, n): the max and s[label], then p - onehot, then the Brier gradient
 
 
-def _fit_constants(data: PredictionSet, prior: GaussianPosterior, cfg: PbrConfig) -> _Fit:
+def _fit_constants(data: PredictionSet, prior: GaussianPosterior, family: str, weights: tuple,
+                   j: int, alpha: float) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
     label_at = data.labels * data.n + np.arange(data.n)
     is_label = np.zeros(zt.shape, dtype=bool)
     is_label.reshape(-1)[label_at] = True
     # One block for both arrays: glibc keeps a freed block of this size for the next fit,
     # where it trimmed two of half the size and every fit faulted their pages in again.
-    return _Fit(zt, label_at, is_label, prior.mu, prior.sigma**2, _FAMILIES[cfg.family],
-                cfg.mc_samples, data.num_classes, data.n, cfg.alpha,
-                cfg.objective == "brier_plus_loss", *np.empty((2, cfg.mc_samples, *zt.shape)))
-
-
-def _softmax_xent(vs: np.ndarray, fit: _Fit) -> tuple:
-    """The probabilities at draws vs, in fit.scores, and, if fit.loss, the summed cross-entropy
-    -log p[label] = log sum exp(s - max) - (s[label] - max), else 0.0. The cross-entropy is not
-    floored, and is finite wherever the scores are, also where p[label] underflows to 0. The
-    softmax is core's, in place, and its (J, n) maximum and the gathered s[label] sit in the
-    idle fit.resid; its (J, n) sums, freed on return, take their log in place."""
-    scores = fit.family.scores(vs, fit.zt, fit.k, fit.scores)
-    picked, top = fit.resid.reshape(-1)[: 2 * fit.j * fit.n].reshape(2, fit.j, 1, fit.n)
-    if fit.loss:  # s[label], before the softmax overwrites it; mode "raise" would copy out
-        np.take(scores.reshape(fit.j, -1), fit.label_at, axis=1, mode="clip", out=picked[:, 0])
-    p, top, norm = _softmax_parts(scores, 1, scores, top)
-    if not fit.loss:
-        return p, 0.0
-    np.subtract(picked, top, out=picked)
-    log_norm = np.log(norm, out=norm)
-    return p, np.add.reduce(np.subtract(log_norm, picked, out=log_norm), axis=None)
+    return _Fit(zt, label_at, is_label, prior.mu, prior.sigma**2, _FAMILIES[family], j,
+                data.num_classes, data.n, alpha, *weights, *np.empty((2, j, *zt.shape)))
 
 
 def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
     """Objective, exact gradient and row (KL, mean sigma) at x = (mu, log_sigma), for _lbfgs.
 
-    The residual p - onehot, in fit.resid, is the gradient of the cross-entropy -log p[label]
-    with respect to the scores; then (resid - <p, resid>) * p, the Brier gradient over 2/n,
-    overwrites it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
+    The cross-entropy -log p[label] = log sum exp(s - max) - (s[label] - max), taken only when
+    fit.w_xent is on, is not floored, and is finite wherever the scores are, also where
+    p[label] underflows to 0. The softmax is core's, in place in fit.scores; its (J, n) maximum
+    and the gathered s[label] sit in the idle fit.resid, and its (J, n) sums take their log in
+    place. The residual p - onehot, then in fit.resid, is the cross-entropy's gradient with
+    respect to the scores; (resid - <p, resid>) * p, the Brier gradient over 2/n, overwrites
+    it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
     """
     mu, log_sigma = x[: len(x) // 2], x[len(x) // 2 :]
     sigma = np.exp(log_sigma)
     vs = mu[None, :] + sigma[None, :] * xi
-    p, xent = _softmax_xent(vs, fit)
+    scores = fit.family.scores(vs, fit.zt, fit.k, fit.scores)
+    picked, top = fit.resid.reshape(-1)[: 2 * fit.j * fit.n].reshape(2, fit.j, 1, fit.n)
+    if fit.w_xent:  # s[label], before the softmax overwrites it; mode "raise" would copy out
+        np.take(scores.reshape(fit.j, -1), fit.label_at, axis=1, mode="clip", out=picked[:, 0])
+    p, top, norm = _softmax_parts(scores, 1, scores, top)
+    value = 0.0
+    if fit.w_xent:
+        np.subtract(picked, top, out=picked)
+        log_norm = np.log(norm, out=norm)
+        value = fit.w_xent * np.add.reduce(np.subtract(log_norm, picked, out=log_norm), axis=None)
     resid = np.subtract(p, fit.is_label, out=fit.resid)
-    value = np.einsum("jkn,jkn->", resid, resid) + xent
+    value = fit.w_brier * np.einsum("jkn,jkn->", resid, resid) + value
     inner = np.einsum("jkn,jkn->jn", p, resid)
-    g_loss = fit.family.grad(resid, fit.zt, vs) if fit.loss else 0.0
+    g_xent = fit.w_xent * fit.family.grad(resid, fit.zt, vs) if fit.w_xent else 0.0
     resid -= inner[:, None, :]
     resid *= p
-    g_vs = (2.0 * fit.family.grad(resid, fit.zt, vs) + g_loss) / fit.n
+    g_vs = (2.0 * fit.w_brier * fit.family.grad(resid, fit.zt, vs) + g_xent) / fit.n
     g_mu = np.add.reduce(g_vs) / fit.j
     g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
 
@@ -413,28 +413,32 @@ def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
 
 
 def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
+    cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
+    prior = _default_prior(replace(cfg, prior=prior), data.num_classes)
     posterior.kl_to(prior)  # kl_gaussian_diag checks shapes, means and variances
     xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    return _step(np.concatenate([posterior.mu, posterior.log_sigma]),
-                 _fit_constants(data, prior, cfg), xi)
+    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective], cfg.mc_samples,
+                         cfg.alpha)
+    return _step(np.concatenate([posterior.mu, posterior.log_sigma]), fit, xi)
 
 
 def pbr_objective(
     posterior: GaussianPosterior,
-    prior: GaussianPosterior,
+    prior: Optional[GaussianPosterior],
     data: PredictionSet,
-    cfg: PbrConfig,
+    cfg: Optional[PbrConfig],
     rng: Rng,
 ) -> float:
-    """Monte Carlo objective; the same rng value always yields the same draws."""
+    """Monte Carlo objective; the same rng value always yields the same draws. A cfg of None
+    means PbrConfig(), and a prior of None the default prior, as in a PbrConfig."""
     return _checked_step(posterior, prior, data, cfg, rng)[0]
 
 
 def pbr_gradient(
     posterior: GaussianPosterior,
-    prior: GaussianPosterior,
+    prior: Optional[GaussianPosterior],
     data: PredictionSet,
-    cfg: PbrConfig,
+    cfg: Optional[PbrConfig],
     rng: Rng,
 ) -> np.ndarray:
     """Exact gradient of :func:`pbr_objective` as concat(d/dmu, d/dlog_sigma)."""
@@ -547,7 +551,8 @@ def train_pbr(data: PredictionSet, cfg: Optional[PbrConfig]) -> PbrResult:
     """
     cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     prior = _default_prior(cfg, data.num_classes)
-    fit = _fit_constants(data, prior, cfg)
+    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective], cfg.mc_samples,
+                         cfg.alpha)
     xi = _draws(Rng(cfg.seed).stream(0), fit.j, prior.dim)
     x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit, xi=xi),
                                          np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
@@ -561,21 +566,15 @@ def train_pbr(data: PredictionSet, cfg: Optional[PbrConfig]) -> PbrResult:
 def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
     """Temperature scaling: the point fit of the temperature family under the cross-entropy.
 
-    _lbfgs minimizes the mean cross-entropy of _softmax_xent, in a one-draw fit with the loss on,
-    over log(t) from 0, with the gradient p - onehot through the temperature family's chain
-    rule, and the result is clipped to _LOG_T_RANGE, [-5, 5]. Labels all of one class fall back
-    to t = 1 with a warning.
+    _lbfgs minimizes _step from log(t) = 0 at log sigma = 0, with the weights (0, 1), one draw
+    xi = 0, alpha = 0 and the unit prior at 0: the objective is the mean cross-entropy at t,
+    and its log sigma gradient is exactly 0, so only log(t) moves. The result is clipped to
+    _LOG_T_RANGE, [-5, 5]. Labels all of one class fall back to t = 1 with a warning.
     """
     if np.unique(data.labels).size < 2:
         warnings.warn("all labels identical; temperature fit falls back to t=1")
         return RecalMap.temperature(1.0, data.num_classes)
-    fit = _fit_constants(data, GaussianPosterior.at(np.zeros(1)),
-                         PbrConfig("temperature", mc_samples=1, objective="brier_plus_loss"))
-
-    def nll(v):  # a trial step may overflow exp(-v); _lbfgs rejects the non-finite value
-        p, xent = _softmax_xent(v[None], fit)
-        resid = np.subtract(p, fit.is_label, out=fit.resid)
-        return xent / fit.n, fit.family.grad(resid, fit.zt, v[None])[0] / fit.n, ()
-
-    log_t = _lbfgs(nll, np.zeros(1), PbrConfig.max_iters)[0]
-    return RecalMap("temperature", data.num_classes, np.clip(log_t, *_LOG_T_RANGE))
+    unit_prior = GaussianPosterior.at(np.zeros(1))
+    fit = _fit_constants(data, unit_prior, "temperature", (0.0, 1.0), 1, 0.0)
+    x = _lbfgs(partial(_step, fit=fit, xi=np.zeros((1, 1))), np.zeros(2), PbrConfig.max_iters)[0]
+    return RecalMap("temperature", data.num_classes, np.clip(x[:1], *_LOG_T_RANGE))

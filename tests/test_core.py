@@ -34,6 +34,8 @@ from calbound import (
     mc_validate_bound,
     optimal_bins_1d,
     optimal_bins_per_dim,
+    pbr_gradient,
+    pbr_objective,
     recalibrate_set,
     train_pbr,
     true_ce_k,
@@ -783,6 +785,7 @@ CHOICES = {
 
 # Each public boundary that takes an object of one type or None: (call, its name in
 # messages, a valid object). Each feeds call v in place of the object.
+_UNIT_T = GaussianPosterior.at(np.zeros(1))  # a temperature posterior
 OPTIONALS = {
     "PbrConfig.prior": (lambda v: PbrConfig(prior=v), "prior", GaussianPosterior.at(np.zeros(1))),
     "klgap.cfg": (lambda v: kl_gap_experiment(_MULTI, (0.0, 1.0), replicates=1, n_re=20, cfg=v),
@@ -791,6 +794,10 @@ OPTIONALS = {
                                               n_te=20, cfg=v), "cfg", _FIT),
     "fit_method.cfg": (lambda v: fit_method("pbr", _TWO_ROWS, v, (0.5,), 0), "cfg", _FIT),
     "train_pbr.cfg": (lambda v: train_pbr(_TWO_ROWS, v), "cfg", _FIT),
+    "pbr_objective.cfg": (lambda v: pbr_objective(_UNIT_T, None, _TWO_ROWS, v, Rng(0)), "cfg",
+                          _FIT),
+    "pbr_gradient.cfg": (lambda v: pbr_gradient(_UNIT_T, None, _TWO_ROWS, v, Rng(0)), "cfg",
+                         _FIT),
 }
 
 

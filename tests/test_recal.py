@@ -27,7 +27,7 @@ from calbound import (
     temperature_scaling_fit,
     train_pbr,
 )
-from calbound.core import log_probs, softmax
+from calbound.core import _softmax_parts, log_probs, softmax
 import calbound.recal as recal
 from calbound.harness import load_dump
 from calbound.harness.experiments import _split_source
@@ -320,6 +320,26 @@ def test_class_major_pass_matches_row_major_reference(gen, family, objective, k)
         np.testing.assert_allclose(apply_recal(m, data.probs), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("family, dim", [("temperature", 3), ("vector_scale", 5), ("affine", 4)])
+def test_pbr_objective_and_gradient_refuse_a_prior_of_another_dimension(gen, family, dim):
+    data = random_prediction_set(gen, 20, 3)
+    wrong = GaussianPosterior.at(np.zeros(dim))
+    message = (rf"^prior dimension {dim} does not match {family} over 3 classes "
+               rf"\({param_dim(family, 3)}\)$")
+    for call in (pbr_objective, pbr_gradient):
+        with pytest.raises(ValidationError, match=message):
+            call(wrong, wrong, data, PbrConfig(family=family), Rng(0))
+
+
+def test_pbr_objective_and_gradient_read_none_as_the_defaults(gen):
+    data = random_prediction_set(gen, 20, 3)
+    post = GaussianPosterior(np.array([0.3]), np.array([-0.5]))
+    unit = GaussianPosterior.at(np.zeros(1))
+    for call in (pbr_objective, pbr_gradient):
+        assert np.array_equal(call(post, None, data, None, Rng(2)),
+                              call(post, unit, data, PbrConfig(), Rng(2)))
+
+
 def _assert_gradient_matches_finite_differences(data, family, objective, post):
     h = 1e-5
     dim = post.dim
@@ -597,17 +617,18 @@ def test_train_pbr_evaluates_every_point_at_one_fixed_draw_matrix(gen, monkeypat
         assert np.array_equal(xi, expect)
 
 
-@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss"])
+@pytest.mark.parametrize("objective", ["brier", "brier_plus_loss", "temperature_scaling"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_warm_step_writes_its_arrays_into_the_fit_workspace(family, objective):
     # The scores, probabilities and residual live in the fit's two (J, K, n) arrays, and the
     # (J, n) maximum and s[label] in the idle residual one; a step that allocated them took
     # 2.1 (J, K, n) arrays. What is left is one (J, n) array, 0.1 of one at K = 10.
+    # temperature_scaling is the weight row (0, 1) that temperature_scaling_fit steps with.
     j, k, n = 4, 10, 5000
     data = random_prediction_set(np.random.default_rng(k), n, k)
-    cfg = PbrConfig(family=family, mc_samples=j, objective=objective)
-    prior = recal._default_prior(cfg, k)
-    fit = recal._fit_constants(data, prior, cfg)
+    weights = {**recal._OBJECTIVES, "temperature_scaling": (0.0, 1.0)}[objective]
+    prior = recal._default_prior(PbrConfig(family=family), k)
+    fit = recal._fit_constants(data, prior, family, weights, j, 0.25)
     xi = recal._draws(Rng(0).stream(0), j, prior.dim)
     x = np.concatenate([prior.mu, prior.log_sigma])
     first = recal._step(x, fit, xi)  # a first call may allocate numpy's own caches; keep that out
@@ -848,6 +869,30 @@ def _nll(recal_map, data):
     return softmax_cross_entropy(recalibrate_set(recal_map, data))
 
 
+def _closure_temperature_fit(data):
+    """Temperature scaling as a one-parameter fit of its own: _lbfgs over log(t) from 0 on the
+    mean cross-entropy log sum exp(s - max) - (s[label] - max) and its gradient p - onehot
+    through the temperature family's chain rule, with no Brier term, sigma or KL, clipped to
+    [-5, 5]."""
+    zt = np.ascontiguousarray(log_probs(data.probs).T)
+    is_label = np.arange(data.num_classes)[:, None] == data.labels[None, :]
+    family = _FAMILIES["temperature"]
+
+    def nll(v):
+        scores = family.scores(v[None], zt, data.num_classes)
+        picked = scores[:, data.labels, np.arange(data.n)][:, None, :]
+        p, top, norm = _softmax_parts(scores, 1, None)
+        xent = np.add.reduce(np.log(norm) - (picked - top), axis=None)
+        return xent / data.n, family.grad(p - is_label, zt, v[None])[0] / data.n, ()
+
+    log_t = _lbfgs(nll, np.zeros(1), PbrConfig.max_iters)[0]
+    return RecalMap("temperature", data.num_classes, np.clip(log_t, -5.0, 5.0))
+
+
+def _assert_bit_equal(fitted, reference):
+    assert fitted.params.tobytes() == reference.params.tobytes(), (fitted.params, reference.params)
+
+
 def _dump_fold(fold):
     """compare_methods' fit set of fold on the bundled dump: 100 of its 500 rows."""
     dump = load_dump(str(importlib.resources.files("calbound") / "data" / "example_logits.csv"))
@@ -894,9 +939,29 @@ def test_temperature_scaling_matches_the_golden_section_reference(monkeypatch, n
     monkeypatch.setattr(recal, "_lbfgs", counted)
     data = TEMPERATURE_SETS[name]()
     fitted, reference = temperature_scaling_fit(data), _reference_temperature_fit(data)
+    _assert_bit_equal(fitted, _closure_temperature_fit(data))
     assert abs(fitted.params[0] - reference.params[0]) <= 1e-5
     assert _nll(fitted, data) <= _nll(reference, data) + 1e-12
     assert len(evaluations) <= 20  # the search made 36; the fit makes 6 to 8
+
+
+def test_temperature_scaling_steps_at_a_zero_draw_with_only_the_cross_entropy(monkeypatch):
+    # The point fit is _step at one draw xi = 0, alpha = 0 and the weights (0, 1), so its
+    # log sigma gradient is exactly 0 and log sigma stays at 0 at every point evaluated.
+    calls = []
+
+    def record(x, fit, xi):
+        calls.append((x.copy(), fit, xi.copy()))
+        return real_step(x, fit, xi)
+
+    real_step = recal._step
+    monkeypatch.setattr(recal, "_step", record)
+    temperature_scaling_fit(_sharpened())
+    assert len(calls) > 1
+    for x, fit, xi in calls:
+        assert np.array_equal(xi, np.zeros((1, 1))) and xi.shape == (1, 1)
+        assert fit.alpha == 0.0 and (fit.w_brier, fit.w_xent) == (0.0, 1.0)
+        assert x.shape == (2,) and x[1] == 0.0
 
 
 def _confident(right: bool):
@@ -910,19 +975,21 @@ def test_temperature_scaling_at_the_edges_of_the_range():
     # ties went low, to the bracket's floor).
     flat = PredictionSet.from_probs(np.full((6, 3), 1.0 / 3.0), [0, 1, 2, 0, 1, 2])
     assert temperature_scaling_fit(flat).t == 1.0
+    right, wrong, all_wrong = _confident(True), _confident(False), _one_hot(50, 10, 1.0)
+    for data in (flat, right, wrong, all_wrong):
+        _assert_bit_equal(temperature_scaling_fit(data), _closure_temperature_fit(data))
     assert _reference_temperature_fit(flat).t < math.exp(-4.99)
 
     # Every prediction right: the NLL falls as t -> 0, flatter and flatter, and the fit
     # stops at the floor e^-5 or short of it, where |dNLL/dlog t| < 1e-6.
-    right = _confident(True)
     fitted = temperature_scaling_fit(right)
     assert math.exp(-5.0) <= fitted.t < 1.0
     assert abs(_nll(fitted, right) - _nll(_reference_temperature_fit(right), right)) <= 1e-8
 
     # Every prediction wrong: the NLL falls as t -> inf, and the fit is clipped to e^5,
     # also where every label probability is 0, on the floor.
-    assert temperature_scaling_fit(_confident(False)).t == math.exp(5.0)
-    assert temperature_scaling_fit(_one_hot(50, 10, 1.0)).t == math.exp(5.0)
+    assert temperature_scaling_fit(wrong).t == math.exp(5.0)
+    assert temperature_scaling_fit(all_wrong).t == math.exp(5.0)
 
 
 def test_temperature_scaling_single_class_falls_back():
