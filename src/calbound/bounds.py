@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, Union
@@ -262,21 +263,27 @@ def mc_validate_bound(
     return CoverageResult(coverage, certificate, deviations)
 
 
-def _chunks(spec: Union[BinarySpec, MulticlassSpec], rng: Rng, estimate, count: int):
+def _chunks(spec: Union[BinarySpec, MulticlassSpec], rng: Rng, estimate, count: int,
+            held: Optional[threading.local] = None):
     """(first, stop, score) for each chunk of draws 0..count-1 of spec, in order.
 
     Draw s comes from ``rng.stream(s)``. A chunk holds at most
     COVERAGE_CHUNK_ROWS rows, or one draw when a draw is larger, and score()
     returns ``estimate(data, sets=...)``, a ``_sets`` estimator of the caller's
-    choosing, of the chunk's draws stacked.
+    choosing, of the chunk's draws stacked. Each thread draws its chunks into one
+    workspace, vars(held) (see synthetic._held), so a chunk reuses the pages of the one
+    before it; held defaults to a new threading.local, and no buffer outlives it.
     """
+    held = threading.local() if held is None else held
     step = max(1, COVERAGE_CHUNK_ROWS // spec.n)
     for first in range(0, count, step):
         stop = min(first + step, count)
-        yield first, stop, partial(_score_chunk, spec, rng, estimate, first, stop)
+        yield first, stop, partial(_score_chunk, spec, rng, estimate, first, stop, held)
 
 
-def _score_chunk(spec, rng: Rng, estimate, first: int, stop: int) -> np.ndarray:
-    """estimate(data, sets=...) of draws first..stop-1 of spec, drawn and scored stacked."""
+def _score_chunk(spec, rng: Rng, estimate, first: int, stop: int,
+                 held: threading.local) -> np.ndarray:
+    """estimate(data, sets=...) of draws first..stop-1 of spec, drawn and scored stacked.
+    The draws are views of this thread's workspace vars(held), which its next chunk reuses."""
     gens, sets = rng.stream_generators(range(first, stop)), stop - first
-    return estimate(_gen_sets(spec, gens, sets), sets=sets)
+    return estimate(_gen_sets(spec, gens, sets, vars(held)), sets=sets)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -149,11 +150,13 @@ def convergence_experiment(
                 for seed, est in enumerate(score().tolist(), first)]
 
     def jobs():
-        # Seed s of grid point i draws from stream(i).stream(s); a job scores a chunk of seeds.
+        # Seed s of grid point i draws from stream(i).stream(s); a job scores a chunk of seeds,
+        # drawn into its thread's workspace for the whole grid.
+        held = threading.local()
         for i_n, n in enumerate(n_grid):
             bins = optimal_bins(n) if bin_rule == "optimal" else bin_rule
             chunks = _chunks(with_n(spec, n), spec.rng.stream(i_n),
-                             partial(estimate, num_bins=bins), seeds)
+                             partial(estimate, num_bins=bins), seeds, held)
             for first, stop, score in chunks:
                 yield ({"n": n, "first_seed": first, "last_seed": stop - 1},
                        partial(rows, n, bins, first, score))

@@ -37,7 +37,7 @@ family writes the scores into the first, and the softmax overwrites them with th
 probabilities. The second holds the softmax's (J, n) maximum and the gathered
 s[label] while it is idle, then the residual p - onehot, taken against a (K, n) bool
 label mask: the cross-entropy's gradient with respect to the scores, contracted when
-that term is on, then overwritten in place by the Brier one. Sums and
+that term is on, then overwritten in place by the Brier one when that is on. Sums and
 chain rules are contractions in numpy's own ``einsum`` (no BLAS, so no dependence on
 the BLAS thread count; only the affine family's matmuls use BLAS), and the factors
 2/n and 1/n scale the small (J, d) gradient, never a (J, K, n) array.
@@ -378,7 +378,8 @@ def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
     and the gathered s[label] sit in the idle fit.resid, and its (J, n) sums take their log in
     place. The residual p - onehot, then in fit.resid, is the cross-entropy's gradient with
     respect to the scores; (resid - <p, resid>) * p, the Brier gradient over 2/n, overwrites
-    it. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's checks.
+    it when fit.w_brier is on. The KL is _kl_gaussian_diag, which skips kl_gaussian_diag's
+    checks.
     """
     mu, log_sigma = x[: len(x) // 2], x[len(x) // 2 :]
     sigma = np.exp(log_sigma)
@@ -394,12 +395,14 @@ def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
         log_norm = np.log(norm, out=norm)
         value = fit.w_xent * np.add.reduce(np.subtract(log_norm, picked, out=log_norm), axis=None)
     resid = np.subtract(p, fit.is_label, out=fit.resid)
-    value = fit.w_brier * np.einsum("jkn,jkn->", resid, resid) + value
-    inner = np.einsum("jkn,jkn->jn", p, resid)
-    g_xent = fit.w_xent * fit.family.grad(resid, fit.zt, vs) if fit.w_xent else 0.0
-    resid -= inner[:, None, :]
-    resid *= p
-    g_vs = (2.0 * fit.w_brier * fit.family.grad(resid, fit.zt, vs) + g_xent) / fit.n
+    g_vs = fit.w_xent * fit.family.grad(resid, fit.zt, vs) if fit.w_xent else 0.0
+    if fit.w_brier:  # off for temperature scaling, which weighs the Brier score 0
+        value = fit.w_brier * np.einsum("jkn,jkn->", resid, resid) + value
+        inner = np.einsum("jkn,jkn->jn", p, resid)
+        resid -= inner[:, None, :]
+        resid *= p
+        g_vs = 2.0 * fit.w_brier * fit.family.grad(resid, fit.zt, vs) + g_vs
+    g_vs = g_vs / fit.n
     g_mu = np.add.reduce(g_vs) / fit.j
     g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
 

@@ -220,6 +220,18 @@ class BinarySpec:
         return cls(law, m, _spec_count(d, "n"), _seed_rng(d["seed"]))
 
 
+def _held(workspace: Optional[dict], name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array of shape: new when workspace is None, else a view of the flat
+    buffer workspace[name], which a larger one replaces when it is too small."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buffer = workspace.get(name)
+    if buffer is None or buffer.size < size:
+        buffer = workspace[name] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
 def gen_binary(spec: BinarySpec) -> PredictionSet:
     """Draw a binary prediction set; class 0 is the top class on [1/2, 1].
 
@@ -229,18 +241,25 @@ def gen_binary(spec: BinarySpec) -> PredictionSet:
     return _gen_binary_sets(spec, [spec.rng.generator()], 1)
 
 
-def _gen_binary_sets(spec: BinarySpec, gens, sets: int) -> PredictionSet:
+def _gen_binary_sets(spec: BinarySpec, gens, sets: int, workspace=None) -> PredictionSet:
     """``sets`` draws of gen_binary(spec), the t-th from the t-th generator, stacked in order.
 
-    gens may be a longer iterator; only ``sets`` generators are taken from it.
+    gens may be a longer iterator; only ``sets`` generators are taken from it. The
+    confidences, uniforms, (rows, 2) rows and labels are _held arrays of workspace.
     """
-    conf, u = np.empty((sets, spec.n)), np.empty((sets, spec.n))
-    for c, v, gen in zip(conf, u, gens):  # zip stops on conf before taking a spare generator
+    rows = sets * spec.n
+    conf, u = _held(workspace, "conf", (rows,)), _held(workspace, "u", (rows,))
+    draws = zip(conf.reshape(sets, spec.n), u.reshape(sets, spec.n), gens)
+    for c, v, gen in draws:  # zip stops on conf before taking a spare generator
         c[:] = spec.law.sample(gen, spec.n)
         v[:] = gen.uniform(0.0, 1.0, spec.n)
-    conf, u = conf.ravel(), u.ravel()
-    labels = np.where(u < spec.map(conf), 0, 1)
-    return PredictionSet(np.column_stack([conf, 1.0 - conf]), labels)
+    probs = _held(workspace, "probs", (rows, 2))
+    probs[:, 0] = conf
+    np.subtract(1.0, conf, out=probs[:, 1])
+    # Class 0 where u < g(c), else 1: the bits of np.where(u < g, 0, 1), written in place.
+    labels = _held(workspace, "labels", (rows,), np.int64)
+    np.greater_equal(u, spec.map(conf), out=labels, casting="unsafe")
+    return PredictionSet(probs, labels)
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -371,15 +390,18 @@ def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
     return _gen_multiclass_sets(spec, [spec.rng.generator()], 1)
 
 
-def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int) -> PredictionSet:
+def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int, workspace=None) -> PredictionSet:
     """``sets`` draws of gen_multiclass(spec), the t-th from the t-th generator, stacked in order.
 
-    gens may be a longer iterator; only ``sets`` generators are taken from it.
+    gens may be a longer iterator; only ``sets`` generators are taken from it. The
+    (rows, K) rows, uniforms and labels are _held arrays of workspace.
     """
     n = spec.n
-    # One set keeps its draw as it is; a copy would add n * K floats to the peak.
-    probs = np.empty((sets * n, spec.num_classes)) if sets > 1 else None
-    u = np.empty(sets * n)
+    # One set keeps its draw as it is, as a copy would add n * K floats to the peak, unless
+    # a workspace holds the rows: then the draw is freed before the set is scored.
+    copied = sets > 1 or workspace is not None
+    probs = _held(workspace, "probs", (sets * n, spec.num_classes)) if copied else None
+    u = _held(workspace, "u", (sets * n,))
     for start, gen in zip(range(0, sets * n, n), gens):  # zip stops before a spare generator
         f = gen.dirichlet(spec.concentration, n)
         if probs is None:
@@ -387,7 +409,7 @@ def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int) -> PredictionSet
         else:
             probs[start:start + n] = f
         u[start:start + n] = gen.uniform(0.0, 1.0, n)
-    labels = np.empty(sets * n, dtype=np.int64)
+    labels = _held(workspace, "labels", (sets * n,), np.int64)
     rows = _block_rows(spec.num_classes)
     for start in range(0, sets * n, rows):
         block = slice(start, start + rows)
@@ -404,10 +426,11 @@ def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int) -> PredictionSet
     return PredictionSet(probs, labels)
 
 
-def _gen_sets(spec, gens, sets: int) -> PredictionSet:
-    """_gen_binary_sets or _gen_multiclass_sets, as spec's kind asks: the one place that picks."""
+def _gen_sets(spec, gens, sets: int, workspace: Optional[dict] = None) -> PredictionSet:
+    """_gen_binary_sets or _gen_multiclass_sets, as spec's kind asks: the one place that picks.
+    A set drawn into a workspace (see _held) holds until the next draw into it."""
     draw = _gen_binary_sets if isinstance(spec, BinarySpec) else _gen_multiclass_sets
-    return draw(spec, gens, sets)
+    return draw(spec, gens, sets, workspace)
 
 
 def true_ce_k(

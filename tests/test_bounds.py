@@ -1,5 +1,9 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -20,6 +24,7 @@ from calbound import (
     ValidationError,
     ece_top_label,
     evaluate_bound,
+    gen_binary,
     gen_multiclass,
     heuristic_lambda,
     kl_gaussian_diag,
@@ -28,6 +33,7 @@ from calbound import (
     true_tce,
 )
 import calbound.bounds as bounds
+import calbound.synthetic as synthetic
 from calbound.ece import _ece_top_label_sets
 from calbound.synthetic import with_n
 from tests.conftest import reference_bins, reference_cell_ece
@@ -379,3 +385,80 @@ def test_chunks_score_multiclass_draws_with_the_callers_estimator(monkeypatch):
               bounds._chunks(spec, rng, estimate, 7)]
     expect = [ece_top_label(gen_multiclass(with_n(spec, 300, rng.stream(s))), 7) for s in range(7)]
     assert chunks == [(0, 3, expect[:3]), (3, 6, expect[3:6]), (6, 7, expect[6:])]
+
+
+K3 = MulticlassSpec(3, (1.0,) * 3, MiscalibrationMapK.mixture(0.5), 300, Rng(5))
+
+
+def _one_set_ece(spec, rng, s: int, num_bins: int) -> float:
+    """The top-label ECE of draw s of spec from rng, drawn alone into new arrays."""
+    one_set = gen_binary if isinstance(spec, BinarySpec) else gen_multiclass
+    return ece_top_label(one_set(with_n(spec, spec.n, rng.stream(s))), num_bins)
+
+
+@pytest.mark.parametrize("spec", [with_n(SINE, 1000), with_n(K3, 1000)], ids=["binary", "k3"])
+def test_a_warm_chunk_draws_into_its_workspace(spec):
+    # A chunk of 5 sets scored cold fills the workspace; the next chunk of that shape draws
+    # into it. The map's output, the row sums and each set's own draws are still new arrays,
+    # so the warm draw's peak is the cold one's less exactly the workspace's buffers.
+    held, sets = threading.local(), 5
+    bounds._score_chunk(spec, spec.rng, partial(_ece_top_label_sets, num_bins=7), 0, sets, held)
+    names = {"conf", "u", "probs", "labels"} if isinstance(spec, BinarySpec) else {"u", "probs",
+                                                                                 "labels"}
+    assert set(vars(held)) == names
+
+    def draw(workspace):
+        gens = spec.rng.stream_generators(range(sets, 2 * sets))
+        tracemalloc.start()
+        try:
+            data = synthetic._gen_sets(spec, gens, sets, workspace)
+            return data, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    warm, warm_peak = draw(vars(held))
+    cold, cold_peak = draw(None)
+    assert warm.probs.base is vars(held)["probs"] and warm.labels.base is vars(held)["labels"]
+    assert warm.probs.tobytes() == cold.probs.tobytes()
+    assert warm.labels.tobytes() == cold.labels.tobytes()
+    held_bytes = sum(buffer.nbytes for buffer in vars(held).values())
+    assert held_bytes >= warm.probs.nbytes + warm.labels.nbytes + warm.n * 8
+    assert warm_peak + held_bytes <= cold_peak
+
+
+@pytest.mark.parametrize("spec", [SINE, K3], ids=["binary", "k3"])
+def test_chunks_sharing_a_workspace_keep_each_score(monkeypatch, spec):
+    # One workspace for three runs of chunks of at most 1000 rows: sets of 300 in chunks of
+    # 3 and a last one of 1 (900, 900, 300 rows: the buffers shrink), then sets of 1500, each
+    # a chunk larger than the limit (the buffers grow), then sets of 200 in one chunk of 5.
+    monkeypatch.setattr(bounds, "COVERAGE_CHUNK_ROWS", 1000)
+    held, estimate = threading.local(), partial(_ece_top_label_sets, num_bins=7)
+    runs = [(with_n(spec, 300), 7), (with_n(spec, 1500), 2), (with_n(spec, 200), 5)]
+    scored = []
+    for i, (sized, count) in enumerate(runs):
+        rng = spec.rng.stream(i)
+        for first, stop, score in bounds._chunks(sized, rng, estimate, count, held):
+            scores = score()
+            scored.append((sized, rng, first, stop, scores, scores.copy()))
+    assert [stop - first for _, _, first, stop, _, _ in scored] == [3, 3, 1, 1, 1, 5]
+    assert vars(held)["labels"].size == 1500  # grown once, to the largest chunk
+    for sized, rng, first, stop, scores, when_scored in scored:
+        # a later chunk overwrote the workspace, but no score is a view of it
+        assert np.array_equal(scores, when_scored)
+        assert scores.tolist() == [_one_set_ece(sized, rng, s, 7) for s in range(first, stop)]
+
+
+def test_threads_scoring_chunks_of_one_call_draw_into_their_own_workspaces(monkeypatch):
+    # Chunks of one shape, so a workspace shared between the threads would be written by both.
+    monkeypatch.setattr(bounds, "COVERAGE_CHUNK_ROWS", 1000)
+    scores = [score for _, _, score in
+              bounds._chunks(SINE, SINE.rng, partial(_ece_top_label_sets, num_bins=7), 12)]
+    serial = [score().tolist() for score in scores]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock between the chunks often
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            side_by_side = list(pool.map(lambda score: score().tolist(), scores, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert side_by_side == serial

@@ -3,6 +3,8 @@ import importlib.resources
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 import zipfile
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from calbound import (
     BinarySpec,
+    BoundKind,
     ConfidenceLaw,
     MiscalibrationMap1D,
     MiscalibrationMapK,
@@ -29,6 +32,7 @@ from calbound import (
     ece_gap,
     ece_top_label,
     gen_multiclass,
+    mc_validate_bound,
     optimal_bins_1d,
     optimal_bins_per_dim,
     recalibrate_set,
@@ -53,6 +57,7 @@ from calbound.harness import io as dio
 import calbound.bounds as bounds
 from calbound.harness.experiments import PBR_OBJECTIVES, _generate, _split_source, fit_method
 from calbound.core import log_probs, softmax
+from calbound.synthetic import with_n
 from calbound.harness.report import REPORT_SCHEMA
 from tests.conftest import random_prediction_set
 
@@ -665,6 +670,42 @@ def test_convergence_threaded_matches_serial():
         serial = convergence_experiment(spec, GRID, seeds=20, workers=1, oracle_samples=1000)
         threaded = convergence_experiment(spec, GRID, seeds=20, workers=4, oracle_samples=1000)
         assert serial.to_dict() == threaded.to_dict()
+
+
+def _module_buffers() -> list:
+    """The attributes of calbound's modules that hold an array or a per-thread workspace."""
+    found = []
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "calbound":
+            continue
+        for attr, value in vars(module).items():
+            values = value.values() if isinstance(value, dict) else [value]
+            if any(isinstance(v, (np.ndarray, threading.local)) for v in values):
+                found.append(f"{name}.{attr}")
+    return found
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: mc_validate_bound(BoundKind.TotalBiasTest, with_n(BIN_SPEC, n), 10, 0.05, 100),
+    lambda n: convergence_experiment(MULTI_SPEC, [n, 3 * n, 10 * n, 32 * n], seeds=20,
+                                     workers=2, oracle_samples=1000),
+], ids=["coverage", "convergence-k3-threads"])
+def test_no_chunk_workspace_outlives_its_call(call):
+    # At n = 1000 the chunks hold about 50 000 rows, and each thread's workspace takes about
+    # 2 MB. A call at n = 100 first keeps numpy's and the thread pool's own caches out; a
+    # workspace kept from it would be too small, and regrown while traced.
+    call(100)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(1000)
+        assert tracemalloc.get_traced_memory()[1] - before > 2e6
+        del result
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+    assert _module_buffers() == []
 
 
 def _per_cell_convergence(spec, n_grid, seeds, bin_rule, oracle):
