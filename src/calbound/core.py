@@ -31,6 +31,10 @@ RENORM_TOL = 4 * np.finfo(float).eps
 # Probabilities are floored here before taking logs, so log(0) stays finite.
 PROB_FLOOR = 1e-12
 
+# Row-wise passes over (n, K) arrays that would otherwise make a whole (n, K) temporary work on
+# blocks of BLOCK_CELLS // K rows (at least one), so each (rows, K) array takes about 256 KB.
+BLOCK_CELLS = 2**15
+
 _MASK64 = (1 << 64) - 1
 
 # The comparisons a rule of _real may state, as in "> 0".
@@ -181,6 +185,10 @@ class Rng:
             yield gen
 
 
+def _block_rows(num_classes: int) -> int:
+    return max(1, BLOCK_CELLS // num_classes)
+
+
 def log_probs(probs: np.ndarray) -> np.ndarray:
     """Elementwise log of probabilities floored at PROB_FLOOR, in one new array."""
     floored = np.maximum(probs, PROB_FLOOR)
@@ -313,7 +321,9 @@ class PredictionSet:
             p0, p1 = self.probs.T
             idx = p1 > p0  # a tie, -0.0 against 0.0 too, keeps class 0 and its entry
             return np.where(idx, p1, p0), (self.labels == idx).astype(float)
-        idx = np.argmax(self.probs, axis=1)
+        rows, idx = _block_rows(self.num_classes), np.empty(self.n, dtype=np.intp)
+        for i in range(0, self.n, rows):  # by blocks: argmax copies a read-only array whole
+            np.argmax(self.probs[i:i + rows], axis=1, out=idx[i:i + rows])
         return self.probs[np.arange(self.n), idx], (self.labels == idx).astype(float)
 
     def subset(self, rows: np.ndarray) -> "PredictionSet":

@@ -7,11 +7,10 @@ are one reduction, :func:`_cell_ece`, over one of two cell numberings: the
 bin index in 1-D, and in K-D the key of each hypercube cell (each coordinate
 binned by the same rule). The reduction keeps occupied cells only, so keys
 serve as they are while the (B')^K cells number no more than the rows; past
-that, the occupied keys are numbered densely in the same order, as the inverse
-of ``np.unique`` numbers them. The ``_sets`` forms score equal consecutive
-blocks of rows, one prediction set each, in one pass: block t's cells are
-offset past those of the blocks before it, and each set's value is the one it
-has alone.
+that, the inverse of ``np.unique`` numbers the occupied keys densely in the
+same order. The ``_sets`` forms score equal consecutive blocks of rows, one
+prediction set each, in one pass: block t's cells are offset past those of the
+blocks before it, and each set's value is the one it has alone.
 """
 
 from __future__ import annotations
@@ -116,22 +115,12 @@ def _ece_full_k_sets(data: PredictionSet, num_bins: int, sets: int) -> np.ndarra
     rows = n // sets
     idx = assign_bins_1d(data.probs.ravel(), b).reshape(n, d) - 1
     keys = (idx @ b ** np.arange(d, dtype=np.int64)).reshape(sets, rows)
-    if b**d > rows:  # bincount over every key would outgrow the data
-        keys, span = _dense_keys(keys), rows
+    if b**d > rows:  # bincount over every key would outgrow the data; number them densely
+        keys, span = np.array([np.unique(row, return_inverse=True)[1] for row in keys]), rows
     else:
         span = b**d
     keys += np.arange(sets)[:, None] * span  # block t's cells from t * span
     return _cell_ece(keys.ravel(), data.probs, data.labels, sets, span)
-
-
-def _dense_keys(keys: np.ndarray) -> np.ndarray:
-    """Each row's keys numbered 0, 1, ... in key order, as np.unique's inverse numbers them."""
-    order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(keys, order, axis=1)
-    ranks = np.zeros(keys.shape, dtype=np.int64)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=ranks[:, 1:])
-    np.put_along_axis(keys, order, ranks, axis=1)
-    return keys
 
 
 def ece_full_k(data: PredictionSet, bins_per_dim: int) -> float:

@@ -48,8 +48,8 @@ else names a family, so a new one (a Gaussian process, say) adds a row and no br
 
 An objective evaluation does only its arithmetic. What a fit holds fixed (that
 layout, the label mask, the prior's mean and variance, the family and weight rows, the
-draws, J, K, n and alpha) and its workspace are built once, and the optimizer carries one
-bare vector x = (mu, log_sigma).
+draws and alpha) and its workspace, whose shape is (J, K, n), are built once, and the
+optimizer carries one bare vector x = (mu, log_sigma).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _OBJECTIVES = {"brier": (1.0, 0.0), "brier_plus_loss": (1.0, 1.0)}
 
 
 class _Family(NamedTuple):
-    """scores takes (J, d) draws, (K, n) log-probabilities, K and an optional (J, K, n) out to
+    """scores takes (J, d) draws, (K, n) log-probabilities and an optional (J, K, n) out to
     (J, K, n) scores, written to out when given; grad contracts dObjective/dscores, (J, K, n),
     with zt back to (J, d), given the draws, and is linear in it, so the step scales the small
     result instead of the (J, K, n) array; t reads t off v."""
@@ -100,22 +100,21 @@ def _with_offsets(g_weights: np.ndarray, g_scores: np.ndarray) -> np.ndarray:
 _FAMILIES = {
     "temperature": _Family(  # scores = z * exp(-v), so dscores/dv = -exp(-v) * z
         identity=lambda k: np.zeros(1),
-        scores=lambda vs, zt, k, out=None: np.multiply(zt, np.exp(-vs[:, 0])[:, None, None],
-                                                       out=out),
+        scores=lambda vs, zt, out=None: np.multiply(zt, np.exp(-vs[:, 0])[:, None, None], out=out),
         grad=lambda g, zt, vs: (-np.exp(-vs[:, 0]) * np.einsum("jkn,kn->j", g, zt))[:, None],
         t=lambda v: math.exp(v[0]),
     ),
     "vector_scale": _Family(
         identity=lambda k: np.concatenate([np.ones(k), np.zeros(k)]),
-        scores=lambda vs, zt, k, out=None: np.add(np.multiply(zt, vs[:, :k, None], out=out),
-                                                  vs[:, k:, None], out=out),
+        scores=lambda vs, zt, out=None: np.add(np.multiply(zt, vs[:, : len(zt), None], out=out),
+                                               vs[:, len(zt) :, None], out=out),
         grad=lambda g, zt, vs: _with_offsets(np.einsum("jkn,kn->jk", g, zt), g),
     ),
     "affine": _Family(
         identity=lambda k: np.concatenate([np.eye(k).ravel(), np.zeros(k)]),
-        scores=lambda vs, zt, k, out=None: np.add(
-            np.matmul(vs[:, : k * k].reshape(-1, k, k), zt, out=out), vs[:, k * k :, None],
-            out=out),
+        scores=lambda vs, zt, out=None: np.add(
+            np.matmul(vs[:, : -len(zt)].reshape(len(vs), len(zt), -1), zt, out=out),
+            vs[:, -len(zt) :, None], out=out),
         grad=lambda g, zt, vs: _with_offsets((g @ zt.T).reshape(len(g), -1), g),
     ),
 }
@@ -217,7 +216,7 @@ def apply_recal(recal_map: RecalMap, probs: np.ndarray) -> np.ndarray:
             f"map expects {recal_map.num_classes} classes, got {probs.shape[1]}"
         )
     zt = np.ascontiguousarray(log_probs(probs).T)
-    scores = _FAMILIES[recal_map.family].scores(recal_map.params[None], zt, recal_map.num_classes)
+    scores = _FAMILIES[recal_map.family].scores(recal_map.params[None], zt)
     return np.ascontiguousarray(softmax(scores[0], axis=0, out=scores[0]).T)
 
 
@@ -338,7 +337,7 @@ def _default_prior(cfg: PbrConfig, num_classes: int) -> GaussianPosterior:
 
 class _Fit(NamedTuple):
     """Per-fit constants and workspace: the class-major data, the prior, the family row, the
-    objective's weights w_brier and w_xent of its Brier and cross-entropy terms (a w_xent of 0
+    draws, the weights w_brier and w_xent of the Brier and cross-entropy terms (a w_xent of 0
     skips the cross-entropy), and the two (J, K, n) arrays every evaluation writes in place."""
 
     zt: np.ndarray  # floored log-probabilities, (K, n)
@@ -347,9 +346,7 @@ class _Fit(NamedTuple):
     prior_mu: np.ndarray
     prior_var: np.ndarray
     family: _Family
-    j: int  # draws per evaluation
-    k: int
-    n: int
+    xi: np.ndarray  # (J, d) draws, fixed for the fit
     alpha: float
     w_brier: float
     w_xent: float
@@ -358,18 +355,18 @@ class _Fit(NamedTuple):
 
 
 def _fit_constants(data: PredictionSet, prior: GaussianPosterior, family: str, weights: tuple,
-                   j: int, alpha: float) -> _Fit:
+                   xi: np.ndarray, alpha: float) -> _Fit:
     zt = np.ascontiguousarray(log_probs(data.probs).T)
     label_at = data.labels * data.n + np.arange(data.n)
     is_label = np.zeros(zt.shape, dtype=bool)
     is_label.reshape(-1)[label_at] = True
     # One block for both arrays: glibc keeps a freed block of this size for the next fit,
     # where it trimmed two of half the size and every fit faulted their pages in again.
-    return _Fit(zt, label_at, is_label, prior.mu, prior.sigma**2, _FAMILIES[family], j,
-                data.num_classes, data.n, alpha, *weights, *np.empty((2, j, *zt.shape)))
+    return _Fit(zt, label_at, is_label, prior.mu, prior.sigma**2, _FAMILIES[family], xi, alpha,
+                *weights, *np.empty((2, len(xi), *zt.shape)))
 
 
-def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
+def _step(x: np.ndarray, fit: _Fit) -> tuple:
     """Objective, exact gradient and row (KL, mean sigma) at x = (mu, log_sigma), for _lbfgs.
 
     The cross-entropy -log p[label] = log sum exp(s - max) - (s[label] - max), taken only when
@@ -383,11 +380,12 @@ def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
     """
     mu, log_sigma = x[: len(x) // 2], x[len(x) // 2 :]
     sigma = np.exp(log_sigma)
-    vs = mu[None, :] + sigma[None, :] * xi
-    scores = fit.family.scores(vs, fit.zt, fit.k, fit.scores)
-    picked, top = fit.resid.reshape(-1)[: 2 * fit.j * fit.n].reshape(2, fit.j, 1, fit.n)
+    j, _, n = fit.scores.shape
+    vs = mu[None, :] + sigma[None, :] * fit.xi
+    scores = fit.family.scores(vs, fit.zt, fit.scores)
+    picked, top = fit.resid.reshape(-1)[: 2 * j * n].reshape(2, j, 1, n)
     if fit.w_xent:  # s[label], before the softmax overwrites it; mode "raise" would copy out
-        np.take(scores.reshape(fit.j, -1), fit.label_at, axis=1, mode="clip", out=picked[:, 0])
+        np.take(scores.reshape(j, -1), fit.label_at, axis=1, mode="clip", out=picked[:, 0])
     p, top, norm = _softmax_parts(scores, 1, scores, top)
     value = 0.0
     if fit.w_xent:
@@ -402,16 +400,16 @@ def _step(x: np.ndarray, fit: _Fit, xi: np.ndarray) -> tuple:
         resid -= inner[:, None, :]
         resid *= p
         g_vs = 2.0 * fit.w_brier * fit.family.grad(resid, fit.zt, vs) + g_vs
-    g_vs = g_vs / fit.n
-    g_mu = np.add.reduce(g_vs) / fit.j
-    g_log_sigma = np.add.reduce(g_vs * xi) / fit.j * sigma
+    g_vs = g_vs / n
+    g_mu = np.add.reduce(g_vs) / j
+    g_log_sigma = np.add.reduce(g_vs * fit.xi) / j * sigma
 
     var, var_p = sigma**2, fit.prior_var
     kl = _kl_gaussian_diag(mu, var, fit.prior_mu, var_p)
-    value = float(value / (fit.n * fit.j) + fit.alpha * kl / fit.n)
+    value = float(value / (n * j) + fit.alpha * kl / n)
 
-    g_mu = g_mu + fit.alpha / fit.n * (mu - fit.prior_mu) / var_p
-    g_log_sigma = g_log_sigma + fit.alpha / fit.n * (var / var_p - 1.0)
+    g_mu = g_mu + fit.alpha / n * (mu - fit.prior_mu) / var_p
+    g_log_sigma = g_log_sigma + fit.alpha / n * (var / var_p - 1.0)
     return value, np.concatenate([g_mu, g_log_sigma]), (kl, np.add.reduce(sigma) / sigma.size)
 
 
@@ -419,10 +417,9 @@ def _checked_step(posterior, prior, data, cfg, rng) -> tuple:
     cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     prior = _default_prior(replace(cfg, prior=prior), data.num_classes)
     posterior.kl_to(prior)  # kl_gaussian_diag checks shapes, means and variances
-    xi = _draws(rng, cfg.mc_samples, posterior.dim)
-    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective], cfg.mc_samples,
-                         cfg.alpha)
-    return _step(np.concatenate([posterior.mu, posterior.log_sigma]), fit, xi)
+    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective],
+                         _draws(rng, cfg.mc_samples, posterior.dim), cfg.alpha)
+    return _step(np.concatenate([posterior.mu, posterior.log_sigma]), fit)
 
 
 def pbr_objective(
@@ -554,10 +551,9 @@ def train_pbr(data: PredictionSet, cfg: Optional[PbrConfig]) -> PbrResult:
     """
     cfg = _optional(cfg, "cfg", PbrConfig) or PbrConfig()
     prior = _default_prior(cfg, data.num_classes)
-    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective], cfg.mc_samples,
-                         cfg.alpha)
-    xi = _draws(Rng(cfg.seed).stream(0), fit.j, prior.dim)
-    x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit, xi=xi),
+    fit = _fit_constants(data, prior, cfg.family, _OBJECTIVES[cfg.objective],
+                         _draws(Rng(cfg.seed).stream(0), cfg.mc_samples, prior.dim), cfg.alpha)
+    x, value, stop_reason, rows = _lbfgs(partial(_step, fit=fit),
                                          np.concatenate([prior.mu, prior.log_sigma]), cfg.max_iters)
     posterior = GaussianPosterior(x[: prior.dim], x[prior.dim :])
     traces = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
@@ -578,6 +574,6 @@ def temperature_scaling_fit(data: PredictionSet) -> RecalMap:
         warnings.warn("all labels identical; temperature fit falls back to t=1")
         return RecalMap.temperature(1.0, data.num_classes)
     unit_prior = GaussianPosterior.at(np.zeros(1))
-    fit = _fit_constants(data, unit_prior, "temperature", (0.0, 1.0), 1, 0.0)
-    x = _lbfgs(partial(_step, fit=fit, xi=np.zeros((1, 1))), np.zeros(2), PbrConfig.max_iters)[0]
+    fit = _fit_constants(data, unit_prior, "temperature", (0.0, 1.0), np.zeros((1, 1)), 0.0)
+    x = _lbfgs(partial(_step, fit=fit), np.zeros(2), PbrConfig.max_iters)[0]
     return RecalMap("temperature", data.num_classes, np.clip(x[:1], *_LOG_T_RANGE))

@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import PredictionSet, Rng, ValidationError, _choice, _count, _keys, _real, row_sums
+from .core import (BLOCK_CELLS, PredictionSet, Rng, ValidationError, _block_rows, _choice, _count,
+                   _keys, _real, row_sums)
 
 # Oracle quadrature stops when doubling the panel count moves the estimate
 # by less than this.
@@ -28,10 +29,6 @@ _MAX_PANELS = 2**21
 # Child-stream indexes reserved by the generators, so user-derived streams
 # do not collide with internal draws.
 _STREAM_ORACLE = 0xACE
-
-# gen_multiclass and true_ce_k work on blocks of BLOCK_CELLS // K rows (at least
-# one), so each (rows, K) array they make takes about 256 KB whatever n and K are.
-BLOCK_CELLS = 2**15
 
 # true_ce_k sums its values in groups of this many rows; the group fixes the
 # oracle's bits, the block size does not.
@@ -252,7 +249,7 @@ def _gen_binary_sets(spec: BinarySpec, gens, sets: int, workspace=None) -> Predi
     draws = zip(conf.reshape(sets, spec.n), u.reshape(sets, spec.n), gens)
     for c, v, gen in draws:  # zip stops on conf before taking a spare generator
         c[:] = spec.law.sample(gen, spec.n)
-        v[:] = gen.uniform(0.0, 1.0, spec.n)
+        gen.random(out=v)  # the bits of gen.uniform(0.0, 1.0, n)
     probs = _held(workspace, "probs", (rows, 2))
     probs[:, 0] = conf
     np.subtract(1.0, conf, out=probs[:, 1])
@@ -377,10 +374,6 @@ def spec_from_json(text: str):
     return spec_from_dict(d)
 
 
-def _block_rows(num_classes: int) -> int:
-    return max(1, BLOCK_CELLS // num_classes)
-
-
 def gen_multiclass(spec: MulticlassSpec) -> PredictionSet:
     """Draw predictions f ~ Dirichlet and labels from m(f).
 
@@ -396,21 +389,16 @@ def _gen_multiclass_sets(spec: MulticlassSpec, gens, sets: int, workspace=None) 
     gens may be a longer iterator; only ``sets`` generators are taken from it. The
     (rows, K) rows, uniforms and labels are _held arrays of workspace.
     """
-    n = spec.n
-    # One set keeps its draw as it is, as a copy would add n * K floats to the peak, unless
-    # a workspace holds the rows: then the draw is freed before the set is scored.
-    copied = sets > 1 or workspace is not None
-    probs = _held(workspace, "probs", (sets * n, spec.num_classes)) if copied else None
+    n, rows = spec.n, _block_rows(spec.num_classes)
+    probs = _held(workspace, "probs", (sets * n, spec.num_classes))
     u = _held(workspace, "u", (sets * n,))
     for start, gen in zip(range(0, sets * n, n), gens):  # zip stops before a spare generator
-        f = gen.dirichlet(spec.concentration, n)
-        if probs is None:
-            probs = f
-        else:
-            probs[start:start + n] = f
-        u[start:start + n] = gen.uniform(0.0, 1.0, n)
+        # numpy draws Dirichlet rows one after another, so the blocks draw what one call would
+        for first in range(start, start + n, rows):
+            f = gen.dirichlet(spec.concentration, min(rows, start + n - first))
+            probs[first:first + len(f)] = f
+        gen.random(out=u[start:start + n])  # the bits of gen.uniform(0.0, 1.0, n)
     labels = _held(workspace, "labels", (sets * n,), np.int64)
-    rows = _block_rows(spec.num_classes)
     for start in range(0, sets * n, rows):
         block = slice(start, start + rows)
         # Class-major running sums: each is one add of two contiguous rows, and they are

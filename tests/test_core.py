@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -42,8 +43,8 @@ from calbound import (
     validate_prediction_set,
 )
 from calbound.bounds import _BIAS_1D, heuristic_lambda, optimize_lambda
-from calbound.core import (PROB_FLOOR, _array, _choice, _count, _real, log_probs, row_sums,
-                           softmax)
+from calbound.core import (BLOCK_CELLS, PROB_FLOOR, _array, _choice, _count, _real, log_probs,
+                           row_sums, softmax)
 from calbound.ece import assign_bins_1d
 from calbound.harness import (
     ExperimentReport,
@@ -291,6 +292,32 @@ def test_binary_top_label_is_the_argmax_entry_bit_for_bit(gen):
     assert np.array_equal(conf.view(np.int64), probs[np.arange(500), idx].view(np.int64))
     assert np.array_equal(hits, (ps.labels == idx).astype(float))
     assert hits.dtype == conf.dtype == np.float64
+
+
+@pytest.mark.parametrize("k", [3, 100])
+def test_multiclass_top_label_is_the_argmax_entry_across_blocks(gen, k):
+    # Rows of multiples of 1/4 tie often; three blocks of BLOCK_CELLS // K rows and a short one.
+    n = 3 * (BLOCK_CELLS // k) + 7
+    probs = gen.multinomial(4, np.ones(k) / k, size=n) / 4.0
+    ps = PredictionSet(probs, gen.integers(0, k, n))
+    idx = np.argmax(probs, axis=1)
+    conf, hits = ps.top_label()
+    assert conf.tobytes() == probs[np.arange(n), idx].tobytes()
+    assert np.array_equal(hits, (ps.labels == idx).astype(float))
+
+
+def test_multiclass_top_label_takes_no_copy_of_the_rows(gen):
+    # argmax copies a read-only array whole, and a set's probs is read-only; by blocks the
+    # peak is one block of rows and the three n-long outputs, 0.17 of probs here.
+    ps = PredictionSet(gen.dirichlet(np.ones(100), 2000), gen.integers(0, 100, 2000))
+    ps.top_label()  # a first call may allocate numpy's own caches; keep that out
+    tracemalloc.start()
+    try:
+        ps.top_label()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * ps.probs.nbytes
 
 
 _TWO_ROWS = PredictionSet.from_probs([[0.7, 0.3], [0.4, 0.6]], [0, 1])

@@ -224,6 +224,13 @@ def test_optimal_bins_integer_exact():
     assert optimal_bins_per_dim(10**5, 3) == 10
 
 
+@pytest.mark.parametrize("k", [2, 3, 10, 100])
+def test_optimal_bins_per_dim_leaves_no_more_cells_than_rows(k):
+    # b^K <= n, so at the default bin count the K-D cell keys are never numbered densely.
+    for n in sorted({int(x) for x in np.logspace(0, 6, 300)}):
+        assert optimal_bins_per_dim(n, k) ** k <= n
+
+
 def test_optimal_bins_exact_at_large_perfect_powers():
     # float cube roots drift below the integer at this scale; integer search must not
     for m in (10, 100, 1234):

@@ -423,9 +423,9 @@ def _reference_step(posterior, prior, data, cfg, xi):
     vs = posterior.mu[None, :] + sigma[None, :] * xi
     zt = np.ascontiguousarray(log_probs(data.probs).T)
     label_at = data.labels * data.n + np.arange(data.n)
-    k, n = zt.shape
+    n = zt.shape[1]
     family = _FAMILIES[cfg.family]
-    scores = family.scores(vs, zt, k)
+    scores = family.scores(vs, zt)
     picked, top = scores.reshape(len(xi), -1)[:, label_at], scores.max(axis=1)
     norm = np.exp(scores - top[:, None, :]).sum(axis=1)
     p = softmax(scores, axis=1)
@@ -603,9 +603,9 @@ def test_train_pbr_stops_where_the_row_major_loop_stops(gen, family, objective):
 def test_train_pbr_evaluates_every_point_at_one_fixed_draw_matrix(gen, monkeypatch, seed):
     draws = []
 
-    def record(x, fit, xi):
-        draws.append(xi.copy())
-        return real_step(x, fit, xi)
+    def record(x, fit):
+        draws.append(fit.xi.copy())
+        return real_step(x, fit)
 
     real_step = recal._step
     monkeypatch.setattr(recal, "_step", record)
@@ -628,13 +628,13 @@ def test_a_warm_step_writes_its_arrays_into_the_fit_workspace(family, objective)
     data = random_prediction_set(np.random.default_rng(k), n, k)
     weights = {**recal._OBJECTIVES, "temperature_scaling": (0.0, 1.0)}[objective]
     prior = recal._default_prior(PbrConfig(family=family), k)
-    fit = recal._fit_constants(data, prior, family, weights, j, 0.25)
-    xi = recal._draws(Rng(0).stream(0), j, prior.dim)
+    fit = recal._fit_constants(data, prior, family, weights,
+                               recal._draws(Rng(0).stream(0), j, prior.dim), 0.25)
     x = np.concatenate([prior.mu, prior.log_sigma])
-    first = recal._step(x, fit, xi)  # a first call may allocate numpy's own caches; keep that out
+    first = recal._step(x, fit)  # a first call may allocate numpy's own caches; keep that out
     tracemalloc.start()
     try:
-        again = recal._step(x, fit, xi)
+        again = recal._step(x, fit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -703,7 +703,7 @@ def test_train_pbr_reports_why_it_stopped(gen):
 
 def test_train_pbr_reports_a_line_search_that_finds_no_fall(gen, monkeypatch):
     # a stand-in objective whose gradient points uphill: no halved step lowers it
-    def uphill(x, fit, xi):
+    def uphill(x, fit):
         return float(np.sum(x**2)), -2.0 * x - 1.0, (0.0, 1.0)
 
     monkeypatch.setattr(recal, "_step", uphill)
@@ -879,7 +879,7 @@ def _closure_temperature_fit(data):
     family = _FAMILIES["temperature"]
 
     def nll(v):
-        scores = family.scores(v[None], zt, data.num_classes)
+        scores = family.scores(v[None], zt)
         picked = scores[:, data.labels, np.arange(data.n)][:, None, :]
         p, top, norm = _softmax_parts(scores, 1, None)
         xent = np.add.reduce(np.log(norm) - (picked - top), axis=None)
@@ -950,9 +950,9 @@ def test_temperature_scaling_steps_at_a_zero_draw_with_only_the_cross_entropy(mo
     # log sigma gradient is exactly 0 and log sigma stays at 0 at every point evaluated.
     calls = []
 
-    def record(x, fit, xi):
-        calls.append((x.copy(), fit, xi.copy()))
-        return real_step(x, fit, xi)
+    def record(x, fit):
+        calls.append((x.copy(), fit, fit.xi.copy()))
+        return real_step(x, fit)
 
     real_step = recal._step
     monkeypatch.setattr(recal, "_step", record)

@@ -318,6 +318,23 @@ def test_gen_multiclass_memory_stays_near_its_output(k):
     assert peak <= whole_arrays + 4 * synthetic.BLOCK_CELLS * 8
 
 
+def test_a_multiclass_draw_into_a_filled_workspace_takes_no_whole_rows_array():
+    # The Dirichlet rows are drawn a block at a time straight into the held rows, so a warm
+    # draw allocates blocks and the n row sums, never a whole (n, K) array.
+    spec = MulticlassSpec(3, (1.0,) * 3, MiscalibrationMapK.mixture(0.02), 50_000, Rng(3))
+    workspace = {}
+    synthetic._gen_multiclass_sets(spec, [spec.rng.generator()], 1, workspace)
+    tracemalloc.start()
+    try:
+        data = synthetic._gen_multiclass_sets(spec, [spec.rng.generator()], 1, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.probs.base is workspace["probs"]
+    assert data.probs.tobytes() == gen_multiclass(spec).probs.tobytes()
+    assert peak < data.probs.nbytes
+
+
 def test_gen_multiclass_label_frequencies_track_the_map():
     spec = MulticlassSpec(3, (2.0, 1.0, 1.0), MiscalibrationMapK.mixture(0.4), 150_000, Rng(8))
     data = gen_multiclass(spec)
